@@ -58,9 +58,6 @@ class ModeOperator:
     def mode_dims(self) -> tuple[int, ...]:
         return (self.truncation.dim,) * self.n_modes
 
-    def dagger(self) -> "ModeOperator":
-        return ModeOperator(self.matrix.conj().T, self.truncation, self.n_modes)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -116,10 +113,6 @@ class PureState:
 def annihilation_matrix(trunc: FockTruncation) -> np.ndarray:
     """Single-mode annihilation operator a with a|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1, trunc.dim, dtype=float)), 1).astype(complex)
-
-
-def number_matrix(trunc: FockTruncation) -> np.ndarray:
-    return np.diag(np.arange(trunc.dim, dtype=float)).astype(complex)
 
 
 def fock_ket(occupations, trunc: FockTruncation) -> np.ndarray:
@@ -268,10 +261,6 @@ def embed_operator(op: np.ndarray, positions: tuple[int, ...], dims: tuple[int, 
     t = t.transpose(perm + [p + len(dims) for p in perm])
     full = prod(dims)
     return np.ascontiguousarray(t.reshape(full, full))
-
-
-def apply_unitary(rho: DensityOperator, unitary: np.ndarray) -> DensityOperator:
-    return DensityOperator(_hermitize(unitary @ rho.matrix @ unitary.conj().T), rho.mode_dims)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

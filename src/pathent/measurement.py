@@ -116,13 +116,23 @@ def joint_click_probabilities(
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
     trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
-    e1_nc, e1_c = click_povm(s1.amplitude, d1, trunc)
-    e2_nc, e2_c = click_povm(s2.amplitude, d2, trunc)
-    probs = []
-    for ea, eb in ((e1_nc, e2_nc), (e1_nc, e2_c), (e1_c, e2_nc), (e1_c, e2_c)):
-        p = np.trace(rho.matrix @ np.kron(ea, eb)).real
-        probs.append(min(max(p, 0.0), 1.0))
-    return JointClickProbabilities(*probs)
+    povms_1 = np.array([click_povm(s1.amplitude, d1, trunc)])
+    povms_2 = np.array([click_povm(s2.amplitude, d2, trunc)])
+    return JointClickProbabilities(*click_probability_grid(rho.matrix, povms_1, povms_2)[0, 0])
+
+
+def click_probability_grid(rho_matrix: np.ndarray, povms_1: np.ndarray, povms_2: np.ndarray) -> np.ndarray:
+    """Joint click probabilities of a two-mode state for every pair of stacked POVMs.
+
+    povms_k has shape (n_k, 2, d, d), each entry a (no-click, click) pair
+    on mode k.  One contraction of rho reshaped to (d, d, d, d) gives
+    tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the result has shape
+    (n_1, n_2, 4) in JointClickProbabilities order, clipped to [0, 1].
+    """
+    d = povms_1.shape[-1]
+    t = rho_matrix.reshape(d, d, d, d)
+    p = np.einsum("abcd,xica,yjdb->xyij", t, povms_1, povms_2, optimize=True).real
+    return np.clip(p, 0.0, 1.0).reshape(len(povms_1), len(povms_2), 4)
 
 
 def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -34,6 +34,8 @@ from .herald import heralding_rate, simulate_heralded_state
 from .measurement import (
     DisplacementSetting,
     JointClickProbabilities,
+    click_povm,
+    click_probability_grid,
     displacement_settings_from_phases,
     joint_click_probabilities,
     multiphoton_coincidence_probability,
@@ -266,8 +268,13 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     """Witness expectation versus the relative measurement phase.
 
     The central-interferometer phase on Bob's side is offset so that the
-    displacement-referenced relative phase spans [phase_min, phase_max];
-    the separable bound does not depend on the phase and is computed once.
+    displacement-referenced relative phase spans [phase_min, phase_max].
+    An offset delta of chi_B equals exp(i delta n) on Bob's signal mode:
+    the pair source puts equal photon numbers in signal and idler, and
+    idler loss, the station beam splitter, heralding and signal loss are
+    all phase covariant.  So the heralded state is simulated once and
+    rotated per point.  The displacement settings and the separable bound
+    do not depend on chi_B and are computed once.
     """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
@@ -280,34 +287,36 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     )
     bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(config.setting_1, config.setting_2))
 
-    base_phase = config.phases.measured_relative_phase
-    offsets = np.linspace(phase_min, phase_max, steps) - base_phase
+    s1, s2 = displacement_settings_from_phases(
+        config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
+    )
+    povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation)])
+    povms_2 = np.array([click_povm(s2.amplitude, config.detector_2, config.truncation)])
+    rho = base["rho"].matrix
+    n_bob = np.arange(len(rho)) % config.truncation.dim  # Bob's photon number per basis index
+    n_diff = np.subtract.outer(n_bob, n_bob)
 
-    def one_point(offset: float) -> dict:
-        fields = {name: getattr(config.phases, name) for name in config.phases.__dataclass_fields__}
-        fields["chi_b"] = fields["chi_b"] + offset
-        phases = type(config.phases)(**fields)
-        heralded = simulate_heralded_state(config.source, phases, config.herald_truncation)
-        rho = fc.embed_state(heralded.rho, config.truncation)
-        s1, s2 = displacement_settings_from_phases(
-            config.setting_1.alpha_mean, config.setting_2.alpha_mean, phases
-        )
-        jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
-        return {
+    rows = []
+    for offset in np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase:
+        phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
+        rotated = rho * np.exp(1j * offset * n_diff)
+        jp = JointClickProbabilities(*click_probability_grid(rotated, povms_1, povms_2)[0, 0])
+        rows.append({
             "delta_theta_rad": phases.measured_relative_phase,
             "w_exp": witness.w_exp(jp),
             "w_ppt_max": bound,
-        }
-
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(one_point, offsets))
+        })
+    return rows
 
 
 def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: float, steps: int) -> dict:
     """Violation w_exp - w_ppt_max over a displacement-amplitude grid.
 
     Each grid point is evaluated at a point interval (no fluctuation
-    slack); the returned document also carries the two optima of the
+    slack), where the fluctuation and beta bounds reduce to their
+    objectives at the point.  One POVM pair is built per axis value and
+    all steps x steps probability quadruples come from one contraction.
+    The returned document also carries the two optima of the
     certification amplitudes.
     """
     if not 0.0 < alpha_min <= alpha_max <= 2.0:
@@ -317,28 +326,25 @@ def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: flo
     if not isinstance(config, ExperimentConfig):
         config = load_experiment_config(config)
     base = _simulate_probabilities(config)
-    rho = base["rho"]
     jp_z = base["z"].probabilities
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
     grid = np.linspace(alpha_min, alpha_max, steps)
 
-    def one_point(pair) -> dict:
-        a1, a2 = pair
-        s1, s2 = displacement_settings_from_phases(a1, a2, config.phases)
-        jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
-        i1 = DisplacementSetting.point(a1)
-        i2 = DisplacementSetting.point(a2)
-        w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
-        bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
-        return {
-            "alpha1": float(a1),
-            "alpha2": float(a2),
-            "violation": witness.w_exp(jp) - bound,
-        }
+    settings = [displacement_settings_from_phases(a, a, config.phases) for a in grid]
+    povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation) for s1, _ in settings])
+    povms_2 = np.array([click_povm(s2.amplitude, config.detector_2, config.truncation) for _, s2 in settings])
+    probs = click_probability_grid(base["rho"].matrix, povms_1, povms_2)
+    a1, a2 = grid[:, None], grid[None, :]
+    bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
 
-    pairs = [(a1, a2) for a1 in grid for a2 in grid]
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(one_point, pairs))
+    rows = []
+    for i, j in np.ndindex(steps, steps):
+        jp = JointClickProbabilities(*probs[i, j])
+        rows.append({
+            "alpha1": float(grid[i]),
+            "alpha2": float(grid[j]),
+            "violation": witness.w_exp(jp) - bounds[i, j],
+        })
 
     qp = witness.QubitProbs.from_joint_clicks(jp_z)
     optima = {}

@@ -3,7 +3,7 @@
 All measured quantities are frequencies under an i.i.d. assumption, so
 every probability estimate carries a binomial standard deviation
 sqrt(p(1-p)/N).  The square-root terms of the separable bound are
-replaced by their linearized upper bounds, valid while p1* + p2* <= 1/2.
+replaced by their linearized upper bounds, valid while p1* + p2* < 1/2.
 """
 
 from __future__ import annotations
@@ -18,6 +18,14 @@ from .measurement import JointClickProbabilities
 
 class PStarDomainError(ValueError):
     """Multiphoton bounds left the domain of the linearized square-root bound."""
+
+
+def check_pstar_domain(total: float) -> None:
+    """Reject p1* + p2* >= 1/2, where the linearized square-root bound does not apply."""
+    if total >= 0.5:
+        raise PStarDomainError(
+            f"p1* + p2* = {total} is not below 1/2; the linearized square-root bound does not apply"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,7 @@ def sigma_ppt_max(estimates_z, p_star_estimates, coefficients, beta: float) -> f
     )
     pbar = e_p1.value + e_p2.value
     sig = e_p1.sigma + e_p2.sigma
-    if pbar >= 0.5:
-        raise PStarDomainError(f"p1* + p2* = {pbar} outside the domain of the linearized bound")
+    check_pstar_domain(pbar)
     total += 2.0 * beta * _ratio(
         sig - 2.0 * sig * pbar + pbar,
         2.0 * sqrt(pbar * (1.0 - pbar)),

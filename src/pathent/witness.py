@@ -10,7 +10,7 @@ experiment, and the dimension-free bound adds multiphoton corrections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -60,11 +60,7 @@ class MultiphotonBounds:
     def __post_init__(self):
         if self.p1_star < 0 or self.p2_star < 0:
             raise ValueError("multiphoton bounds must be nonnegative")
-        if self.p1_star + self.p2_star > 0.5:
-            raise stats.PStarDomainError(
-                f"p1* + p2* = {self.p1_star + self.p2_star} exceeds 1/2; "
-                "the linearized square-root bound does not apply"
-            )
+        stats.check_pstar_domain(self.p1_star + self.p2_star)
 
     @property
     def total(self) -> float:
@@ -99,16 +95,17 @@ def w_exp(jp: JointClickProbabilities) -> float:
     return jp.p_nc_nc + jp.p_c_c - jp.p_c_nc - jp.p_nc_c
 
 
-def bound_coefficients(alpha1: float, alpha2: float) -> tuple[float, float, float, float, float]:
+def bound_coefficients(alpha1, alpha2):
     """The five coefficients of the qubit separable bound at real amplitudes.
 
     Order: (C1, C2, C3, C4, C5) multiplying P00, sqrt(P00 P11), P11, P10, P01.
+    Accepts scalars or broadcastable numpy arrays.
     """
-    f1 = 2.0 * exp(-alpha1**2) - 1.0
-    f2 = 2.0 * exp(-alpha2**2) - 1.0
-    g1 = 2.0 * alpha1**2 * exp(-alpha1**2) - 1.0
-    g2 = 2.0 * alpha2**2 * exp(-alpha2**2) - 1.0
-    c2 = 8.0 * alpha1 * alpha2 * exp(-(alpha1**2) - alpha2**2)
+    f1 = 2.0 * np.exp(-(alpha1**2)) - 1.0
+    f2 = 2.0 * np.exp(-(alpha2**2)) - 1.0
+    g1 = 2.0 * alpha1**2 * np.exp(-(alpha1**2)) - 1.0
+    g2 = 2.0 * alpha2**2 * np.exp(-(alpha2**2)) - 1.0
+    c2 = 8.0 * alpha1 * alpha2 * np.exp(-(alpha1**2) - alpha2**2)
     return (f1 * f2, c2, g1 * g2, g1 * f2, f1 * g2)
 
 
@@ -163,6 +160,24 @@ def _maximize_over_box(objective, i1: DisplacementSetting, i2: DisplacementSetti
     return best, best_point
 
 
+def w_tilde_point(a1, a2, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
+    """Fluctuation-bound objective at fixed amplitudes, i.e. the bound of a point box.
+
+    Outside the qubit assumption the diagonal entries are replaced by the
+    z-basis click probabilities; the single-click terms are additionally
+    lowered by the multiphoton bounds whenever their coefficients are
+    negative.  Accepts scalars or broadcastable numpy arrays.
+    """
+    c1, c2, c3, c4, c5 = bound_coefficients(a1, a2)
+    return (
+        c1 * jp_z.p_nc_nc
+        + c2 * sqrt(jp_z.p_nc_nc * jp_z.p_c_c)
+        + c3 * jp_z.p_c_c
+        + np.maximum(c4 * (jp_z.p_c_nc - mb.p1_star), c4 * jp_z.p_c_nc)
+        + np.maximum(c5 * (jp_z.p_nc_c - mb.p2_star), c5 * jp_z.p_nc_c)
+    )
+
+
 def w_ppt_fluctuation_bound(
     i1: DisplacementSetting,
     i2: DisplacementSetting,
@@ -171,34 +186,11 @@ def w_ppt_fluctuation_bound(
 ):
     """Qubit bound maximized over the displacement-fluctuation box.
 
-    Outside the qubit assumption the diagonal entries are replaced by the
-    z-basis click probabilities; the single-click terms are additionally
-    lowered by the multiphoton bounds whenever their coefficients are
-    negative (the branch is decided per candidate amplitude pair).
+    Maximizes w_tilde_point over the box, so the multiphoton branch of
+    each single-click term is decided per candidate amplitude pair.
     Returns the maximum and the coefficients at the maximizer.
     """
-    p_nc_nc, p_nc_c, p_c_nc, p_c_c = jp_z.p_nc_nc, jp_z.p_nc_c, jp_z.p_c_nc, jp_z.p_c_c
-    cross = sqrt(p_nc_nc * p_c_c)
-
-    def objective(a1, a2):
-        f1 = 2.0 * np.exp(-(a1**2)) - 1.0
-        f2 = 2.0 * np.exp(-(a2**2)) - 1.0
-        g1 = 2.0 * a1**2 * np.exp(-(a1**2)) - 1.0
-        g2 = 2.0 * a2**2 * np.exp(-(a2**2)) - 1.0
-        c1 = f1 * f2
-        c2 = 8.0 * a1 * a2 * np.exp(-(a1**2) - a2**2)
-        c3 = g1 * g2
-        c4 = g1 * f2
-        c5 = f1 * g2
-        return (
-            c1 * p_nc_nc
-            + c2 * cross
-            + c3 * p_c_c
-            + np.maximum(c4 * (p_c_nc - mb.p1_star), c4 * p_c_nc)
-            + np.maximum(c5 * (p_nc_c - mb.p2_star), c5 * p_nc_c)
-        )
-
-    value, (a1, a2) = _maximize_over_box(objective, i1, i2)
+    value, (a1, a2) = _maximize_over_box(lambda x1, x2: w_tilde_point(x1, x2, jp_z, mb), i1, i2)
     return value, bound_coefficients(a1, a2)
 
 
@@ -209,10 +201,9 @@ def beta_bound(i1: DisplacementSetting, i2: DisplacementSetting) -> float:
 
 
 def w_ppt_max(w_tilde: float, mb: MultiphotonBounds, beta: float) -> float:
-    """Dimension-free separable bound with multiphoton corrections."""
+    """Dimension-free separable bound with multiphoton corrections; w_tilde and beta may be arrays."""
     p = mb.total
-    if p > 0.5:
-        raise stats.PStarDomainError(f"p1* + p2* = {p} exceeds 1/2")
+    stats.check_pstar_domain(p)
     return w_tilde + p + 2.0 * beta * sqrt(p * (1.0 - p))
 
 
@@ -244,7 +235,8 @@ def _max_violation_alpha(qp: QubitProbs, trunc: fc.FockTruncation):
 
     def violation(alpha: float) -> float:
         w_op = phase_averaged_witness_operator(alpha, alpha, trunc)
-        return fc.expectation_value(rho, w_op) - w_ppt_qubit(alpha, alpha, diag)
+        # tr(rho W) as an elementwise contraction: W is Hermitian by construction
+        return np.einsum("ij,ji->", rho.matrix, w_op).real - w_ppt_qubit(alpha, alpha, diag)
 
     alphas = np.linspace(0.05, 2.0, 79)
     values = [violation(a) for a in alphas]

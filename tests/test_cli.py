@@ -112,6 +112,19 @@ def test_exit_code_pstar_domain(tmp_path, fixtures_dir):
     assert code == 4
 
 
+def test_exit_code_pstar_domain_at_exactly_one_half(tmp_path, fixtures_dir):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        "basis,n_total,n_a,n_b,n_d\n"
+        "alpha,1000,250,250,250\n"
+        "z,1000,10,10,1\n"
+        "pstar1,1000,0,0,250\n"
+        "pstar2,1000,0,0,250\n"
+    )
+    code = main(["certify", "--counts", str(counts), "--settings", str(fixtures_dir / "published_1p0km.settings.csv")])
+    assert code == 4
+
+
 def test_certify_counts_missing_basis_exit_2(tmp_path, fixtures_dir):
     counts = tmp_path / "counts.csv"
     counts.write_text("basis,n_total,n_a,n_b,n_d\nalpha,1000,250,250,250\n")

@@ -96,6 +96,25 @@ def test_joint_click_probabilities_vacuum():
     assert abs(sum(jp.as_array()) - 1.0) < 1e-12
 
 
+def test_click_probability_grid_matches_kron_traces():
+    rng = np.random.default_rng(23)
+    trunc = fc.FockTruncation(4)
+    rho = random_density_matrix(rng, trunc.dim**2)
+    amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
+    amps_2 = [0.5 * np.exp(1.7j), 0.7]
+    povms_1 = np.array([meas.click_povm(a, meas.DetectorModel(0.8), trunc) for a in amps_1])
+    povms_2 = np.array([meas.click_povm(a, meas.DetectorModel(0.6), trunc) for a in amps_2])
+    grid = meas.click_probability_grid(rho, povms_1, povms_2)
+    assert grid.shape == (3, 2, 4)
+    for x, (e1_nc, e1_c) in enumerate(povms_1):
+        for y, (e2_nc, e2_c) in enumerate(povms_2):
+            direct = [
+                np.trace(rho @ np.kron(ea, eb)).real
+                for ea, eb in ((e1_nc, e2_nc), (e1_nc, e2_c), (e1_c, e2_nc), (e1_c, e2_c))
+            ]
+            assert np.max(np.abs(grid[x, y] - direct)) < 1e-12
+
+
 def test_joint_click_probabilities_match_p00_model_at_083():
     rho = herald.ideal_lossy_state(1.0, 0.0, TR10)
     s = meas.DisplacementSetting.point(0.83)

@@ -1,0 +1,167 @@
+"""Sweeps: the phase-covariance identity they rely on, per-point oracles, and CLI goldens."""
+
+import math
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathent import fockcore as fc
+from pathent import pipeline, witness
+from pathent.cli import main
+from pathent.config import load_experiment_config
+from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.measurement import (
+    DisplacementSetting,
+    JointClickProbabilities,
+    displacement_settings_from_phases,
+    joint_click_probabilities,
+)
+
+from conftest import FIXTURES
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TR3 = fc.FockTruncation(3)
+PHASES = PhaseConfig(
+    phi_a=0.3, phi_b=-0.8, zeta_a=0.1, zeta_b=0.55, chi_a=1.2, chi_b=-0.4,
+    xi_a_long=0.7, xi_a_short=0.2, xi_b_long=-0.3, xi_b_short=0.9,
+)
+
+angle = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+transmission = st.floats(0.05, 1.0)
+
+
+def rotate_bob(rho: np.ndarray, delta: float, d: int) -> np.ndarray:
+    """exp(i delta n_B) rho exp(-i delta n_B) on a two-mode (Alice, Bob) matrix."""
+    u = np.kron(np.eye(d), np.diag(np.exp(1j * delta * np.arange(d))))
+    return u @ rho @ u.conj().T
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pair_a=st.floats(1e-4, 0.2),
+    pair_b=st.none() | st.floats(1e-4, 0.2),
+    signal_a=transmission,
+    signal_b=transmission,
+    idler_a=transmission,
+    idler_b=transmission,
+    false_herald=st.floats(0.0, 0.5),
+    phases=st.lists(angle, min_size=10, max_size=10),
+    delta=angle,
+)
+def test_chi_b_offset_is_phase_rotation_of_bob(
+    pair_a, pair_b, signal_a, signal_b, idler_a, idler_b, false_herald, phases, delta
+):
+    src = SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
+    base = PhaseConfig(*phases)
+    shifted = replace(base, chi_b=base.chi_b + delta)
+    plain = simulate_heralded_state(src, base, TR3)
+    moved = simulate_heralded_state(src, shifted, TR3)
+    expected = rotate_bob(plain.rho.matrix, delta, TR3.dim)
+    assert np.max(np.abs(moved.rho.matrix - expected)) <= 1e-12
+    assert abs(moved.herald_probability - plain.herald_probability) <= 1e-12
+
+
+def _config(fixture: str, variant: str):
+    """A fixture as shipped, or with nonzero phases and Monte Carlo sampling on."""
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    if variant == "phased-sampled":
+        config = replace(config, phases=PHASES, monte_carlo=replace(config.monte_carlo, enabled=True, seed=7))
+    return config
+
+
+CONFIGS = pytest.mark.parametrize(
+    "fixture, variant", [(f, v) for f in ("ideal_link", "lossy_link") for v in ("as-shipped", "phased-sampled")]
+)
+
+
+@CONFIGS
+def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
+    config = _config(fixture, variant)
+    phase_min, phase_max, steps = -2.5, 1.75, 4
+    rows = pipeline.sweep_phase(config, phase_min, phase_max, steps)
+    bound = pipeline.run_experiment(config)["witness"]["w_ppt_max"]
+    offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
+    assert len(rows) == steps
+    for row, offset in zip(rows, offsets):
+        phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
+        heralded = simulate_heralded_state(config.source, phases, config.herald_truncation)
+        rho = fc.embed_state(heralded.rho, config.truncation)
+        s1, s2 = displacement_settings_from_phases(
+            config.setting_1.alpha_mean, config.setting_2.alpha_mean, phases
+        )
+        jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
+        assert row["delta_theta_rad"] == phases.measured_relative_phase
+        assert abs(row["w_exp"] - witness.w_exp(jp)) <= 1e-12
+        assert abs(row["w_ppt_max"] - bound) <= 1e-12
+
+
+@CONFIGS
+def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
+    config = _config(fixture, variant)
+    alpha_min, alpha_max, steps = 0.3, 1.4, 4
+    result = pipeline.sweep_alpha(config, alpha_min, alpha_max, steps)
+    report = pipeline.run_experiment(config)
+    z = report["probabilities"]["z_basis"]
+    jp_z = JointClickProbabilities(z["p_nc_nc"], z["p_nc_c"], z["p_c_nc"], z["p_c_c"])
+    mb = witness.MultiphotonBounds(report["multiphoton"]["p1_star"], report["multiphoton"]["p2_star"])
+    heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
+    rho = fc.embed_state(heralded.rho, config.truncation)
+    grid = np.linspace(alpha_min, alpha_max, steps)
+    expected = []
+    for a1 in grid:
+        for a2 in grid:
+            s1, s2 = displacement_settings_from_phases(a1, a2, config.phases)
+            jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
+            i1, i2 = DisplacementSetting.point(a1), DisplacementSetting.point(a2)
+            w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
+            bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
+            expected.append((a1, a2, witness.w_exp(jp) - bound))
+    assert len(result["rows"]) == len(expected)
+    for row, (a1, a2, violation) in zip(result["rows"], expected):
+        assert (row["alpha1"], row["alpha2"]) == (a1, a2)
+        assert abs(row["violation"] - violation) <= 1e-12
+
+
+def test_sweep_phase_simulates_the_heralded_state_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return simulate_heralded_state(*args)
+
+    monkeypatch.setattr(pipeline, "simulate_heralded_state", counting)
+    rows = pipeline.sweep_phase(str(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 9)
+    assert len(rows) == 9
+    assert len(calls) == 1
+
+
+def _fields(text: str) -> list[list[str]]:
+    return [re.split(r"[,\s=]+", line.strip()) for line in text.splitlines()]
+
+
+def _same_field(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        x, y = float(got), float(want)
+    except ValueError:
+        return False
+    # signed zeros such as "-0" must keep their sign
+    return math.copysign(1.0, x) == math.copysign(1.0, y) and math.isclose(x, y, rel_tol=1e-9, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
+@pytest.mark.parametrize("command, golden", [("sweep-phase", "sweep_phase_{}.csv"), ("sweep-alpha", "sweep_alpha_{}.txt")])
+def test_sweep_cli_output_matches_golden(command, golden, fixture, capsys):
+    assert main([command, "--config", str(FIXTURES / f"{fixture}.json")]) == 0
+    got = _fields(capsys.readouterr().out)
+    want = _fields((GOLDEN / golden.format(fixture)).read_text())
+    assert [len(line) for line in got] == [len(line) for line in want]
+    for n, (got_line, want_line) in enumerate(zip(got, want)):
+        for got_field, want_field in zip(got_line, want_line):
+            assert _same_field(got_field, want_field), f"line {n + 1}: {got_field!r} != {want_field!r}"

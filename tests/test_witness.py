@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,22 @@ def test_w_ppt_max_examples():
 def test_multiphoton_bounds_domain():
     with pytest.raises(stats.PStarDomainError):
         witness.MultiphotonBounds(0.3, 0.3)
+
+
+def test_pstar_domain_edge_is_exactly_one_half():
+    # MultiphotonBounds, w_ppt_max and sigma_ppt_max share one edge: 1/2 itself is outside
+    with pytest.raises(stats.PStarDomainError):
+        stats.check_pstar_domain(0.5)
+    with pytest.raises(stats.PStarDomainError):
+        witness.MultiphotonBounds(0.25, 0.25)
+    with pytest.raises(stats.PStarDomainError):
+        witness.w_ppt_max(0.0, SimpleNamespace(total=0.5), 0.4)
+    estimates = tuple(stats.ProbEstimate(p, 0.01) for p in (0.97, 0.01, 0.01, 0.01))
+    pstar = (stats.ProbEstimate(0.25, 0.01), stats.ProbEstimate(0.25, 0.01))
+    with pytest.raises(stats.PStarDomainError):
+        stats.sigma_ppt_max(estimates, pstar, (1.0, 1.0, 1.0, -1.0, -1.0), 0.4)
+    below = witness.MultiphotonBounds(0.25, 0.25 - 1e-12)
+    assert witness.w_ppt_max(0.0, below, 0.4) > 0.0
 
 
 def test_bound_ordering_random_inputs():
