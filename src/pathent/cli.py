@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, sweep-phase, sweep-alpha, certify.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 multiphoton
-bounds outside the domain of the linearized statistics.
+0 success, 2 malformed input or unwritable output, 3 numerical failure,
+4 multiphoton bounds outside the domain of the linearized statistics.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PStarDomainError as exc:

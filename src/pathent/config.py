@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
 from .measurement import DetectorModel, DisplacementSetting, JointClickProbabilities
-from .stats import CountRecord, ProbEstimate, binomial_sigma
+from .stats import CountRecord, ProbEstimate, estimate_probabilities
 
 
 class ConfigError(ValueError):
@@ -28,8 +31,8 @@ class Numerics:
     herald_truncation_n_max: int = 3
 
     def __post_init__(self):
-        if self.truncation_n_max < 2 or self.herald_truncation_n_max < 3:
-            raise ConfigError("truncation_n_max must be >= 2 and herald_truncation_n_max >= 3")
+        if not 3 <= self.herald_truncation_n_max <= self.truncation_n_max:
+            raise ConfigError("need 3 <= herald_truncation_n_max <= truncation_n_max")
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,21 @@ class MonteCarloSettings:
     n_multiphoton: int | None = None
 
     def __post_init__(self):
+        if self.enabled and self.seed < 0:
+            raise ConfigError("seed must be nonnegative when Monte Carlo is enabled")
         for name in ("n_alpha", "n_z", "n_multiphoton"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be positive when given")
+
+
+# File keys of the config blocks whose names differ from the ExperimentConfig
+# fields; the reader and echo() both walk these tables.
+_SIDES = {"alpha1": "setting_1", "alpha2": "setting_2"}
+_PARTS = ("mean", "min", "max")
+_DETECTORS = {"efficiency_a": "detector_1", "efficiency_b": "detector_2"}
+_DURATIONS = {"alpha_basis": "duration_alpha_s", "z_basis": "duration_z_s", "multiphoton": "duration_multiphoton_s"}
+_RATES = ("pump_rep_rate_hz", "duty_fraction")
 
 
 @dataclass(frozen=True)
@@ -75,56 +89,70 @@ class ExperimentConfig:
         return fc.FockTruncation(self.numerics.herald_truncation_n_max)
 
     def echo(self) -> dict:
-        """Canonical dictionary form of the parsed configuration."""
+        """Canonical dictionary form of the parsed configuration, in the config file's layout."""
         return {
-            "source": {
-                "pair_probability": self.source.pair_probability,
-                "pair_probability_b": self.source.pair_probability_b,
-                "signal_transmission_a": self.source.signal_transmission_a,
-                "signal_transmission_b": self.source.signal_transmission_b,
-                "idler_transmission_a": self.source.idler_transmission_a,
-                "idler_transmission_b": self.source.idler_transmission_b,
-                "false_herald_probability": self.source.false_herald_probability,
-            },
-            "phases_rad": {name: getattr(self.phases, name) for name in self.phases.__dataclass_fields__},
+            "source": asdict(self.source),
+            "phases_rad": asdict(self.phases),
             "displacement": {
-                "alpha1_mean": self.setting_1.alpha_mean,
-                "alpha1_min": self.setting_1.alpha_min,
-                "alpha1_max": self.setting_1.alpha_max,
-                "alpha2_mean": self.setting_2.alpha_mean,
-                "alpha2_min": self.setting_2.alpha_min,
-                "alpha2_max": self.setting_2.alpha_max,
+                f"{side}_{part}": getattr(getattr(self, name), f"alpha_{part}")
+                for side, name in _SIDES.items()
+                for part in _PARTS
             },
-            "detectors": {
-                "efficiency_a": self.detector_1.efficiency,
-                "efficiency_b": self.detector_2.efficiency,
-            },
-            "pump_rep_rate_hz": self.pump_rep_rate_hz,
-            "duty_fraction": self.duty_fraction,
-            "durations_s": {
-                "alpha_basis": self.duration_alpha_s,
-                "z_basis": self.duration_z_s,
-                "multiphoton": self.duration_multiphoton_s,
-            },
-            "monte_carlo": {
-                "enabled": self.monte_carlo.enabled,
-                "seed": self.monte_carlo.seed,
-                "n_alpha": self.monte_carlo.n_alpha,
-                "n_z": self.monte_carlo.n_z,
-                "n_multiphoton": self.monte_carlo.n_multiphoton,
-            },
-            "numerics": {
-                "truncation_n_max": self.numerics.truncation_n_max,
-                "herald_truncation_n_max": self.numerics.herald_truncation_n_max,
-            },
+            "detectors": {key: getattr(self, name).efficiency for key, name in _DETECTORS.items()},
+            **{key: getattr(self, key) for key in _RATES},
+            "durations_s": {key: getattr(self, name) for key, name in _DURATIONS.items()},
+            "monte_carlo": asdict(self.monte_carlo),
+            "numerics": asdict(self.numerics),
             "output": {"report_path": self.report_path},
         }
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
+
+
+def _convert(value, hint, name: str):
+    """The one conversion point for input values: finite numbers, integral integers, real booleans, strings."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        hint, _ = get_args(hint)
+    if hint in (float, int):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with suppress(OverflowError):
+                if math.isfinite(value) and (hint is float or value == int(value)):
+                    return hint(value)
+    elif isinstance(value, hint):
+        return value
+    raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r}")
+
+
+def _get(record: dict, key: str, context: str, hint=float):
+    if key not in record:
         raise ConfigError(f"missing required field {key!r} in {context}")
-    return mapping[key]
+    return _convert(record[key], hint, f"{context}.{key}")
+
+
+def _section(raw: dict, key: str, optional: bool = False) -> dict:
+    return {} if optional and key not in raw else _get(raw, key, "config", dict)
+
+
+def _fields(cls, record: dict, context: str, optional: bool = False, **overrides):
+    """Build cls from the keys named after its fields, converted by their annotations.
+
+    Fields of a required section must all be given, except those that
+    default to None; an optional section falls back to the dataclass
+    defaults.  Overrides that are not None take precedence.
+    """
+    hints = get_type_hints(cls)
+    values = {name: value for name, value in overrides.items() if value is not None}
+    for f in fields(cls):
+        if f.name not in values and (f.name in record or (not optional and f.default is not None)):
+            values[f.name] = _get(record, f.name, context, hints[f.name])
+    return cls(**values)
+
+
+def _displacement(record: dict, side: str, context: str) -> DisplacementSetting:
+    return DisplacementSetting(**{f"alpha_{part}": _get(record, f"{side}_{part}", context) for part in _PARTS})
 
 
 def load_experiment_config(
@@ -132,82 +160,35 @@ def load_experiment_config(
 ) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_experiment_config(raw, truncation_override, seed_override)
 
 
 def parse_experiment_config(
     raw: dict, truncation_override: int | None = None, seed_override: int | None = None
 ) -> ExperimentConfig:
+    raw = _convert(raw, dict, "config root")
     try:
-        src_raw = _require(raw, "source", "config")
-        source = SourceParams(
-            pair_probability=float(_require(src_raw, "pair_probability", "source")),
-            signal_transmission_a=float(_require(src_raw, "signal_transmission_a", "source")),
-            signal_transmission_b=float(_require(src_raw, "signal_transmission_b", "source")),
-            idler_transmission_a=float(_require(src_raw, "idler_transmission_a", "source")),
-            idler_transmission_b=float(_require(src_raw, "idler_transmission_b", "source")),
-            false_herald_probability=float(_require(src_raw, "false_herald_probability", "source")),
-            pair_probability_b=(
-                float(src_raw["pair_probability_b"]) if src_raw.get("pair_probability_b") is not None else None
-            ),
-        )
-        ph_raw = _require(raw, "phases_rad", "config")
-        phases = PhaseConfig(
-            **{name: float(_require(ph_raw, name, "phases_rad")) for name in PhaseConfig.__dataclass_fields__}
-        )
-        disp = _require(raw, "displacement", "config")
-        setting_1 = DisplacementSetting(
-            alpha_mean=float(_require(disp, "alpha1_mean", "displacement")),
-            alpha_min=float(_require(disp, "alpha1_min", "displacement")),
-            alpha_max=float(_require(disp, "alpha1_max", "displacement")),
-        )
-        setting_2 = DisplacementSetting(
-            alpha_mean=float(_require(disp, "alpha2_mean", "displacement")),
-            alpha_min=float(_require(disp, "alpha2_min", "displacement")),
-            alpha_max=float(_require(disp, "alpha2_max", "displacement")),
-        )
-        det = _require(raw, "detectors", "config")
-        detector_1 = DetectorModel(float(_require(det, "efficiency_a", "detectors")))
-        detector_2 = DetectorModel(float(_require(det, "efficiency_b", "detectors")))
-        durations = _require(raw, "durations_s", "config")
-        mc_raw = raw.get("monte_carlo", {})
-        monte_carlo = MonteCarloSettings(
-            enabled=bool(mc_raw.get("enabled", False)),
-            seed=int(mc_raw.get("seed", 0)) if seed_override is None else int(seed_override),
-            n_alpha=int(mc_raw["n_alpha"]) if mc_raw.get("n_alpha") is not None else None,
-            n_z=int(mc_raw["n_z"]) if mc_raw.get("n_z") is not None else None,
-            n_multiphoton=(
-                int(mc_raw["n_multiphoton"]) if mc_raw.get("n_multiphoton") is not None else None
-            ),
-        )
-        num_raw = raw.get("numerics", {})
-        numerics = Numerics(
-            truncation_n_max=(
-                int(num_raw.get("truncation_n_max", 10)) if truncation_override is None else int(truncation_override)
-            ),
-            herald_truncation_n_max=int(num_raw.get("herald_truncation_n_max", 3)),
-        )
+        disp, det, durations = (_section(raw, key) for key in ("displacement", "detectors", "durations_s"))
         config = ExperimentConfig(
-            source=source,
-            phases=phases,
-            setting_1=setting_1,
-            setting_2=setting_2,
-            detector_1=detector_1,
-            detector_2=detector_2,
-            pump_rep_rate_hz=float(_require(raw, "pump_rep_rate_hz", "config")),
-            duty_fraction=float(_require(raw, "duty_fraction", "config")),
-            duration_alpha_s=float(_require(durations, "alpha_basis", "durations_s")),
-            duration_z_s=float(_require(durations, "z_basis", "durations_s")),
-            duration_multiphoton_s=float(_require(durations, "multiphoton", "durations_s")),
-            monte_carlo=monte_carlo,
-            numerics=numerics,
-            report_path=raw.get("output", {}).get("report_path"),
+            source=_fields(SourceParams, _section(raw, "source"), "source"),
+            phases=_fields(PhaseConfig, _section(raw, "phases_rad"), "phases_rad"),
+            **{name: _displacement(disp, side, "displacement") for side, name in _SIDES.items()},
+            **{name: DetectorModel(_get(det, key, "detectors")) for key, name in _DETECTORS.items()},
+            **{key: _get(raw, key, "config") for key in _RATES},
+            **{name: _get(durations, key, "durations_s") for key, name in _DURATIONS.items()},
+            monte_carlo=_fields(
+                MonteCarloSettings, _section(raw, "monte_carlo", optional=True), "monte_carlo",
+                optional=True, seed=seed_override,
+            ),
+            numerics=_fields(
+                Numerics, _section(raw, "numerics", optional=True), "numerics",
+                optional=True, truncation_n_max=truncation_override,
+            ),
+            report_path=_convert(
+                _section(raw, "output", optional=True).get("report_path"), str | None, "output.report_path"
+            ),
         )
     except ConfigError:
         raise
@@ -231,6 +212,9 @@ class BasisMeasurement:
     estimates: tuple[ProbEstimate, ProbEstimate, ProbEstimate, ProbEstimate]
     counts: CountRecord
 
+    def __post_init__(self):
+        self.probabilities  # raises unless the estimates form a valid quadruple
+
     @property
     def probabilities(self) -> JointClickProbabilities:
         e = self.estimates
@@ -245,6 +229,11 @@ class CountsFile:
     pstar2: ProbEstimate | None
 
 
+def _cells(row: dict) -> dict:
+    """A CSV row's cells as numbers; empty and absent cells are left out."""
+    return {key: float(text) for key, text in row.items() if isinstance(key, str) and text and text.strip()}
+
+
 def load_counts_file(path) -> CountsFile:
     """Parse the measurement CSV: header basis,n_total,n_a,n_b,n_d[,n_none].
 
@@ -254,71 +243,33 @@ def load_counts_file(path) -> CountsFile:
     to one).  Rows "pstar1"/"pstar2" carry multiphoton coincidence runs
     in the n_d column.
     """
+    header = ["basis", *(f.name for f in fields(CountRecord))]
     rows: dict[str, tuple[CountRecord, int | None]] = {}
     try:
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:5]] != [
-                "basis",
-                "n_total",
-                "n_a",
-                "n_b",
-                "n_d",
-            ]:
-                raise ConfigError(
-                    f"counts file {path} must start with header basis,n_total,n_a,n_b,n_d"
-                )
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:5]] != header:
+                raise ConfigError(f"counts file {path} must start with header {','.join(header)}")
             for row in reader:
-                basis = row["basis"].strip()
+                basis = row.pop("basis").strip()
                 if basis in rows:
                     raise ConfigError(f"duplicate basis {basis!r} in counts file")
-                record = CountRecord(
-                    n_total=int(row["n_total"]),
-                    n_a=int(row["n_a"]),
-                    n_b=int(row["n_b"]),
-                    n_d=int(row["n_d"]),
-                )
-                n_none = row.get("n_none")
-                n_none = int(n_none) if n_none not in (None, "") else None
-                rows[basis] = (record, n_none)
+                cells, context = _cells(row), f"counts row {basis!r}"
+                n_none = _convert(cells.get("n_none"), int | None, f"{context}.n_none")
+                rows[basis] = (_fields(CountRecord, cells, context), n_none)
+        for basis in ("alpha", "z"):
+            if basis not in rows:
+                raise ConfigError(f"counts file {path} is missing the {basis!r} basis row")
+        alpha, z = (BasisMeasurement(estimate_probabilities(*rows[b]), rows[b][0]) for b in ("alpha", "z"))
+        # a multiphoton run's coincidence fraction is the (c,c) estimate of its row
+        pstar1, pstar2 = (estimate_probabilities(rows[b][0])[3] if b in rows else None for b in ("pstar1", "pstar2"))
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed counts file {path}: {exc}") from exc
-
-    for basis in ("alpha", "z"):
-        if basis not in rows:
-            raise ConfigError(f"counts file {path} is missing the {basis!r} basis row")
-
-    measurements = {}
-    for basis in ("alpha", "z"):
-        record, n_none = rows[basis]
-        n = record.n_total
-        p_c_nc = record.n_a / n
-        p_nc_c = record.n_b / n
-        p_c_c = record.n_d / n
-        if n_none is not None:
-            p_nc_nc = n_none / n
-        else:
-            p_nc_nc = 1.0 - (record.n_a + record.n_b + record.n_d) / n
-        estimates = tuple(
-            ProbEstimate(p, binomial_sigma(p, n)) for p in (p_nc_nc, p_nc_c, p_c_nc, p_c_c)
-        )
-        measurements[basis] = BasisMeasurement(estimates, record)
-
-    def pstar(basis: str) -> ProbEstimate | None:
-        if basis not in rows:
-            return None
-        record, _ = rows[basis]
-        value = record.n_d / record.n_total
-        return ProbEstimate(value, binomial_sigma(value, record.n_total))
-
-    return CountsFile(
-        alpha=measurements["alpha"],
-        z=measurements["z"],
-        pstar1=pstar("pstar1"),
-        pstar2=pstar("pstar2"),
-    )
+    return CountsFile(alpha, z, pstar1, pstar2)
 
 
 @dataclass(frozen=True)
@@ -327,6 +278,11 @@ class AnalysisSettings:
     setting_2: DisplacementSetting
     p1_star: float | None
     p2_star: float | None
+
+    def __post_init__(self):
+        for value in (self.p1_star, self.p2_star):
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"multiphoton bound {value} outside [0, 1]")
 
 
 def load_settings_file(path) -> AnalysisSettings:
@@ -339,36 +295,17 @@ def load_settings_file(path) -> AnalysisSettings:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read settings file {path}: {exc}") from exc
-    if path.suffix.lower() == ".json":
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"settings file {path} is not valid JSON: {exc}") from exc
-    else:
-        reader = csv.DictReader(text.splitlines())
-        try:
-            record = next(iter(reader))
-        except StopIteration:
-            raise ConfigError(f"settings file {path} has no data row") from None
-    try:
-        setting_1 = DisplacementSetting(
-            alpha_mean=float(_require(record, "alpha1_mean", "settings")),
-            alpha_min=float(_require(record, "alpha1_min", "settings")),
-            alpha_max=float(_require(record, "alpha1_max", "settings")),
+        if path.suffix.lower() == ".json":
+            record = _convert(json.loads(text), dict, f"settings file {path}")
+        else:
+            record = _cells(next(csv.DictReader(text.splitlines())))
+        return AnalysisSettings(
+            *(_displacement(record, side, "settings") for side in _SIDES),
+            *(_convert(record.get(key), float | None, f"settings.{key}") for key in ("p1_star", "p2_star")),
         )
-        setting_2 = DisplacementSetting(
-            alpha_mean=float(_require(record, "alpha2_mean", "settings")),
-            alpha_min=float(_require(record, "alpha2_min", "settings")),
-            alpha_max=float(_require(record, "alpha2_max", "settings")),
-        )
-        p1 = record.get("p1_star")
-        p2 = record.get("p2_star")
-        p1 = float(p1) if p1 not in (None, "") else None
-        p2 = float(p2) if p2 not in (None, "") else None
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except StopIteration:
+        raise ConfigError(f"settings file {path} has no data row") from None
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid settings file {path}: {exc}") from exc
-    return AnalysisSettings(setting_1, setting_2, p1, p2)

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -201,8 +201,8 @@ def _certification_report(
             "z_basis": _jp_dict(z),
         },
         "counts": {
-            "alpha_basis": _counts_dict(alpha.counts),
-            "z_basis": _counts_dict(z.counts),
+            "alpha_basis": asdict(alpha.counts),
+            "z_basis": asdict(z.counts),
         },
         "multiphoton": {
             "p1_star": p1.value,
@@ -214,18 +214,7 @@ def _certification_report(
             "alpha1": [settings[0].alpha_min, settings[0].alpha_mean, settings[0].alpha_max],
             "alpha2": [settings[1].alpha_min, settings[1].alpha_mean, settings[1].alpha_max],
         },
-        "witness": {
-            "w_exp": report.w_exp,
-            "w_ppt": report.w_ppt,
-            "w_tilde_ppt": report.w_tilde_ppt,
-            "w_ppt_max": report.w_ppt_max,
-            "sigma_exp": report.sigma_exp,
-            "sigma_ppt_max": report.sigma_ppt_max,
-            "k": report.k,
-            "beta": report.beta,
-            "coefficients": list(report.coefficients),
-            "entangled": report.entangled,
-        },
+        "witness": asdict(report),
         "timing": {
             "generated_at_utc": datetime.now(timezone.utc).isoformat(),
             "elapsed_s": time.monotonic() - started,
@@ -247,10 +236,6 @@ def _jp_dict(basis: BasisMeasurement) -> dict:
         "sigma_c_nc": e[2].sigma,
         "sigma_c_c": e[3].sigma,
     }
-
-
-def _counts_dict(c: CountRecord) -> dict:
-    return {"n_total": c.n_total, "n_a": c.n_a, "n_b": c.n_b, "n_d": c.n_d}
 
 
 def _check_finite(node, path="report"):
@@ -276,8 +261,8 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     rotated per point.  The displacement settings and the separable bound
     do not depend on chi_B and are computed once.
     """
-    if steps < 2:
-        raise ConfigError("sweep needs at least 2 steps")
+    if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
+        raise ConfigError("sweep needs at least 2 steps and a finite phase range")
     if not isinstance(config, ExperimentConfig):
         config = load_experiment_config(config)
     base = _simulate_probabilities(config)

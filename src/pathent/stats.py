@@ -60,15 +60,18 @@ def binomial_sigma(p: float, n_total: int) -> float:
     return sqrt(max(p * (1.0 - p), 0.0) / n_total)
 
 
-def estimate_probabilities(c: CountRecord):
-    """Frequency estimates (nc,nc / nc,c / c,nc / c,c) with binomial standard deviations."""
+def estimate_probabilities(c: CountRecord, n_none: int | None = None):
+    """Frequency estimates (nc,nc / nc,c / c,nc / c,c) with binomial standard deviations.
+
+    A given n_none pins the joint no-click count; otherwise it is the complement.
+    """
     if c.n_total <= 0:
         raise ValueError("n_total must be positive")
     n = c.n_total
     p_c_nc = c.n_a / n
     p_nc_c = c.n_b / n
     p_c_c = c.n_d / n
-    p_nc_nc = 1.0 - (c.n_a + c.n_b + c.n_d) / n
+    p_nc_nc = 1.0 - (c.n_a + c.n_b + c.n_d) / n if n_none is None else n_none / n
     return tuple(
         ProbEstimate(p, binomial_sigma(p, n)) for p in (p_nc_nc, p_nc_c, p_c_nc, p_c_c)
     )

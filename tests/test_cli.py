@@ -8,6 +8,7 @@ from pathent import pipeline
 from pathent.cli import main
 from pathent.config import parse_experiment_config
 
+from conftest import FIXTURES
 from test_config import valid_config_dict
 
 
@@ -275,3 +276,72 @@ def test_float_formatting_nine_significant_digits():
     assert pipeline.format_float(0.0253) == "0.0253"
     text = pipeline.report_to_json({"value": 1.0 / 3.0})
     assert json.loads(text)["value"] == 0.333333333
+
+
+
+COUNTS = "basis,n_total,n_a,n_b,n_d,n_none\nalpha,1000,250,250,250,\nz,1000,10,10,1,\n"
+SETTINGS = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max,p1_star,p2_star\n"
+UNWRITABLE = str(FIXTURES / "ideal_link.json" / "report.json")  # below a regular file
+NAN, INF = float("nan"), float("inf")
+
+MALFORMED_INPUTS = [
+    pytest.param("run", {"monte_carlo": []}, [], id="monte_carlo is a list"),
+    pytest.param("run", {"numerics": "fine"}, [], id="numerics is a string"),
+    pytest.param("run", {"output": 3}, [], id="output is a number"),
+    pytest.param("run", {"output.report_path": 1}, [], id="integer report_path"),
+    pytest.param("run", {"output.report_path": UNWRITABLE}, [], id="unwritable report_path"),
+    pytest.param("run", {}, ["--out", UNWRITABLE], id="unwritable --out"),
+    pytest.param("run", {"pump_rep_rate_hz": NAN}, [], id="NaN pump_rep_rate_hz"),
+    pytest.param("run", {"durations_s.z_basis": INF}, [], id="infinite duration"),
+    pytest.param("run", {"monte_carlo": {"enabled": True, "seed": -1}}, [], id="negative seed"),
+    pytest.param("run", {"monte_carlo": {"enabled": True}}, ["--seed", "-3"], id="negative --seed"),
+    pytest.param("run", {"numerics.truncation_n_max": 2}, [], id="truncation below herald truncation"),
+    pytest.param("run", {}, ["--truncation", "2"], id="--truncation below herald truncation"),
+    pytest.param("run", {"monte_carlo": {"enabled": "false"}}, [], id="enabled is a string"),
+    pytest.param("run", {"monte_carlo.seed": 1.7}, [], id="fractional seed"),
+    pytest.param("run", {"numerics.truncation_n_max": 10.9}, [], id="fractional truncation"),
+    pytest.param("run", {"duty_fraction": True}, [], id="true as a number"),
+    pytest.param("run", {"source.pair_probability": "1e-4"}, [], id="number as a string"),
+    pytest.param("run", {"monte_carlo.enabled": 1}, [], id="number as a flag"),
+    pytest.param("sweep-phase", {}, ["--phase-min", "nan"], id="NaN --phase-min"),
+    pytest.param("sweep-phase", {}, ["--phase-max", "inf"], id="infinite --phase-max"),
+    pytest.param("certify", {"counts": "basis,n_total,n_a,n_b,n_d\nalpha,1000,1,2\nz,1000,1,2,3\n"}, [],
+                 id="counts row missing trailing fields"),
+    pytest.param("certify", {"counts": COUNTS.replace("alpha,1000,250,250,250", "alpha,0,0,0,0")}, [],
+                 id="zero n_total"),
+    pytest.param("certify", {"counts": COUNTS + "pstar1,0,0,0,0,\npstar2,1000,0,0,3,\n"}, [],
+                 id="zero n_total on a pstar row"),
+    pytest.param("certify", {"counts": COUNTS.replace("250,\n", "250,-5\n")}, [], id="negative n_none"),
+    pytest.param("certify", {"counts": COUNTS.replace("250,\n", "250,900\n")}, [], id="overfull n_none"),
+    pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,nan,0.01\n"}, [], id="NaN p1_star"),
+    pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,-0.01,0.01\n"}, [],
+                 id="negative p1_star"),
+    pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.01,1.5\n"}, [],
+                 id="p2_star above 1"),
+]
+
+
+def certify_argv(tmp_path, counts=COUNTS, settings=SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.01,0.01\n"):
+    counts_path, settings_path = tmp_path / "counts.csv", tmp_path / "settings.csv"
+    counts_path.write_text(counts)
+    settings_path.write_text(settings)
+    return ["certify", "--counts", str(counts_path), "--settings", str(settings_path)]
+
+
+@pytest.mark.parametrize("command, inputs, extra", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_with_one_line(command, inputs, extra, tmp_path, capsys):
+    if command == "certify":
+        argv = certify_argv(tmp_path, **inputs)
+    else:
+        argv = [command, "--config", str(write_config(tmp_path, inputs))]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_certify_with_valid_sidecar_pstar(tmp_path):
+    assert main(certify_argv(tmp_path)) == 0
+
+
+def test_sidecar_pstar_sum_of_one_half_exits_4(tmp_path):
+    assert main(certify_argv(tmp_path, settings=SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.25,0.25\n")) == 4

@@ -163,3 +163,33 @@ def test_settings_missing_column(tmp_path):
     path.write_text("alpha1_min,alpha1_mean\n0.8,0.81\n")
     with pytest.raises(ConfigError):
         load_settings_file(path)
+
+
+def test_echo_parses_back_to_the_same_config():
+    raw = valid_config_dict()
+    raw["source"]["pair_probability_b"] = 2e-4
+    raw["monte_carlo"] = {"enabled": True, "seed": 5, "n_alpha": 1000}
+    raw["output"] = {"report_path": "report.json"}
+    config = parse_experiment_config(raw)
+    assert parse_experiment_config(config.echo()) == config
+
+
+def test_integral_numbers_and_nulls_accepted():
+    raw = valid_config_dict()
+    raw["source"]["pair_probability_b"] = None
+    raw["monte_carlo"] = {"seed": 7.0, "n_z": None}
+    raw["pump_rep_rate_hz"] = 76_000_000
+    config = parse_experiment_config(raw)
+    assert config.monte_carlo.seed == 7 and isinstance(config.monte_carlo.seed, int)
+    assert config.source.pair_probability_b is None
+    assert config.pump_rep_rate_hz == 76e6 and isinstance(config.pump_rep_rate_hz, float)
+
+
+def test_settings_json_values_must_be_numbers(tmp_path):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({
+        "alpha1_min": 0.8, "alpha1_mean": "0.81", "alpha1_max": 0.82,
+        "alpha2_min": 0.8, "alpha2_mean": 0.81, "alpha2_max": 0.82,
+    }))
+    with pytest.raises(ConfigError, match="alpha1_mean"):
+        load_settings_file(path)

@@ -38,6 +38,15 @@ def test_estimate_probabilities_all_quiet():
         stats.estimate_probabilities(stats.CountRecord(0, 0, 0, 0))
 
 
+def test_estimate_probabilities_pinned_no_click_count():
+    # n_none replaces the complement; the click estimates are unchanged
+    record = stats.CountRecord(1000, 100, 200, 50)
+    pinned = stats.estimate_probabilities(record, n_none=651)
+    assert pinned[0].value == 0.651
+    assert abs(pinned[0].sigma - np.sqrt(0.651 * 0.349 / 1000)) < 1e-15
+    assert pinned[1:] == stats.estimate_probabilities(record)[1:]
+
+
 def test_sigma_w_exp_plain_sum():
     est = tuple(stats.ProbEstimate(0.25, 1.8e-4) for _ in range(4))
     assert abs(stats.sigma_w_exp(est) - 7.2e-4) < 1e-12
