@@ -147,11 +147,6 @@ def displacement_operator(alpha: complex, trunc: FockTruncation) -> ModeOperator
     return ModeOperator(expm(gen), trunc)
 
 
-def phase_shift_operator(theta: float, trunc: FockTruncation) -> ModeOperator:
-    """Propagation phase exp(i theta n) on one mode."""
-    return ModeOperator(np.diag(np.exp(1j * theta * np.arange(trunc.dim))), trunc)
-
-
 def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> ModeOperator:
     """Two-mode beam splitter with intensity transmission eta = cos^2(phi).
 
@@ -198,24 +193,21 @@ def _binomial(n: int, k: int) -> int:
     return out
 
 
-def _loss_on_matrix(mat: np.ndarray, mode: int, eta: float, dims: tuple[int, ...]) -> np.ndarray:
-    d = dims[mode]
-    kraus = loss_channel_kraus(eta, FockTruncation(d - 1))
-    out = np.zeros_like(mat)
-    for K in kraus:
-        Kfull = embed_operator(K, (mode,), dims)
-        out += Kfull @ mat @ Kfull.conj().T
-    return out
-
-
 def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator:
     """Apply photon loss with transmission eta to one mode of rho."""
     if not 0 <= mode < rho.n_modes:
         raise ValueError(f"mode index {mode} out of range for {rho.n_modes} modes")
     if eta == 1.0:
         return rho
-    out = _loss_on_matrix(rho.matrix, mode, eta, rho.mode_dims)
-    return DensityOperator(_hermitize(out), rho.mode_dims)
+    m = rho.n_modes
+    kraus = np.array(loss_channel_kraus(eta, FockTruncation(rho.mode_dims[mode] - 1)))
+    # axes 0..m-1 index rows, m..2m-1 columns; k sums over the Kraus stack
+    k, row, col = 2 * m, 2 * m + 1, 2 * m + 2
+    axes = list(range(2 * m))
+    out_axes = [row if a == mode else col if a == m + mode else a for a in axes]
+    t = rho.matrix.reshape(rho.mode_dims * 2)
+    out = np.einsum(kraus, [k, row, mode], t, axes, kraus.conj(), [k, col, m + mode], out_axes, optimize=True)
+    return DensityOperator(_hermitize(out.reshape(rho.matrix.shape)), rho.mode_dims)
 
 
 def adjoint_loss_channel(obs: np.ndarray, eta: float, trunc: FockTruncation) -> np.ndarray:
@@ -244,23 +236,6 @@ def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_p
     ket = np.zeros(d * d, dtype=complex)
     ket[np.arange(d) * d + np.arange(d)] = amps
     return ket / np.linalg.norm(ket)
-
-
-def embed_operator(op: np.ndarray, positions: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Lift an operator acting on the given mode positions to the full space."""
-    positions = tuple(positions)
-    rest = [i for i in range(len(dims)) if i not in positions]
-    order = list(positions) + rest
-    rest_dim = prod([dims[i] for i in rest]) if rest else 1
-    big = np.kron(op, np.eye(rest_dim))
-    if order == sorted(order):
-        return big
-    perm = list(np.argsort(order))
-    tdims = [dims[i] for i in order]
-    t = big.reshape(tdims + tdims)
-    t = t.transpose(perm + [p + len(dims) for p in perm])
-    full = prod(dims)
-    return np.ascontiguousarray(t.reshape(full, full))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

@@ -2,9 +2,10 @@
 
 Two squeezed-vacuum pair sources feed a central 50/50 beam splitter with
 their idler modes; a click of a non-photon-number-resolving detector on
-one output heralds the shared signal state.  Mode order in the four-mode
-simulation is (signal_A, idler_A, signal_B, idler_B); the heralded state
-keeps (signal_A, signal_B).
+one output heralds the shared signal state.  The simulation stays a pure
+state throughout: one ket over both signal modes, one environment mode
+per idler that holds the photons idler loss removed, and the two
+station output ports.  The heralded state keeps (signal_A, signal_B).
 """
 
 from __future__ import annotations
@@ -120,52 +121,48 @@ class HeraldedState:
 
 
 def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.FockTruncation) -> HeraldedState:
-    """Full four-mode simulation of the heralded signal-pair state.
+    """Heralded signal-pair state from one purified ket of both sources.
 
-    Builds both squeezed sources, applies the configured phases and idler
-    losses, interferes the idlers on the central 50/50 beam splitter, and
-    conditions on a click of the monitored output (the other output is
-    traced out, not vetoed).  False heralds mix in the unconditioned
-    signal marginal.  Returns the normalized two-mode state and the
-    herald probability per pump pulse.
+    Each source ket (signal, idler) carries the configured phases; idler
+    loss is a Kraus stack contracted into it, so the photons each idler
+    loses land in an environment mode of their own.  The station's 50/50
+    beam splitter acts on the two idler axes, giving amplitudes
+    M[(signal_A, signal_B), (env_A, env_B, port_1, port_2)].  A click of
+    the monitored port keeps its columns with port_2 >= 1: the
+    conditioned state is Mc Mc^dag (the other port is traced out, not
+    vetoed), and false heralds mix in the unconditioned marginal M M^dag.
+    Signal loss, linear and acting on the kept modes, follows on the
+    two-mode result.  Returns the normalized state and the herald
+    probability per pump pulse.
     """
     if trunc.n_max < 3:
         raise ValueError(f"heralding simulation needs n_max >= 3, got {trunc.n_max}")
     d = trunc.dim
-    dims = (d, d, d, d)
+    n = np.arange(d)
 
-    # sources carry the pump phase once per created pair
-    ket_a = fc.two_mode_squeezed_ket(src.pair_probability_a, trunc, pair_phase=phases.phi_a)
-    ket_b = fc.two_mode_squeezed_ket(src.effective_pair_probability_b, trunc, pair_phase=phases.phi_b)
-    ket = np.kron(ket_a, ket_b)  # (signal_A, idler_A, signal_B, idler_B)
+    def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
+        # (signal, idler) amplitudes -> (signal, idler, environment)
+        ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
+        ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
+        kraus = np.array(fc.loss_channel_kraus(idler_transmission, trunc))
+        return np.einsum("kji,si->sjk", kraus, ket)
 
-    for mode, theta in (
-        (0, phases.xi_a_long),
-        (1, phases.chi_a),
-        (2, phases.xi_b_long),
-        (3, phases.chi_b),
-    ):
-        shift = fc.embed_operator(fc.phase_shift_operator(theta, trunc).matrix, (mode,), dims)
-        ket = shift @ ket
-
-    mat = np.outer(ket, ket.conj())
-    mat = fc._loss_on_matrix(mat, 1, src.idler_transmission_a, dims)
-    mat = fc._loss_on_matrix(mat, 3, src.idler_transmission_b, dims)
-
-    bs = fc.beam_splitter_unitary(0.5, trunc).matrix
-    bs_full = fc.embed_operator(bs, (1, 3), dims)
-    mat = bs_full @ mat @ bs_full.conj().T
+    ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
+    ket_b = source(
+        src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
+    )
+    bs = fc.beam_splitter_unitary(0.5, trunc).matrix.reshape(d, d, d, d)
+    amps = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs, optimize=True)
 
     # monitored output: the port where both idler inputs arrive with +1/sqrt(2)
-    # amplitude under the fixed beam-splitter convention (mode slot 3)
-    click = np.eye(d, dtype=complex)
-    click[0, 0] = 0.0
-    click_full = fc.embed_operator(click, (3,), dims)
-    conditioned = fc._partial_trace_matrix(click_full @ mat, dims, (0, 2))
+    # amplitude under the fixed beam-splitter convention (port_2)
+    clicked = amps[..., 1:].reshape(d * d, -1)
+    conditioned = clicked @ clicked.conj().T
     p_true = float(np.trace(conditioned).real)
+    amps = amps.reshape(d * d, -1)
+    marginal = amps @ amps.conj().T
 
     f = src.false_herald_probability
-    marginal = fc._partial_trace_matrix(mat, dims, (0, 2))
     if p_true <= 0.0:
         if f < 1.0:
             raise HeraldingError(

@@ -163,10 +163,11 @@ def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.Fock
         displaced_parity_observable(alpha1, trunc),
         displaced_parity_observable(alpha2, trunc),
     )
-    return w * _total_number_sector_mask(trunc)
+    return w * total_number_sector_mask(trunc)
 
 
-def _total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
+def total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
+    """1 where two two-mode basis states hold the same total photon number, else 0."""
     n = np.arange(trunc.dim)
     totals = (n[:, None] + n[None, :]).ravel()
     return (totals[:, None] == totals[None, :]).astype(float)

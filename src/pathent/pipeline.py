@@ -265,6 +265,10 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
     if not isinstance(config, ExperimentConfig):
         config = load_experiment_config(config)
+    # offsets and shifted chi_B between finite ends stay finite
+    ends = [phase - config.phases.measured_relative_phase for phase in (phase_min, phase_max)]
+    if not all(map(math.isfinite, [phase_max - phase_min, *ends, *(config.phases.chi_b + end for end in ends)])):
+        raise ConfigError("phase range too wide: the sweep's phase offsets overflow")
     base = _simulate_probabilities(config)
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
     w_tilde, _ = witness.w_ppt_fluctuation_bound(

@@ -17,7 +17,7 @@ import numpy as np
 from . import fockcore as fc
 from . import stats
 from .herald import ideal_lossy_state
-from .measurement import DisplacementSetting, JointClickProbabilities, phase_averaged_witness_operator
+from .measurement import DisplacementSetting, JointClickProbabilities, displaced_parity_observable, total_number_sector_mask
 
 BOX_GRID_POINTS = 101
 BOX_REFINEMENT_TOL = 1e-9
@@ -232,9 +232,12 @@ def _max_violation_alpha(qp: QubitProbs, trunc: fc.FockTruncation):
         raise AlphaSearchError("no single-photon population; violation is not positive anywhere")
     rho = ideal_lossy_state(eta, 0.0, trunc)
     diag = QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+    mask = total_number_sector_mask(trunc)
 
     def violation(alpha: float) -> float:
-        w_op = phase_averaged_witness_operator(alpha, alpha, trunc)
+        # the phase-averaged witness operator on the diagonal: both sides share one displaced parity
+        sigma = displaced_parity_observable(alpha, trunc)
+        w_op = np.kron(sigma, sigma) * mask
         # tr(rho W) as an elementwise contraction: W is Hermitian by construction
         return np.einsum("ij,ji->", rho.matrix, w_op).real - w_ppt_qubit(alpha, alpha, diag)
 

@@ -1,9 +1,17 @@
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import herald
 from pathent import measurement as meas
+from pathent.config import load_experiment_config
+
+from conftest import FIXTURES
 
 TR3 = fc.FockTruncation(3)
 TR10 = fc.FockTruncation(10)
@@ -12,6 +20,51 @@ PHASE_FIELDS = dict(
     phi_a=0.3, phi_b=-0.8, zeta_a=0.1, zeta_b=0.55, chi_a=1.2, chi_b=-0.4,
     xi_a_long=0.7, xi_a_short=0.2, xi_b_long=-0.3, xi_b_short=0.9,
 )
+
+
+def _embed(op: np.ndarray, modes: tuple[int, ...], d: int, n_modes: int = 4) -> np.ndarray:
+    """op on the given modes of an n_modes register (Kronecker order), identity on the rest."""
+    order = list(modes) + [m for m in range(n_modes) if m not in modes]
+    full = np.kron(op, np.eye(d ** (n_modes - len(modes)))).reshape((d,) * (2 * n_modes))
+    perm = list(np.argsort(order))
+    return full.transpose(perm + [p + n_modes for p in perm]).reshape(d**n_modes, d**n_modes)
+
+
+def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
+    """Dense four-mode density-matrix reference of the heralding model.
+
+    Modes (signal_A, idler_A, signal_B, idler_B).  All four losses act on
+    the four-mode state before the station, signal loss included; the
+    monitored port is mode 3 after the beam splitter on modes (1, 3).
+    Returns the heralded two-mode matrix and the herald probability.
+    """
+    d = trunc.dim
+    n = np.arange(d)
+    ket = np.kron(
+        fc.two_mode_squeezed_ket(src.pair_probability_a, trunc, pair_phase=phases.phi_a),
+        fc.two_mode_squeezed_ket(src.effective_pair_probability_b, trunc, pair_phase=phases.phi_b),
+    )
+    thetas = (phases.xi_a_long, phases.chi_a, phases.xi_b_long, phases.chi_b)
+    ket = ket * reduce(np.kron, [np.exp(1j * theta * n) for theta in thetas])
+    mat = np.outer(ket, ket.conj())
+    etas = (src.signal_transmission_a, src.idler_transmission_a, src.signal_transmission_b, src.idler_transmission_b)
+    for mode, eta in enumerate(etas):
+        kraus = [_embed(k, (mode,), d) for k in fc.loss_channel_kraus(eta, trunc)]
+        mat = sum(k @ mat @ k.conj().T for k in kraus)
+    bs = _embed(fc.beam_splitter_unitary(0.5, trunc).matrix, (1, 3), d)
+    t = (bs @ mat @ bs.conj().T).reshape((d,) * 8)
+    # trace out both idler outputs; the herald keeps monitored-port photon numbers >= 1
+    marginal = np.einsum("aibjcidj->abcd", t).reshape(d * d, d * d)
+    conditioned = np.einsum("aibjcidj->abcd", t[:, :, :, 1:, :, :, :, 1:]).reshape(d * d, d * d)
+    p_true = np.trace(conditioned).real
+    f = src.false_herald_probability
+    return (1.0 - f) * conditioned / p_true + f * marginal, min(1.0, p_true / (1.0 - f))
+
+
+def _tail_weight(rho: np.ndarray, d: int) -> float:
+    """Population of the basis states with n_max photons in either mode."""
+    diag = np.diag(rho).real.reshape(d, d)
+    return float(diag[-1, :].sum() + diag[:-1, -1].sum())
 
 
 def test_heralded_state_ideal_limit():
@@ -96,25 +149,80 @@ def test_signal_loss_commutes_with_heralding():
     src = herald.SourceParams(pair_probability=2e-3, signal_transmission_a=0.35, signal_transmission_b=0.62)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     after = herald.simulate_heralded_state(src, phases, TR3).rho.matrix
-
-    d = TR3.dim
-    dims = (d, d, d, d)
-    ket_a = fc.two_mode_squeezed_ket(src.pair_probability, TR3, pair_phase=phases.phi_a)
-    ket_b = fc.two_mode_squeezed_ket(src.pair_probability, TR3, pair_phase=phases.phi_b)
-    ket = np.kron(ket_a, ket_b)
-    for mode, theta in ((0, phases.xi_a_long), (1, phases.chi_a), (2, phases.xi_b_long), (3, phases.chi_b)):
-        ket = fc.embed_operator(fc.phase_shift_operator(theta, TR3).matrix, (mode,), dims) @ ket
-    mat = np.outer(ket, ket.conj())
-    mat = fc._loss_on_matrix(mat, 0, src.signal_transmission_a, dims)  # loss first
-    mat = fc._loss_on_matrix(mat, 2, src.signal_transmission_b, dims)
-    bs = fc.embed_operator(fc.beam_splitter_unitary(0.5, TR3).matrix, (1, 3), dims)
-    mat = bs @ mat @ bs.conj().T
-    click = np.eye(d, dtype=complex)
-    click[0, 0] = 0.0
-    conditioned = fc._partial_trace_matrix(fc.embed_operator(click, (3,), dims) @ mat, dims, (0, 2))
-    before = conditioned / np.trace(conditioned).real
+    before, _ = four_mode_oracle(src, phases, TR3)
 
     assert np.max(np.abs(before - after)) < 1e-10
+
+
+transmission = st.floats(0.05, 1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    pair_a=st.floats(1e-4, 0.2),
+    pair_b=st.none() | st.floats(1e-4, 0.2),
+    signal_a=st.floats(0.0, 1.0),
+    signal_b=st.floats(0.0, 1.0),
+    idler_a=transmission,
+    idler_b=transmission,
+    false_herald=st.floats(0.0, 0.5),
+    phases=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi), min_size=10, max_size=10),
+)
+def test_ket_heralding_matches_four_mode_oracle(
+    pair_a, pair_b, signal_a, signal_b, idler_a, idler_b, false_herald, phases
+):
+    src = herald.SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
+    config = herald.PhaseConfig(*phases)
+    hs = herald.simulate_heralded_state(src, config, TR3)
+    rho, herald_probability = four_mode_oracle(src, config, TR3)
+    assert np.max(np.abs(hs.rho.matrix - rho)) <= 1e-13
+    assert abs(hs.herald_probability - herald_probability) <= 1e-13
+
+
+FIXTURE_SOURCES = pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
+HERALD_N_MAX = (3, 4, 5, 6)
+
+
+@FIXTURE_SOURCES
+def test_heralded_state_converges_in_truncation(fixture):
+    # Truncation cuts the pair number of each source.  Between consecutive
+    # n_max the qubit block (at most one photon per mode) moves by no more
+    # than the truncation tail: the heralded weight of n_max pairs, read
+    # off the state before signal loss (photons per signal mode = pairs),
+    # plus a few ulps of rounding.
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    lossless = replace(config.source, signal_transmission_a=1.0, signal_transmission_b=1.0)
+    previous = None
+    for n_max in HERALD_N_MAX:
+        trunc = fc.FockTruncation(n_max)
+        d = trunc.dim
+        rho = herald.simulate_heralded_state(config.source, config.phases, trunc).rho.matrix
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        block = rho.reshape(d, d, d, d)[:2, :2, :2, :2]
+        if previous is not None:
+            previous_block, tail = previous
+            assert np.max(np.abs(block - previous_block)) <= tail + 4 * np.finfo(float).eps
+        pairs = herald.simulate_heralded_state(lossless, config.phases, trunc).rho.matrix
+        previous = (block, _tail_weight(pairs, d))
+
+
+@FIXTURE_SOURCES
+def test_heralded_state_swap_symmetry(fixture):
+    # symmetric sources and phases: swapping Alice and Bob leaves the state unchanged
+    src = load_experiment_config(FIXTURES / f"{fixture}.json").source
+    src = replace(
+        src,
+        signal_transmission_b=src.signal_transmission_a,
+        idler_transmission_b=src.idler_transmission_a,
+        pair_probability_b=None,
+    )
+    mirrored = {key: PHASE_FIELDS[key.replace("_b", "_a")] for key in PHASE_FIELDS}
+    phases = herald.PhaseConfig(**mirrored)
+    for n_max in HERALD_N_MAX:
+        d = n_max + 1
+        rho = herald.simulate_heralded_state(src, phases, fc.FockTruncation(n_max)).rho.matrix
+        swapped = rho.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        assert np.max(np.abs(rho - swapped)) <= 1e-14
 
 
 def test_ideal_lossy_state_examples():
