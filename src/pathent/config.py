@@ -198,6 +198,11 @@ def parse_experiment_config(
         raise ConfigError("pump_rep_rate_hz must be positive and duty_fraction in (0, 1]")
     if min(config.duration_alpha_s, config.duration_z_s, config.duration_multiphoton_s) <= 0:
         raise ConfigError("all durations must be positive")
+    # phases act as exp(i theta n), so theta * n must stay finite up to the final truncation
+    n_max = config.numerics.truncation_n_max
+    for name, theta in asdict(config.phases).items():
+        if not math.isfinite(theta * n_max):
+            raise ConfigError(f"phases_rad.{name} = {theta!r} overflows exp(i theta n) at truncation n_max {n_max}")
     # squeezed-source parameterization breaks down at pair probability 1/2
     pair_b = config.source.effective_pair_probability_b
     if config.source.pair_probability >= 0.5 or pair_b >= 0.5:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 import numpy as np
-from scipy.linalg import expm
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -128,11 +127,22 @@ def fock_ket(occupations, trunc: FockTruncation) -> np.ndarray:
     return vec
 
 
+def expm(generator: np.ndarray) -> np.ndarray:
+    """exp(G) of an anti-Hermitian generator G = iH, as V diag(e^{i lambda}) V^dag.
+
+    H = -iG = V diag(lambda) V^dag is Hermitian, so V is unitary and so is
+    the result, to rounding.
+    """
+    eigenvalues, vectors = np.linalg.eigh(-1j * generator)
+    return (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
+
+
 def displacement_operator(alpha: complex, trunc: FockTruncation) -> ModeOperator:
     """Displacement D(alpha) = exp(alpha a^dag - alpha^* a) on the truncated space.
 
-    Computed as the matrix exponential of the truncated generator, so the
-    result is exactly unitary within the truncation.  Matrix elements near
+    The truncated generator is anti-Hermitian; its exponential comes from
+    the eigendecomposition of the Hermitian matrix -i(alpha a^dag - alpha^* a),
+    so the result is unitary within the truncation.  Matrix elements near
     the cutoff deviate from their infinite-dimensional values; keep
     |alpha|^2 well below n_max.
     """
@@ -162,8 +172,8 @@ def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> ModeOpe
     return ModeOperator(expm(gen), trunc, n_modes=2)
 
 
-def loss_channel_kraus(eta: float, trunc: FockTruncation) -> list[np.ndarray]:
-    """Kraus operators of the single-mode loss channel with transmission eta.
+def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
+    """Kraus operators of the single-mode loss channel with transmission eta, stacked as (k, row, col).
 
     Equivalent to a beam splitter of transmission eta with a vacuum ancilla
     that is traced out: K_k maps |n> -> sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>.
@@ -171,26 +181,11 @@ def loss_channel_kraus(eta: float, trunc: FockTruncation) -> list[np.ndarray]:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {eta}")
     d = trunc.dim
-    n = np.arange(d)
-    kraus = []
-    for k in range(d):
-        coeff = np.zeros(d)
-        valid = n >= k
-        nv = n[valid]
-        # binomial via cumulative products to stay exact for small d
-        binom = np.array([_binomial(int(m), k) for m in nv], dtype=float)
-        coeff[valid] = np.sqrt(binom * eta ** (nv - k) * (1.0 - eta) ** k)
-        K = np.zeros((d, d), dtype=complex)
-        K[nv - k, nv] = coeff[valid]
-        kraus.append(K)
+    k, n = np.triu_indices(d)  # every photon count k lost from a level n >= k
+    binom = np.array([comb(m, j) for m, j in zip(n, k)], dtype=float)
+    kraus = np.zeros((d, d, d), dtype=complex)
+    kraus[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
     return kraus
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator:
@@ -200,7 +195,7 @@ def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator
     if eta == 1.0:
         return rho
     m = rho.n_modes
-    kraus = np.array(loss_channel_kraus(eta, FockTruncation(rho.mode_dims[mode] - 1)))
+    kraus = loss_channel_kraus(eta, FockTruncation(rho.mode_dims[mode] - 1))
     # axes 0..m-1 index rows, m..2m-1 columns; k sums over the Kraus stack
     k, row, col = 2 * m, 2 * m + 1, 2 * m + 2
     axes = list(range(2 * m))

@@ -144,7 +144,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
         # (signal, idler) amplitudes -> (signal, idler, environment)
         ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
         ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
-        kraus = np.array(fc.loss_channel_kraus(idler_transmission, trunc))
+        kraus = fc.loss_channel_kraus(idler_transmission, trunc)
         return np.einsum("kji,si->sjk", kraus, ket)
 
     ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)

@@ -177,20 +177,18 @@ def multiphoton_coincidence_probability(rho_single_mode: fc.DensityOperator, det
     """Probability of a twofold coincidence after a 50/50 split of one mode.
 
     This mirrors the Hanbury Brown-Twiss estimate of the probability of
-    more than one photon in the mode.
+    more than one photon in the mode.  The second input port is vacuum,
+    the split conserves photon number and the undisplaced click POVMs are
+    diagonal, so only the photon-number distribution enters: n photons
+    make both detectors click with probability
+    1 - 2(1 - eta/2)^n + (1 - eta)^n.  This is exact in the truncation.
     """
     if rho_single_mode.n_modes != 1:
         raise ValueError("expected a single-mode state")
-    trunc = fc.FockTruncation(rho_single_mode.mode_dims[0] - 1)
-    d = trunc.dim
-    # adjoin a vacuum ancilla and split
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    joint = np.kron(rho_single_mode.matrix, vac)
-    bs = fc.beam_splitter_unitary(0.5, trunc).matrix
-    joint = bs @ joint @ bs.conj().T
-    _, e_c = click_povm(0.0, det, trunc)
-    p = np.trace(joint @ np.kron(e_c, e_c)).real
+    eta = det.efficiency
+    n = np.arange(rho_single_mode.dim)
+    populations = np.diagonal(rho_single_mode.matrix).real
+    p = populations @ (1.0 - 2.0 * (1.0 - eta / 2.0) ** n + (1.0 - eta) ** n)
     return float(min(max(p, 0.0), 1.0))
 
 

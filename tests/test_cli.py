@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -8,7 +11,7 @@ from pathent import pipeline
 from pathent.cli import main
 from pathent.config import parse_experiment_config
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 from test_config import valid_config_dict
 
 
@@ -303,6 +306,7 @@ MALFORMED_INPUTS = [
     pytest.param("run", {"duty_fraction": True}, [], id="true as a number"),
     pytest.param("run", {"source.pair_probability": "1e-4"}, [], id="number as a string"),
     pytest.param("run", {"monte_carlo.enabled": 1}, [], id="number as a flag"),
+    pytest.param("run", {"phases_rad.chi_b": 1e308}, [], id="phase overflowing its propagation factor"),
     pytest.param("sweep-phase", {}, ["--phase-min", "nan"], id="NaN --phase-min"),
     pytest.param("sweep-phase", {}, ["--phase-max", "inf"], id="infinite --phase-max"),
     pytest.param("sweep-phase", {}, ["--phase-min=-1e308", "--phase-max", "1e308", "--steps", "3"],
@@ -349,3 +353,10 @@ def test_certify_with_valid_sidecar_pstar(tmp_path):
 
 def test_sidecar_pstar_sum_of_one_half_exits_4(tmp_path):
     assert main(certify_argv(tmp_path, settings=SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.25,0.25\n")) == 4
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, pathent.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -79,6 +79,14 @@ def test_out_of_range_values_rejected():
         parse_experiment_config(raw)
 
 
+def test_phase_overflow_checked_at_the_final_truncation():
+    raw = valid_config_dict()
+    raw["phases_rad"]["xi_b_long"] = 1e307
+    assert parse_experiment_config(raw).phases.xi_b_long == 1e307
+    with pytest.raises(ConfigError, match=r"phases_rad\.xi_b_long"):
+        parse_experiment_config(raw, truncation_override=20)
+
+
 def test_unreadable_or_malformed_file(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment_config(tmp_path / "missing.json")

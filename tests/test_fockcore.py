@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import measurement as meas
@@ -61,6 +63,45 @@ def test_unitarity_on_interior_subspace():
     totals = (n[:, None] + n[None, :]).ravel()
     low = np.flatnonzero(totals <= trunc.n_max - 2)
     assert np.max(np.abs(dev[np.ix_(low, low)])) < 1e-8
+
+
+def taylor_expm(generator: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring oracle: a 30-term Taylor series of exp(G / 2^s), squared s times."""
+    squarings = max(0, int(np.ceil(np.log2(max(np.linalg.norm(generator, 1), 1e-300) / 0.25))))
+    g = generator / 2**squarings
+    out = term = np.eye(len(g), dtype=complex)
+    for k in range(1, 30):
+        term = term @ g / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def assert_unitary_and_matches_oracle(generator: np.ndarray):
+    u = fc.expm(generator)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-13
+    assert np.max(np.abs(u - taylor_expm(generator))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from([4, 11, 15, 19]),
+    magnitude=st.floats(0.0, 1.6),
+    phase=st.floats(0.0, 2 * np.pi),
+)
+def test_expm_of_displacement_generators(d, magnitude, phase):
+    a = fc.annihilation_matrix(fc.FockTruncation(d - 1))
+    alpha = magnitude * np.exp(1j * phase)
+    assert_unitary_and_matches_oracle(alpha * a.conj().T - np.conjugate(alpha) * a)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([4, 6, 11]), transmission=st.floats(0.0, 1.0))
+def test_expm_of_beam_splitter_generators(d, transmission):
+    a = fc.annihilation_matrix(fc.FockTruncation(d - 1))
+    phi = np.arccos(np.sqrt(transmission))
+    assert_unitary_and_matches_oracle(phi * (np.kron(a, a.conj().T) - np.kron(a.conj().T, a)))
 
 
 def test_beam_splitter_sign_convention():

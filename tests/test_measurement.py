@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import herald
@@ -208,6 +210,26 @@ def test_multiphoton_coincidence_examples():
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
     assert meas.multiphoton_coincidence_probability(fc.DensityOperator(vac, (d,))) < 1e-15
+
+
+def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
+    """Split the mode with a vacuum ancilla on the truncated beam splitter and trace both click POVMs."""
+    d = len(rho)
+    trunc = fc.FockTruncation(d - 1)
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 1.0
+    bs = fc.beam_splitter_unitary(0.5, trunc).matrix
+    joint = bs @ np.kron(rho, vac) @ bs.conj().T
+    _, e_c = meas.click_povm(0.0, meas.DetectorModel(eta), trunc)
+    return float(np.trace(joint @ np.kron(e_c, e_c)).real)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(3, 11), eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_multiphoton_closed_form_matches_dense_split(d, eta, seed):
+    rho = random_density_matrix(np.random.default_rng(seed), d)
+    p = meas.multiphoton_coincidence_probability(fc.DensityOperator(rho, (d,)), meas.DetectorModel(eta))
+    assert abs(p - dense_coincidence_oracle(rho, eta)) <= 1e-13
 
 
 def test_p00_phase_model_examples():

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import measurement as meas
@@ -158,6 +160,34 @@ def test_bound_ordering_random_inputs():
         w_max = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
         assert w_ppt <= w_tilde + 1e-12
         assert w_tilde <= w_max + 1e-12
+
+
+amplitudes = st.floats(0.0, 1.5)
+boxes = st.lists(amplitudes, min_size=3, max_size=3).map(sorted).map(lambda a: meas.DisplacementSetting(a[1], a[0], a[2]))
+quadruples = st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4).map(lambda p: np.array(p) / sum(p))
+pstars = st.floats(0.0, 0.24)
+
+
+def swap_clicks(jp: meas.JointClickProbabilities) -> meas.JointClickProbabilities:
+    return meas.JointClickProbabilities(jp.p_nc_nc, jp.p_c_nc, jp.p_nc_c, jp.p_c_c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a1=amplitudes, a2=amplitudes, p=quadruples)
+def test_w_ppt_qubit_swap_symmetry(a1, a2, p):
+    qp = witness.QubitProbs(*p)
+    swapped = witness.QubitProbs(qp.p00, qp.p10, qp.p01, qp.p11)
+    assert abs(witness.w_ppt_qubit(a1, a2, qp) - witness.w_ppt_qubit(a2, a1, swapped)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(i1=boxes, i2=boxes, p=quadruples, p1=pstars, p2=pstars)
+def test_box_bounds_swap_symmetry(i1, i2, p, p1, p2):
+    jp_z = meas.JointClickProbabilities(*p)
+    value, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, witness.MultiphotonBounds(p1, p2))
+    swapped, _ = witness.w_ppt_fluctuation_bound(i2, i1, swap_clicks(jp_z), witness.MultiphotonBounds(p2, p1))
+    assert abs(value - swapped) <= 1e-12
+    assert abs(witness.beta_bound(i1, i2) - witness.beta_bound(i2, i1)) <= 1e-12
 
 
 def test_zero_displacement_cannot_witness():
