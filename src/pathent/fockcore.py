@@ -38,27 +38,6 @@ class FockTruncation:
 
 
 @dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """A dense operator over one or more modes sharing a truncation."""
-
-    matrix: np.ndarray
-    truncation: FockTruncation
-    n_modes: int = 1
-
-    def __post_init__(self):
-        dim = self.truncation.dim**self.n_modes
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"operator shape {self.matrix.shape} does not match "
-                f"{self.n_modes} mode(s) at dimension {self.truncation.dim}"
-            )
-
-    @property
-    def mode_dims(self) -> tuple[int, ...]:
-        return (self.truncation.dim,) * self.n_modes
-
-
-@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Trace-one positive operator on a tensor product of truncated modes."""
 
@@ -137,7 +116,7 @@ def expm(generator: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
 
 
-def displacement_operator(alpha: complex, trunc: FockTruncation) -> ModeOperator:
+def displacement_operator(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """Displacement D(alpha) = exp(alpha a^dag - alpha^* a) on the truncated space.
 
     The truncated generator is anti-Hermitian; its exponential comes from
@@ -154,10 +133,10 @@ def displacement_operator(alpha: complex, trunc: FockTruncation) -> ModeOperator
         )
     a = annihilation_matrix(trunc)
     gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    return ModeOperator(expm(gen), trunc)
+    return expm(gen)
 
 
-def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> ModeOperator:
+def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> np.ndarray:
     """Two-mode beam splitter with intensity transmission eta = cos^2(phi).
 
     Sign convention (fixed once, all downstream phases refer to it):
@@ -169,7 +148,7 @@ def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> ModeOpe
     phi = np.arccos(np.sqrt(transmission))
     a = annihilation_matrix(trunc)
     gen = phi * (np.kron(a, a.conj().T) - np.kron(a.conj().T, a))
-    return ModeOperator(expm(gen), trunc, n_modes=2)
+    return expm(gen)
 
 
 def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
@@ -260,9 +239,9 @@ def _partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[in
     return t.reshape(dim, dim)
 
 
-def expectation_value(rho: DensityOperator, obs) -> float:
+def expectation_value(rho: DensityOperator, obs: np.ndarray) -> float:
     """tr(rho obs) for a Hermitian observable; the residual imaginary part is checked then dropped."""
-    mat = obs.matrix if isinstance(obs, ModeOperator) else np.asarray(obs)
+    mat = np.asarray(obs)
     if mat.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: observable {mat.shape} vs state {rho.matrix.shape}")
     herm = np.max(np.abs(mat - mat.conj().T))

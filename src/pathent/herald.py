@@ -151,7 +151,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     ket_b = source(
         src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
     )
-    bs = fc.beam_splitter_unitary(0.5, trunc).matrix.reshape(d, d, d, d)
+    bs = fc.beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
     amps = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs, optimize=True)
 
     # monitored output: the port where both idler inputs arrive with +1/sqrt(2)

@@ -95,7 +95,7 @@ def click_povm(alpha: complex, det: DetectorModel, trunc: fc.FockTruncation):
     and E_click = 1 - E_noclick, exactly complete by construction.
     """
     eta = det.efficiency
-    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc).matrix
+    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc)
     vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     vac[0, 0] = 1.0
     e_nc = disp.conj().T @ vac @ disp
@@ -142,7 +142,7 @@ def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.nd
     truncation so the low-lying matrix elements are accurate.
     """
     padded = fc.FockTruncation(trunc.n_max + _WITNESS_PADDING)
-    disp = fc.displacement_operator(alpha, padded).matrix
+    disp = fc.displacement_operator(alpha, padded)
     flip = -np.eye(padded.dim, dtype=complex)
     flip[0, 0] = 1.0
     sigma = disp.conj().T @ flip @ disp
@@ -163,10 +163,10 @@ def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.Fock
         displaced_parity_observable(alpha1, trunc),
         displaced_parity_observable(alpha2, trunc),
     )
-    return w * total_number_sector_mask(trunc)
+    return w * _total_number_sector_mask(trunc)
 
 
-def total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
+def _total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
     """1 where two two-mode basis states hold the same total photon number, else 0."""
     n = np.arange(trunc.dim)
     totals = (n[:, None] + n[None, :]).ravel()

@@ -257,9 +257,11 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     An offset delta of chi_B equals exp(i delta n) on Bob's signal mode:
     the pair source puts equal photon numbers in signal and idler, and
     idler loss, the station beam splitter, heralding and signal loss are
-    all phase covariant.  So the heralded state is simulated once and
-    rotated per point.  The displacement settings and the separable bound
-    do not depend on chi_B and are computed once.
+    all phase covariant.  So the heralded state is simulated once, and the
+    rotation moves onto Bob's POVM: tr[U rho U^dag (E1 x E2)] equals
+    tr[rho (E1 x U^dag E2 U)], and one contraction over the stacked
+    rotated pairs gives every point.  The displacement settings and the
+    separable bound do not depend on chi_B and are computed once.
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
@@ -279,20 +281,20 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     s1, s2 = displacement_settings_from_phases(
         config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
     )
+    offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
+    # U rho U^dag against E1 x E2 equals rho against E1 x U^dag E2 U, U = exp(i delta n) on Bob's mode
+    n = np.arange(config.truncation.dim)
+    rotations = np.exp(-1j * offsets[:, None, None] * np.subtract.outer(n, n))
     povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation)])
-    povms_2 = np.array([click_povm(s2.amplitude, config.detector_2, config.truncation)])
-    rho = base["rho"].matrix
-    n_bob = np.arange(len(rho)) % config.truncation.dim  # Bob's photon number per basis index
-    n_diff = np.subtract.outer(n_bob, n_bob)
+    povms_2 = np.array(click_povm(s2.amplitude, config.detector_2, config.truncation))[None] * rotations[:, None]
+    probs = click_probability_grid(base["rho"].matrix, povms_1, povms_2)[0]
 
     rows = []
-    for offset in np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase:
+    for offset, p in zip(offsets, probs):
         phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
-        rotated = rho * np.exp(1j * offset * n_diff)
-        jp = JointClickProbabilities(*click_probability_grid(rotated, povms_1, povms_2)[0, 0])
         rows.append({
             "delta_theta_rad": phases.measured_relative_phase,
-            "w_exp": witness.w_exp(jp),
+            "w_exp": witness.w_exp(JointClickProbabilities(*p)),
             "w_ppt_max": bound,
         })
     return rows
@@ -343,7 +345,7 @@ def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: flo
     except witness.AlphaSearchError as exc:
         optima["robust"] = {"error": str(exc)}
     try:
-        best = witness.optimal_alpha(qp, "max_violation", trunc=config.truncation)
+        best = witness.optimal_alpha(qp, "max_violation")
         optima["max_violation"] = {"alpha1": best[0], "alpha2": best[1]}
     except witness.AlphaSearchError as exc:
         optima["max_violation"] = {"error": str(exc)}

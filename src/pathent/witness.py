@@ -14,10 +14,8 @@ from math import sqrt
 
 import numpy as np
 
-from . import fockcore as fc
 from . import stats
-from .herald import ideal_lossy_state
-from .measurement import DisplacementSetting, JointClickProbabilities, displaced_parity_observable, total_number_sector_mask
+from .measurement import DisplacementSetting, JointClickProbabilities
 
 BOX_GRID_POINTS = 101
 BOX_REFINEMENT_TOL = 1e-9
@@ -207,99 +205,67 @@ def w_ppt_max(w_tilde: float, mb: MultiphotonBounds, beta: float) -> float:
     return w_tilde + p + 2.0 * beta * sqrt(p * (1.0 - p))
 
 
-def optimal_alpha(qp: QubitProbs, mode: str = "robust", trunc: fc.FockTruncation | None = None):
+def optimal_alpha(qp: QubitProbs, mode: str = "robust"):
     """Displacement amplitudes optimizing the witness for a state with the given diagonal.
 
-    "max_violation" maximizes the violation of the qubit bound for the
-    ideal lossy state matching qp (largest gap, alpha = 1/sqrt(2) up to
-    truncation effects).  "robust" returns the amplitude at which the
-    qubit bound is stationary along the symmetric diagonal, where the
-    bound is first-order insensitive to amplitude fluctuations; note the
-    mixed second derivative of the bound has no zero in (0, 2] for
-    physical diagonals, so the stationary point is the operational
-    robustness criterion.  Both modes search the diagonal alpha1 = alpha2.
+    "max_violation" returns alpha = 1/sqrt(2) on both sides: on the ideal
+    lossy state matching qp, with diagonal (1 - eta, eta/2, eta/2, 0), the
+    witness exceeds the qubit bound by 4 eta alpha^2 exp(-2 alpha^2), which
+    peaks there for every eta > 0.  "robust" returns the amplitude at which
+    the qubit bound is stationary along the symmetric diagonal
+    alpha1 = alpha2, where the bound is first-order insensitive to
+    amplitude fluctuations: the first sign change of the analytic slope on
+    a 200-point grid over [0.05, 2], bisected to 1e-14.  The mixed second
+    derivative of the bound has no zero in (0, 2] for physical diagonals,
+    so the stationary point is the operational robustness criterion.
     """
     if mode == "max_violation":
-        return _max_violation_alpha(qp, trunc or fc.FockTruncation(10))
+        if qp.p01 + qp.p10 <= 0.0:
+            raise AlphaSearchError("no single-photon population; violation is not positive anywhere")
+        return sqrt(0.5), sqrt(0.5)
     if mode == "robust":
         return _robust_alpha(qp)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _max_violation_alpha(qp: QubitProbs, trunc: fc.FockTruncation):
-    eta = qp.p01 + qp.p10
-    if eta <= 0.0:
-        raise AlphaSearchError("no single-photon population; violation is not positive anywhere")
-    diag = QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
-    d = trunc.dim
-    # the phase-averaged witness keeps only elements within one total photon number; mask rho instead
-    rho = (ideal_lossy_state(eta, 0.0, trunc).matrix * total_number_sector_mask(trunc)).reshape(d, d, d, d)
+def w_ppt_qubit_slope(alpha, qp: QubitProbs):
+    """d/dalpha of w_ppt_qubit(alpha, alpha, qp); accepts scalars or numpy arrays.
 
-    def violation(alpha: float) -> float:
-        # both sides share one displaced parity; tr(rho W) = sum rho[ab,cd] sigma[c,a] sigma[d,b] in one
-        # pass, without building the d^2 x d^2 operator on every evaluation
-        sigma = displaced_parity_observable(alpha, trunc)
-        return np.einsum("abcd,ca,db->", rho, sigma, sigma).real - w_ppt_qubit(alpha, alpha, diag)
-
-    alphas = np.linspace(0.05, 2.0, 79)
-    values = [violation(a) for a in alphas]
-    j = int(np.argmax(values))
-    if values[j] <= 0.0:
-        raise AlphaSearchError("no positive violation found in (0, 2]")
-    lo = alphas[max(j - 1, 0)]
-    hi = alphas[min(j + 1, len(alphas) - 1)]
-    alpha = _golden_section_max(violation, lo, hi, tol=1e-6)
-    return alpha, alpha
+    With e = exp(-alpha^2) the bound is f^2 P00 + c2 sqrt(P00 P11) + g^2 P11
+    + f g (P10 + P01), where f = 2e - 1, g = 2 alpha^2 e - 1 and c2 = 8 alpha^2 e^2.
+    """
+    e = np.exp(-(alpha**2))
+    f = 2.0 * e - 1.0
+    g = 2.0 * alpha**2 * e - 1.0
+    df = -4.0 * alpha * e
+    dg = 4.0 * alpha * (1.0 - alpha**2) * e
+    dc2 = 16.0 * alpha * (1.0 - 2.0 * alpha**2) * e**2
+    return (
+        2.0 * f * df * qp.p00
+        + dc2 * sqrt(qp.p00 * qp.p11)
+        + 2.0 * g * dg * qp.p11
+        + (df * g + f * dg) * (qp.p10 + qp.p01)
+    )
 
 
-def _robust_alpha(qp: QubitProbs, step: float = 1e-4):
-    def slope(alpha: float) -> float:
-        # central finite difference of the qubit bound along the diagonal
-        return (
-            w_ppt_qubit(alpha + step, alpha + step, qp) - w_ppt_qubit(alpha - step, alpha - step, qp)
-        ) / (2.0 * step)
-
+def _robust_alpha(qp: QubitProbs):
     alphas = np.linspace(0.05, 2.0, 200)
-    slopes = [slope(a) for a in alphas]
-    bracket = None
-    for i in range(len(alphas) - 1):
-        if slopes[i] <= 0.0 <= slopes[i + 1] or slopes[i] >= 0.0 >= slopes[i + 1]:
-            if slopes[i] != slopes[i + 1]:
-                bracket = (alphas[i], alphas[i + 1])
-                break
-    if bracket is None:
+    slopes = w_ppt_qubit_slope(alphas, qp)
+    a, b = slopes[:-1], slopes[1:]
+    crossings = np.flatnonzero((((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))) & (a != b))
+    if len(crossings) == 0:
         raise AlphaSearchError("the qubit bound has no stationary amplitude in (0, 2]")
-    lo, hi = bracket
-    flo = slope(lo)
-    for _ in range(80):
+    lo, hi = alphas[crossings[0]], alphas[crossings[0] + 1]
+    flo = slopes[crossings[0]]
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        fmid = slope(mid)
-        if fmid == 0.0 or hi - lo < 1e-10:
-            lo = hi = mid
-            break
+        fmid = w_ppt_qubit_slope(mid, qp)
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid
         else:
             hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = float(0.5 * (lo + hi))
     return alpha, alpha
-
-
-def _golden_section_max(func, lo: float, hi: float, tol: float = 1e-6) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = func(x1), func(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = func(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = func(x1)
-    return 0.5 * (lo + hi)
 
 
 def certify(

@@ -25,13 +25,13 @@ def test_truncation_rejects_small_n_max():
 
 def test_displacement_zero_is_identity():
     trunc = fc.FockTruncation(10)
-    d = fc.displacement_operator(0.0, trunc).matrix
+    d = fc.displacement_operator(0.0, trunc)
     assert np.max(np.abs(d - np.eye(trunc.dim))) < 1e-14
 
 
 def test_displacement_vacuum_column_matches_coherent_series():
     trunc = fc.FockTruncation(12)
-    d = fc.displacement_operator(0.83, trunc).matrix
+    d = fc.displacement_operator(0.83, trunc)
     # D(alpha)|0> is the coherent state |alpha>; elements near the cutoff
     # carry the truncation error, so compare the interior
     expected = coherent_amplitudes(0.83, trunc.dim)
@@ -41,7 +41,7 @@ def test_displacement_vacuum_column_matches_coherent_series():
 
 def test_displacement_single_photon_amplitude():
     trunc = fc.FockTruncation(12)
-    d = fc.displacement_operator(1.0, trunc).matrix
+    d = fc.displacement_operator(1.0, trunc)
     assert abs(d[1, 0] - np.exp(-0.5)) < 1e-9
 
 
@@ -54,10 +54,10 @@ def test_unitarity_on_interior_subspace():
     trunc = fc.FockTruncation(10)
     inner = np.arange(trunc.n_max - 1)  # photon number <= n_max - 2
     for alpha in (0.3, 0.83, 1.5):
-        d = fc.displacement_operator(alpha, trunc).matrix
+        d = fc.displacement_operator(alpha, trunc)
         dev = d.conj().T @ d - np.eye(trunc.dim)
         assert np.max(np.abs(dev[np.ix_(inner, inner)])) < 1e-8
-    u = fc.beam_splitter_unitary(0.37, trunc).matrix
+    u = fc.beam_splitter_unitary(0.37, trunc)
     dev = u.conj().T @ u - np.eye(trunc.dim**2)
     n = np.arange(trunc.dim)
     totals = (n[:, None] + n[None, :]).ravel()
@@ -106,7 +106,7 @@ def test_expm_of_beam_splitter_generators(d, transmission):
 
 def test_beam_splitter_sign_convention():
     trunc = fc.FockTruncation(3)
-    u = fc.beam_splitter_unitary(0.5, trunc).matrix
+    u = fc.beam_splitter_unitary(0.5, trunc)
     out = u @ fc.fock_ket((1, 0), trunc)
     idx10 = trunc.dim  # |1,0>
     idx01 = 1  # |0,1>
@@ -119,13 +119,13 @@ def test_beam_splitter_sign_convention():
 
 def test_beam_splitter_transmission_one_is_identity():
     trunc = fc.FockTruncation(4)
-    u = fc.beam_splitter_unitary(1.0, trunc).matrix
+    u = fc.beam_splitter_unitary(1.0, trunc)
     assert np.max(np.abs(u - np.eye(trunc.dim**2))) < 1e-12
 
 
 def test_beam_splitter_hong_ou_mandel():
     trunc = fc.FockTruncation(3)
-    u = fc.beam_splitter_unitary(0.5, trunc).matrix
+    u = fc.beam_splitter_unitary(0.5, trunc)
     v11 = fc.fock_ket((1, 1), trunc)
     amp = v11.conj() @ u @ v11
     assert abs(amp) ** 2 < 1e-24
@@ -176,7 +176,7 @@ def test_loss_channel_matches_beam_splitter_ancilla():
     vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     vac[0, 0] = 1.0
     joint = np.kron(rho.matrix, vac)
-    u = fc.beam_splitter_unitary(eta, trunc).matrix
+    u = fc.beam_splitter_unitary(eta, trunc)
     joint = u @ joint @ u.conj().T
     reduced = fc._partial_trace_matrix(joint, (trunc.dim, trunc.dim), (0,))
     direct = fc.loss_channel(rho, 0, eta).matrix

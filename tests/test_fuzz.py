@@ -3,7 +3,8 @@
 Mutations drop keys, cells or trailing fields, swap value types, and
 insert NaN, Infinity and negative values.  The numerics section keeps
 the fixture values, since a fuzzed truncation would allocate d^8-sized
-arrays.
+arrays.  The output section is fuzzed on its own, with every report
+path inside the test's temporary directory.
 """
 
 import copy
@@ -13,7 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathent.cli import main
@@ -109,3 +110,45 @@ def test_fuzzed_counts_and_settings_never_raise(counts_mutations, settings_as_js
         else:
             settings_path.write_text(mutate_csv(SETTINGS, settings_cells))
         assert main(["certify", "--counts", str(counts), "--settings", str(settings_path)]) in EXIT_CODES
+
+
+# report paths, resolved inside the example's directory: a new file, a file in a missing
+# directory, the directory itself, a name with a NUL byte, and an empty path
+REPORT_PATHS = {
+    "<file>": "report.json",
+    "<missing>": "missing/report.json",
+    "<dir>": ".",
+    "<nul>": "report\0.json",
+    "<empty>": None,
+}
+OUTPUT_VALUES = [*JSON_VALUES, *REPORT_PATHS]
+
+
+def output_sections():
+    report_path = st.sampled_from(OUTPUT_VALUES)
+    section = st.fixed_dictionaries({}, optional={"report_path": report_path, "unknown_key": st.sampled_from(JSON_VALUES)})
+    return st.one_of(st.sampled_from([DROP, None, True, "0.5", [], 0, -1]), section)
+
+
+def resolve_report_path(node, directory: Path):
+    """Replace the path placeholders; every other string becomes a file name inside directory."""
+    if isinstance(node, dict):
+        return {key: resolve_report_path(value, directory) for key, value in node.items() if value != DROP}
+    if not isinstance(node, str):
+        return node
+    name = REPORT_PATHS.get(node, node)
+    return "" if name is None else str(directory / name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(output_sections())
+def test_fuzzed_output_section_never_raises(tmp_path, output):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    config = copy.deepcopy(CONFIG)
+    if output != DROP:
+        config["output"] = resolve_report_path(output, directory) if isinstance(output, dict) else output
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    before = set(Path.cwd().iterdir())
+    assert main(["run", "--config", str(path)]) in EXIT_CODES
+    assert set(Path.cwd().iterdir()) == before

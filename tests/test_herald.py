@@ -51,7 +51,7 @@ def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc
     for mode, eta in enumerate(etas):
         kraus = [_embed(k, (mode,), d) for k in fc.loss_channel_kraus(eta, trunc)]
         mat = sum(k @ mat @ k.conj().T for k in kraus)
-    bs = _embed(fc.beam_splitter_unitary(0.5, trunc).matrix, (1, 3), d)
+    bs = _embed(fc.beam_splitter_unitary(0.5, trunc), (1, 3), d)
     t = (bs @ mat @ bs.conj().T).reshape((d,) * 8)
     # trace out both idler outputs; the herald keeps monitored-port photon numbers >= 1
     marginal = np.einsum("aibjcidj->abcd", t).reshape(d * d, d * d)

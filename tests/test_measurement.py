@@ -218,7 +218,7 @@ def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
     trunc = fc.FockTruncation(d - 1)
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
-    bs = fc.beam_splitter_unitary(0.5, trunc).matrix
+    bs = fc.beam_splitter_unitary(0.5, trunc)
     joint = bs @ np.kron(rho, vac) @ bs.conj().T
     _, e_c = meas.click_povm(0.0, meas.DetectorModel(eta), trunc)
     return float(np.trace(joint @ np.kron(e_c, e_c)).real)

@@ -1,5 +1,7 @@
+from math import sqrt
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,8 +261,97 @@ def _qubit_block(a1: float, a2: float) -> np.ndarray:
 def test_optimal_alpha_max_violation_ideal():
     qp = witness.QubitProbs(0.0, 0.5, 0.5, 0.0)
     a1, a2 = witness.optimal_alpha(qp, "max_violation")
-    assert abs(a1 - 1.0 / np.sqrt(2.0)) < 0.005
+    assert abs(a1 - 1.0 / np.sqrt(2.0)) < 1e-15
     assert a1 == a2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    eta=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+    n_max=st.integers(3, 10),
+    h=st.sampled_from([1e-2, 1e-3, 1e-4]),
+)
+def test_max_violation_optimum_is_the_truncated_maximum(eta, n_max, h):
+    # the truncated objective: witness on the ideal lossy state minus the qubit bound of its diagonal
+    qp = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+    assert witness.optimal_alpha(qp, "max_violation") == (sqrt(0.5), sqrt(0.5))
+    trunc = fc.FockTruncation(n_max)
+    rho = ideal_lossy_state(eta, 0.0, trunc).matrix
+
+    def violation(a: float) -> float:
+        w = meas.phase_averaged_witness_operator(a, a, trunc)
+        return np.trace(rho @ w).real - witness.w_ppt_qubit(a, a, qp)
+
+    best = violation(sqrt(0.5))
+    # 4 eta alpha^2 exp(-2 alpha^2) at alpha^2 = 1/2, up to the displaced parity's padded truncation
+    assert abs(best - 2.0 * eta / np.e) <= 1e-14
+    # neighbours are lower by about 8 eta h^2 / e; allow rounding of the trace
+    assert violation(sqrt(0.5) - h) <= best + 1e-15
+    assert violation(sqrt(0.5) + h) <= best + 1e-15
+
+
+def _w_diagonal_mp(alpha, qp: witness.QubitProbs):
+    """w_ppt_qubit(alpha, alpha, qp) in mpmath arithmetic, from the coefficient definitions."""
+    e = mp.exp(-(alpha**2))
+    f = 2 * e - 1
+    g = 2 * alpha**2 * e - 1
+    c2 = 8 * alpha**2 * e**2
+    p00, p01, p10, p11 = (mp.mpf(p) for p in (qp.p00, qp.p01, qp.p10, qp.p11))
+    return f * f * p00 + c2 * mp.sqrt(p00 * p11) + g * g * p11 + g * f * p10 + f * g * p01
+
+
+def _slope_mp(alpha, qp: witness.QubitProbs):
+    return mp.diff(lambda x: _w_diagonal_mp(x, qp), alpha)
+
+
+def _robust_root_mp(qp: witness.QubitProbs):
+    """First stationary amplitude of the bound on the optimizer's grid, found by mpmath; None if none."""
+    grid = [mp.mpf(a) for a in np.linspace(0.05, 2.0, 200)]
+    slopes = [_slope_mp(a, qp) for a in grid]
+    for lo, hi, s_lo, s_hi in zip(grid, grid[1:], slopes, slopes[1:]):
+        if s_lo * s_hi <= 0 and s_lo != s_hi:
+            return mp.findroot(lambda x: _slope_mp(x, qp), (lo, hi), solver="anderson")
+    return None
+
+
+qubit_diagonals = st.one_of(
+    quadruples,
+    # near the published z-basis diagonals: mostly vacuum, few coincidences
+    st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1), st.floats(0.0, 1e-3)).map(
+        lambda p: np.array([1.0 - sum(p), *p])
+    ),
+).map(lambda p: witness.QubitProbs(*p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(qp=qubit_diagonals, alpha=st.floats(0.05, 2.0))
+def test_bound_slope_matches_mpmath_derivative(qp, alpha):
+    with mp.workdps(40):
+        assert abs(witness.w_ppt_qubit(alpha, alpha, qp) - float(_w_diagonal_mp(mp.mpf(alpha), qp))) <= 1e-15
+        assert abs(witness.w_ppt_qubit_slope(alpha, qp) - float(_slope_mp(mp.mpf(alpha), qp))) <= 1e-14
+
+
+def _check_robust_root(qp: witness.QubitProbs):
+    with mp.workdps(40):
+        root = _robust_root_mp(qp)
+    if root is None:
+        with pytest.raises(witness.AlphaSearchError):
+            witness.optimal_alpha(qp, "robust")
+        return
+    a1, a2 = witness.optimal_alpha(qp, "robust")
+    assert a1 == a2
+    assert abs(a1 - float(root)) <= 1e-12
+
+
+@pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))
+def test_robust_optimum_matches_mpmath_root_published(row):
+    _check_robust_root(witness.QubitProbs.from_joint_clicks(row["jp_z"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(qp=qubit_diagonals)
+def test_robust_optimum_matches_mpmath_root_random(qp):
+    _check_robust_root(qp)
 
 
 def test_optimal_alpha_robust_published_diagonals():
