@@ -121,8 +121,7 @@ def _emit_rows(rows: list[dict], out, fmt: str) -> None:
 
 def _write_or_print(text: str, out) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        pipeline.write_text(text, out)
     else:
         sys.stdout.write(text)
 

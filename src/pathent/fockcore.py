@@ -17,7 +17,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,30 +61,6 @@ class DensityOperator:
     @property
     def n_modes(self) -> int:
         return len(self.mode_dims)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.mode_dims)
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector over truncated modes."""
-
-    amplitudes: np.ndarray
-    mode_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode_dims", tuple(int(d) for d in self.mode_dims))
-        dim = prod(self.mode_dims)
-        if self.amplitudes.shape != (dim,):
-            raise ValueError(f"amplitude shape {self.amplitudes.shape} does not match modes {self.mode_dims}")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm is {norm}, expected 1")
-
-    def to_density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.mode_dims)
 
 
 def annihilation_matrix(trunc: FockTruncation) -> np.ndarray:
@@ -188,16 +163,8 @@ def adjoint_loss_channel(obs: np.ndarray, eta: float, trunc: FockTruncation) -> 
     """Heisenberg-picture (adjoint) loss channel on a single-mode observable."""
     if eta == 1.0:
         return obs
-    out = np.zeros_like(obs, dtype=complex)
-    for K in loss_channel_kraus(eta, trunc):
-        out += K.conj().T @ obs @ K
-    return out
-
-
-def two_mode_squeezed_state(pair_probability: float, trunc: FockTruncation) -> DensityOperator:
-    """Two-mode squeezed vacuum parameterized by the pair probability p = tanh^2 r."""
-    ket = two_mode_squeezed_ket(pair_probability, trunc)
-    return PureState(ket, (trunc.dim, trunc.dim)).to_density()
+    kraus = loss_channel_kraus(eta, trunc)
+    return (kraus.conj().transpose(0, 2, 1) @ obs @ kraus).sum(0)
 
 
 def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:
@@ -210,33 +177,6 @@ def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_p
     ket = np.zeros(d * d, dtype=complex)
     ket[np.arange(d) * d + np.arange(d)] = amps
     return ket / np.linalg.norm(ket)
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced state on the kept modes (returned in the order given by keep)."""
-    keep = tuple(int(k) for k in keep)
-    if not keep:
-        raise ValueError("keep must name at least one mode")
-    if len(set(keep)) != len(keep) or any(not 0 <= k < rho.n_modes for k in keep):
-        raise ValueError(f"invalid mode set {keep} for {rho.n_modes} modes")
-    mat = _partial_trace_matrix(rho.matrix, rho.mode_dims, keep)
-    return DensityOperator(_hermitize(mat), tuple(rho.mode_dims[k] for k in keep))
-
-
-def _partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    m = len(dims)
-    drop = [i for i in range(m) if i not in keep]
-    t = mat.reshape(dims + dims)
-    remaining = list(range(m))
-    for mode in sorted(drop, reverse=True):
-        axis = remaining.index(mode)
-        t = np.trace(t, axis1=axis, axis2=axis + len(remaining))
-        remaining.pop(axis)
-    # remaining modes are in ascending order; permute to requested order
-    perm = [remaining.index(k) for k in keep]
-    t = t.transpose(perm + [p + len(remaining) for p in perm])
-    dim = prod([dims[k] for k in keep])
-    return t.reshape(dim, dim)
 
 
 def expectation_value(rho: DensityOperator, obs: np.ndarray) -> float:
@@ -254,7 +194,12 @@ def expectation_value(rho: DensityOperator, obs: np.ndarray) -> float:
 
 
 def embed_state(rho: DensityOperator, trunc: FockTruncation) -> DensityOperator:
-    """Zero-pad every mode of rho to the (larger or equal) target truncation."""
+    """Zero-pad every mode of rho to the (larger or equal) target truncation.
+
+    The pipeline measures the state on its own support; this padded copy
+    with joint_click_probabilities is the reference the tests check it
+    against.
+    """
     new_dims = (trunc.dim,) * rho.n_modes
     if new_dims == rho.mode_dims:
         return rho

@@ -11,7 +11,7 @@ to loss acting on the measured state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isqrt
 
 import numpy as np
 
@@ -112,7 +112,12 @@ def joint_click_probabilities(
     d1: DetectorModel = DetectorModel(),
     d2: DetectorModel = DetectorModel(),
 ) -> JointClickProbabilities:
-    """The four joint click/no-click probabilities of the tensor POVM on a two-mode state."""
+    """The four joint click/no-click probabilities of the tensor POVM on a two-mode state.
+
+    The POVMs are built at the state's own truncation.  On a state
+    zero-padded by fockcore.embed_state this is the reference for the
+    pipeline, which measures the unpadded state with compressed POVMs.
+    """
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
     trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
@@ -124,14 +129,17 @@ def joint_click_probabilities(
 def click_probability_grid(rho_matrix: np.ndarray, povms_1: np.ndarray, povms_2: np.ndarray) -> np.ndarray:
     """Joint click probabilities of a two-mode state for every pair of stacked POVMs.
 
-    povms_k has shape (n_k, 2, d, d), each entry a (no-click, click) pair
-    on mode k.  One contraction of rho reshaped to (d, d, d, d) gives
+    povms_k has shape (n_k, 2, D, D), each entry a (no-click, click) pair
+    on mode k, built at a measurement truncation D at least the state's
+    per-mode dimension d.  The state is zero outside its d lowest levels,
+    so the POVMs are compressed to their top-left d x d blocks, which is
+    exact.  One contraction of rho reshaped to (d, d, d, d) gives
     tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the result has shape
     (n_1, n_2, 4) in JointClickProbabilities order, clipped to [0, 1].
     """
-    d = povms_1.shape[-1]
+    d = isqrt(len(rho_matrix))
     t = rho_matrix.reshape(d, d, d, d)
-    p = np.einsum("abcd,xica,yjdb->xyij", t, povms_1, povms_2, optimize=True).real
+    p = np.einsum("abcd,xica,yjdb->xyij", t, povms_1[..., :d, :d], povms_2[..., :d, :d], optimize=True).real
     return np.clip(p, 0.0, 1.0).reshape(len(povms_1), len(povms_2), 4)
 
 
@@ -173,21 +181,19 @@ def _total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
     return (totals[:, None] == totals[None, :]).astype(float)
 
 
-def multiphoton_coincidence_probability(rho_single_mode: fc.DensityOperator, det: DetectorModel = DetectorModel()) -> float:
+def multiphoton_coincidence_probability(populations: np.ndarray, det: DetectorModel = DetectorModel()) -> float:
     """Probability of a twofold coincidence after a 50/50 split of one mode.
 
     This mirrors the Hanbury Brown-Twiss estimate of the probability of
     more than one photon in the mode.  The second input port is vacuum,
     the split conserves photon number and the undisplaced click POVMs are
-    diagonal, so only the photon-number distribution enters: n photons
-    make both detectors click with probability
-    1 - 2(1 - eta/2)^n + (1 - eta)^n.  This is exact in the truncation.
+    diagonal, so only the mode's photon-number distribution enters:
+    populations[n] is the probability of n photons, and n photons make
+    both detectors click with probability 1 - 2(1 - eta/2)^n + (1 - eta)^n.
+    This is exact in the truncation.
     """
-    if rho_single_mode.n_modes != 1:
-        raise ValueError("expected a single-mode state")
     eta = det.efficiency
-    n = np.arange(rho_single_mode.dim)
-    populations = np.diagonal(rho_single_mode.matrix).real
+    n = np.arange(len(populations))
     p = populations @ (1.0 - 2.0 * (1.0 - eta / 2.0) ** n + (1.0 - eta) ** n)
     return float(min(max(p, 0.0), 1.0))
 

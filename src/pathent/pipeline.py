@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import fockcore as fc
 from . import stats, witness
 from .config import (
     AnalysisSettings,
@@ -37,7 +36,6 @@ from .measurement import (
     click_povm,
     click_probability_grid,
     displacement_settings_from_phases,
-    joint_click_probabilities,
     multiphoton_coincidence_probability,
 )
 from .stats import CountRecord, ProbEstimate
@@ -74,19 +72,29 @@ def run_experiment(config: ExperimentConfig | str, out_path=None) -> dict:
 
 
 def _simulate_probabilities(config: ExperimentConfig) -> dict:
-    """Heralded-state simulation and both measurement bases, optionally sampled."""
+    """Heralded-state simulation and both measurement bases, optionally sampled.
+
+    rho stays at the herald truncation: click_probability_grid compresses
+    the POVMs to its support, and the multiphoton coincidences read each
+    mode's photon-number distribution from its diagonal.  The alpha-basis
+    POVM pairs are returned for sweep_phase to reuse.
+    """
     heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-    rho = fc.embed_state(heralded.rho, config.truncation)
+    rho = heralded.rho.matrix
 
     s1, s2 = displacement_settings_from_phases(
         config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
     )
-    jp_alpha = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
-    z1 = DisplacementSetting.point(0.0)
-    jp_z = joint_click_probabilities(rho, z1, z1, config.detector_1, config.detector_2)
+    # (alpha, z) POVM pairs per mode; the diagonal of the 2 x 2 grid holds both bases
+    povms_1 = np.array([click_povm(a, config.detector_1, config.truncation) for a in (s1.amplitude, 0.0)])
+    povms_2 = np.array([click_povm(a, config.detector_2, config.truncation) for a in (s2.amplitude, 0.0)])
+    grid = click_probability_grid(rho, povms_1, povms_2)
+    jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
-    p1_value = multiphoton_coincidence_probability(fc.partial_trace(rho, (0,)), config.detector_1)
-    p2_value = multiphoton_coincidence_probability(fc.partial_trace(rho, (1,)), config.detector_2)
+    d = heralded.rho.mode_dims[0]
+    populations = np.diagonal(rho).real.reshape(d, d)
+    p1_value = multiphoton_coincidence_probability(populations.sum(axis=1), config.detector_1)
+    p2_value = multiphoton_coincidence_probability(populations.sum(axis=0), config.detector_2)
 
     rate = heralding_rate(heralded.herald_probability, config.pump_rep_rate_hz, config.duty_fraction)
     mc = config.monte_carlo
@@ -120,6 +128,7 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         "herald_probability": heralded.herald_probability,
         "herald_rate_hz": rate,
         "rho": rho,
+        "povms_alpha": (povms_1[:1], povms_2[:1]),
     }
 
 
@@ -260,8 +269,9 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     all phase covariant.  So the heralded state is simulated once, and the
     rotation moves onto Bob's POVM: tr[U rho U^dag (E1 x E2)] equals
     tr[rho (E1 x U^dag E2 U)], and one contraction over the stacked
-    rotated pairs gives every point.  The displacement settings and the
-    separable bound do not depend on chi_B and are computed once.
+    rotated pairs gives every point.  The displacement settings do not
+    depend on chi_B, so the alpha-basis POVM pairs of the base simulation
+    are reused; the separable bound is computed once.
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
@@ -278,16 +288,12 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     )
     bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(config.setting_1, config.setting_2))
 
-    s1, s2 = displacement_settings_from_phases(
-        config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
-    )
     offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
     # U rho U^dag against E1 x E2 equals rho against E1 x U^dag E2 U, U = exp(i delta n) on Bob's mode
     n = np.arange(config.truncation.dim)
     rotations = np.exp(-1j * offsets[:, None, None] * np.subtract.outer(n, n))
-    povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation)])
-    povms_2 = np.array(click_povm(s2.amplitude, config.detector_2, config.truncation))[None] * rotations[:, None]
-    probs = click_probability_grid(base["rho"].matrix, povms_1, povms_2)[0]
+    povms_1, povms_2 = base["povms_alpha"]
+    probs = click_probability_grid(base["rho"], povms_1, povms_2 * rotations[:, None])[0]
 
     rows = []
     for offset, p in zip(offsets, probs):
@@ -324,7 +330,7 @@ def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: flo
     settings = [displacement_settings_from_phases(a, a, config.phases) for a in grid]
     povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation) for s1, _ in settings])
     povms_2 = np.array([click_povm(s2.amplitude, config.detector_2, config.truncation) for _, s2 in settings])
-    probs = click_probability_grid(base["rho"].matrix, povms_1, povms_2)
+    probs = click_probability_grid(base["rho"], povms_1, povms_2)
     a1, a2 = grid[:, None], grid[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
 
@@ -378,8 +384,17 @@ def report_to_json(report: dict) -> str:
 
 
 def write_report(report: dict, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(report_to_json(report))
+    write_text(report_to_json(report), path)
+
+
+def write_text(text: str, path) -> None:
+    """Write an output file; a path that open() rejects as a value is an input error."""
+    try:
+        handle = open(path, "w")
+    except ValueError as exc:  # e.g. an embedded NUL byte
+        raise ConfigError(f"invalid output path {path!r}: {exc}") from exc
+    with handle:
+        handle.write(text)
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -307,12 +307,14 @@ MALFORMED_INPUTS = [
     pytest.param("run", {"source.pair_probability": "1e-4"}, [], id="number as a string"),
     pytest.param("run", {"monte_carlo.enabled": 1}, [], id="number as a flag"),
     pytest.param("run", {"phases_rad.chi_b": 1e308}, [], id="phase overflowing its propagation factor"),
+    pytest.param("run", {"output.report_path": "a\u0000b"}, [], id="NUL byte in report_path"),
     pytest.param("sweep-phase", {}, ["--phase-min", "nan"], id="NaN --phase-min"),
     pytest.param("sweep-phase", {}, ["--phase-max", "inf"], id="infinite --phase-max"),
     pytest.param("sweep-phase", {}, ["--phase-min=-1e308", "--phase-max", "1e308", "--steps", "3"],
                  id="overflowing phase span"),
     pytest.param("sweep-phase", {"phases_rad.chi_b": 1e308}, ["--phase-min=-1e308", "--phase-max", "0"],
                  id="overflowing phase offset"),
+    pytest.param("sweep-phase", {}, ["--out", "x\0y"], id="NUL byte in --out"),
     pytest.param("certify", {"counts": "basis,n_total,n_a,n_b,n_d\nalpha,1000,1,2\nz,1000,1,2,3\n"}, [],
                  id="counts row missing trailing fields"),
     pytest.param("certify", {"counts": COUNTS.replace("alpha,1000,250,250,250", "alpha,0,0,0,0")}, [],

@@ -178,54 +178,37 @@ def test_loss_channel_matches_beam_splitter_ancilla():
     joint = np.kron(rho.matrix, vac)
     u = fc.beam_splitter_unitary(eta, trunc)
     joint = u @ joint @ u.conj().T
-    reduced = fc._partial_trace_matrix(joint, (trunc.dim, trunc.dim), (0,))
+    d = trunc.dim
+    reduced = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)
     direct = fc.loss_channel(rho, 0, eta).matrix
     assert np.max(np.abs(reduced - direct)) < 1e-12
 
 
+def test_adjoint_loss_channel_matches_kraus_loop():
+    rng = np.random.default_rng(29)
+    trunc = fc.FockTruncation(10)
+    obs = random_density_matrix(rng, trunc.dim) * trunc.dim - np.eye(trunc.dim)
+    for eta in (0.0, 0.37, 0.9):
+        loop = np.zeros_like(obs)
+        for kraus in fc.loss_channel_kraus(eta, trunc):
+            loop += kraus.conj().T @ obs @ kraus
+        assert np.array_equal(fc.adjoint_loss_channel(obs, eta, trunc), loop)
+
+
 def test_two_mode_squeezed_state_examples():
     trunc = fc.FockTruncation(3)
-    vac = fc.two_mode_squeezed_state(0.0, trunc).matrix
+    ket = fc.two_mode_squeezed_ket(0.0, trunc)
+    vac = np.outer(ket, ket.conj())
     assert abs(vac[0, 0] - 1.0) < 1e-12
-    rho = fc.two_mode_squeezed_state(3e-3, trunc)
+    ket = fc.two_mode_squeezed_ket(3e-3, trunc)
+    rho = fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim))
     diag = np.diag(rho.matrix).real.reshape(4, 4)
     assert abs(diag[2, 2] / diag[1, 1] - 3e-3) < 1e-12
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-10
     with pytest.raises(ValueError):
-        fc.two_mode_squeezed_state(0.5, trunc)
+        fc.two_mode_squeezed_ket(0.5, trunc)
     with pytest.raises(ValueError):
-        fc.two_mode_squeezed_state(-0.1, trunc)
-
-
-def test_partial_trace_product_and_bell():
-    rng = np.random.default_rng(17)
-    rho_a = random_density_matrix(rng, 3)
-    rho_b = random_density_matrix(rng, 3)
-    joint = fc.DensityOperator(np.kron(rho_a, rho_b), (3, 3))
-    reduced = fc.partial_trace(joint, (0,))
-    assert np.max(np.abs(reduced.matrix - rho_a)) < 1e-12
-    assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
-
-    trunc = fc.FockTruncation(2)
-    psi = (fc.fock_ket((1, 0), trunc) + fc.fock_ket((0, 1), trunc)) / np.sqrt(2)
-    rho = fc.DensityOperator(np.outer(psi, psi.conj()), (3, 3))
-    reduced = fc.partial_trace(rho, (0,))
-    assert abs(reduced.matrix[0, 0] - 0.5) < 1e-12
-    assert abs(reduced.matrix[1, 1] - 0.5) < 1e-12
-
-    with pytest.raises(ValueError):
-        fc.partial_trace(joint, ())
-    with pytest.raises(ValueError):
-        fc.partial_trace(joint, (0, 2))
-
-
-def test_partial_trace_keep_order():
-    rng = np.random.default_rng(23)
-    rho_a = random_density_matrix(rng, 3)
-    rho_b = random_density_matrix(rng, 3)
-    joint = fc.DensityOperator(np.kron(rho_a, rho_b), (3, 3))
-    swapped = fc.partial_trace(joint, (1, 0))
-    assert np.max(np.abs(swapped.matrix - np.kron(rho_b, rho_a))) < 1e-12
+        fc.two_mode_squeezed_ket(-0.1, trunc)
 
 
 def test_expectation_value_examples():
@@ -237,10 +220,10 @@ def test_expectation_value_examples():
     sigma0 = meas.displaced_parity_observable(0.0, trunc)
     vac = np.zeros(trunc.dim, dtype=complex)
     vac[0] = 1.0
-    assert abs(fc.expectation_value(fc.PureState(vac, (trunc.dim,)).to_density(), sigma0) - 1.0) < 1e-12
+    assert abs(fc.expectation_value(fc.DensityOperator(np.outer(vac, vac.conj()), (trunc.dim,)), sigma0) - 1.0) < 1e-12
     one = np.zeros(trunc.dim, dtype=complex)
     one[1] = 1.0
-    assert abs(fc.expectation_value(fc.PureState(one, (trunc.dim,)).to_density(), sigma0) + 1.0) < 1e-12
+    assert abs(fc.expectation_value(fc.DensityOperator(np.outer(one, one.conj()), (trunc.dim,)), sigma0) + 1.0) < 1e-12
 
     with pytest.raises(ValueError):
         fc.expectation_value(rho, np.eye(3))

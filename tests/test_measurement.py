@@ -99,22 +99,25 @@ def test_joint_click_probabilities_vacuum():
 
 
 def test_click_probability_grid_matches_kron_traces():
+    # POVMs at the state's truncation, and at a larger one compressed to the state's support
     rng = np.random.default_rng(23)
     trunc = fc.FockTruncation(4)
     rho = random_density_matrix(rng, trunc.dim**2)
     amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
     amps_2 = [0.5 * np.exp(1.7j), 0.7]
-    povms_1 = np.array([meas.click_povm(a, meas.DetectorModel(0.8), trunc) for a in amps_1])
-    povms_2 = np.array([meas.click_povm(a, meas.DetectorModel(0.6), trunc) for a in amps_2])
-    grid = meas.click_probability_grid(rho, povms_1, povms_2)
-    assert grid.shape == (3, 2, 4)
-    for x, (e1_nc, e1_c) in enumerate(povms_1):
-        for y, (e2_nc, e2_c) in enumerate(povms_2):
-            direct = [
-                np.trace(rho @ np.kron(ea, eb)).real
-                for ea, eb in ((e1_nc, e2_nc), (e1_nc, e2_c), (e1_c, e2_nc), (e1_c, e2_c))
-            ]
-            assert np.max(np.abs(grid[x, y] - direct)) < 1e-12
+    for povm_trunc in (trunc, fc.FockTruncation(9)):
+        povms_1 = np.array([meas.click_povm(a, meas.DetectorModel(0.8), povm_trunc) for a in amps_1])
+        povms_2 = np.array([meas.click_povm(a, meas.DetectorModel(0.6), povm_trunc) for a in amps_2])
+        grid = meas.click_probability_grid(rho, povms_1, povms_2)
+        padded = fc.embed_state(fc.DensityOperator(rho, (trunc.dim, trunc.dim)), povm_trunc).matrix
+        assert grid.shape == (3, 2, 4)
+        for x, (e1_nc, e1_c) in enumerate(povms_1):
+            for y, (e2_nc, e2_c) in enumerate(povms_2):
+                direct = [
+                    np.trace(padded @ np.kron(ea, eb)).real
+                    for ea, eb in ((e1_nc, e2_nc), (e1_nc, e2_c), (e1_c, e2_nc), (e1_c, e2_c))
+                ]
+                assert np.max(np.abs(grid[x, y] - direct)) < 1e-12
 
 
 def test_joint_click_probabilities_match_p00_model_at_083():
@@ -200,16 +203,16 @@ def test_witness_operator_rejects_negative_amplitudes():
 
 def test_multiphoton_coincidence_examples():
     d = 6
-    one = np.zeros((d, d), dtype=complex)
-    one[1, 1] = 1.0
-    assert meas.multiphoton_coincidence_probability(fc.DensityOperator(one, (d,))) < 1e-12
-    two = np.zeros((d, d), dtype=complex)
-    two[2, 2] = 1.0
-    p = meas.multiphoton_coincidence_probability(fc.DensityOperator(two, (d,)))
+    one = np.zeros(d)
+    one[1] = 1.0
+    assert meas.multiphoton_coincidence_probability(one) < 1e-12
+    two = np.zeros(d)
+    two[2] = 1.0
+    p = meas.multiphoton_coincidence_probability(two)
     assert abs(p - 0.5) < 1e-12
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    assert meas.multiphoton_coincidence_probability(fc.DensityOperator(vac, (d,))) < 1e-15
+    vac = np.zeros(d)
+    vac[0] = 1.0
+    assert meas.multiphoton_coincidence_probability(vac) < 1e-15
 
 
 def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
@@ -228,7 +231,7 @@ def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
 @given(d=st.integers(3, 11), eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_multiphoton_closed_form_matches_dense_split(d, eta, seed):
     rho = random_density_matrix(np.random.default_rng(seed), d)
-    p = meas.multiphoton_coincidence_probability(fc.DensityOperator(rho, (d,)), meas.DetectorModel(eta))
+    p = meas.multiphoton_coincidence_probability(np.diagonal(rho).real, meas.DetectorModel(eta))
     assert abs(p - dense_coincidence_oracle(rho, eta)) <= 1e-13
 
 

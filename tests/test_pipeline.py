@@ -1,0 +1,94 @@
+"""The pipeline measures the heralded state on its own support, against the zero-padded reference."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathent import fockcore as fc
+from pathent import pipeline
+from pathent.config import load_experiment_config
+from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.measurement import (
+    DetectorModel,
+    DisplacementSetting,
+    displacement_settings_from_phases,
+    joint_click_probabilities,
+    multiphoton_coincidence_probability,
+)
+
+from conftest import FIXTURES
+
+QUADRUPLE = ("p_nc_nc", "p_nc_c", "p_c_nc", "p_c_c")
+transmission = st.floats(0.05, 1.0)
+
+
+@st.composite
+def truncations(draw):
+    herald_n_max = draw(st.integers(3, 5))
+    return herald_n_max, draw(st.integers(herald_n_max, 12))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    pair_a=st.floats(1e-4, 0.05),
+    pair_b=st.none() | st.floats(1e-4, 0.05),
+    signal=st.tuples(transmission, transmission),
+    idler=st.tuples(transmission, transmission),
+    false_herald=st.floats(0.0, 0.5),
+    phases=st.lists(st.floats(-np.pi, np.pi), min_size=10, max_size=10),
+    efficiencies=st.tuples(transmission, transmission),
+    amplitudes=st.tuples(st.floats(0.05, 0.85), st.floats(0.05, 0.85)),
+    n_max=truncations(),
+)
+def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_herald, phases, efficiencies,
+                                      amplitudes, n_max):
+    src = SourceParams(pair_a, *signal, *idler, false_herald, pair_b)
+    phase_config = PhaseConfig(*phases)
+    det_1, det_2 = (DetectorModel(eta) for eta in efficiencies)
+    herald_n_max, trunc_n_max = n_max
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
+    config = replace(
+        config,
+        source=src,
+        phases=phase_config,
+        setting_1=DisplacementSetting.point(amplitudes[0]),
+        setting_2=DisplacementSetting.point(amplitudes[1]),
+        detector_1=det_1,
+        detector_2=det_2,
+        numerics=replace(config.numerics, herald_truncation_n_max=herald_n_max, truncation_n_max=trunc_n_max),
+    )
+    report = pipeline.run_experiment(config)
+
+    trunc = fc.FockTruncation(trunc_n_max)
+    padded = fc.embed_state(simulate_heralded_state(src, phase_config, config.herald_truncation).rho, trunc)
+    s1, s2 = displacement_settings_from_phases(*amplitudes, phase_config)
+    z = DisplacementSetting.point(0.0)
+    for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (z, z))):
+        expected = joint_click_probabilities(padded, t1, t2, det_1, det_2).as_array()
+        got = [report["probabilities"][basis][key] for key in QUADRUPLE]
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
+
+    d = trunc.dim
+    t = padded.matrix.reshape(d, d, d, d)
+    for key, marginal, det in (
+        ("p1_star", np.trace(t, axis1=1, axis2=3), det_1),
+        ("p2_star", np.trace(t, axis1=0, axis2=2), det_2),
+    ):
+        expected = multiphoton_coincidence_probability(np.diagonal(marginal).real, det)
+        assert abs(report["multiphoton"][key] - expected) <= 1e-13
+
+
+def test_run_builds_no_state_beyond_the_herald_support(monkeypatch):
+    dims = []
+    validate = fc.DensityOperator.__post_init__
+
+    def recording(self):
+        dims.append(len(self.matrix))
+        validate(self)
+
+    monkeypatch.setattr(fc.DensityOperator, "__post_init__", recording)
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
+    pipeline.run_experiment(config)
+    assert dims and max(dims) <= config.herald_truncation.dim ** 2

@@ -1,0 +1,152 @@
+"""Byte-identity check of the pathent CLI between two source trees.
+
+    PYTHONPATH=<tree>/src python3 tools/identity.py dump OUT.json
+    python3 tools/identity.py compare A.json B.json
+
+`dump` runs every case in-process through pathent.cli.main, with BLAS
+pinned to one thread, and records per case the exit code, stdout,
+stderr and the output text with the report's "timing" block removed.
+The cases are every run, certify, sweep-phase and sweep-alpha pool entry
+of perfbench/workloads.py, the three published certify runs, and
+variants of the two fixture configs.  `compare` lists the cases that
+differ; stderr is compared after each tree's own path is replaced, since
+a warning prints the path of the source line that raised it.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+import traceback  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+WORK = "<work>"
+TREE = "<tree>"
+SWEEP_PHASE_RANGES = ((), ("--phase-min", "-3", "--phase-max", "9", "--steps", "41"),
+                      ("--phase-min=-0.5", "--phase-max", "0.5", "--steps", "7"))
+
+
+def cases(work: Path) -> dict[str, tuple[str, ...]]:
+    """Case name -> CLI argv; input files are written under work."""
+    out = {}
+    for workload in workloads.WORKLOADS:
+        target = work / f"{workload}.out"
+        for i in range(workloads.POOL_SIZE[workload]):
+            out[f"{workload}/{i}"] = _argv(workload, workloads.pool_entry_files(workload, i, FIXTURES), work, i, target)
+    for stem in workloads.PUBLISHED:
+        files = workloads.published_files(stem, FIXTURES)
+        out[f"certify/{stem}"] = _argv("certify", files, work, stem, work / "certify.out")
+    for fixture in ("ideal_link", "lossy_link"):
+        config = str(FIXTURES / f"{fixture}.json")
+        report = str(work / "run.out")
+        for name, extra in (("plain", ()), ("truncation-8", ("--truncation", "8")),
+                            ("truncation-3", ("--truncation", "3")), ("seed-7", ("--seed", "7"))):
+            out[f"run/{fixture}/{name}"] = ("run", "--config", config, "--out", report, *extra)
+        for k, extra in enumerate(SWEEP_PHASE_RANGES):
+            for fmt in ("csv", "json"):
+                out[f"sweep-phase/{fixture}/range-{k}/{fmt}"] = ("sweep-phase", "--config", config, "--format", fmt, *extra)
+        for trunc in ("10", "5"):
+            for fmt in ("csv", "json"):
+                out[f"sweep-alpha/{fixture}/truncation-{trunc}/{fmt}"] = (
+                    "sweep-alpha", "--config", config, "--truncation", trunc, "--format", fmt)
+    return out
+
+
+def _argv(workload, files, work, key, target) -> tuple[str, ...]:
+    paths = {}
+    for suffix, text in files.items():
+        paths[suffix] = work / f"{workload}-{key}.{suffix}"
+        paths[suffix].write_text(text)
+    return workloads.op_argv(workload, paths, target)
+
+
+def _output_text(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(doc, dict) and "timing" in doc:
+        doc.pop("timing")
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return text
+
+
+def run_case(main, argv: tuple[str, ...]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # fresh filters clear the once-per-location registry, as in a new process
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("default")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:  # an uncaught error is a result to compare, not a failure of the check
+            code = "traceback: " + traceback.format_exc().splitlines()[-1]
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    return {
+        "exit": code,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+        "output": _output_text(out) if out else None,
+    }
+
+
+def dump(target: str) -> int:
+    import pathent.cli
+
+    tree = str(Path(pathent.cli.__file__).resolve().parents[2])
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, argv in cases(work).items():
+            record = run_case(pathent.cli.main, argv)
+            results[name] = {key: value.replace(tmp, WORK) if isinstance(value, str) else value
+                             for key, value in record.items()}
+    Path(target).write_text(json.dumps({"tree": tree, "cases": results}, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} cases from {tree} -> {target}")
+    return 0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    differ = []
+    for name in sorted(set(a["cases"]) | set(b["cases"])):
+        ra, rb = a["cases"].get(name), b["cases"].get(name)
+        if ra is None or rb is None:
+            differ.append(f"{name}: only in {path_a if rb is None else path_b}")
+            continue
+        for key in ("exit", "stdout", "output"):
+            if ra[key] != rb[key]:
+                differ.append(f"{name}: {key}")
+        if ra["stderr"].replace(a["tree"], TREE) != rb["stderr"].replace(b["tree"], TREE):
+            differ.append(f"{name}: stderr")
+    for line in differ:
+        print(line)
+    print(f"{len(a['cases'])} vs {len(b['cases'])} cases, {len(differ)} differences")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "dump":
+        sys.exit(dump(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    sys.exit(__doc__)
