@@ -82,7 +82,9 @@ def main(argv=None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         config = load_experiment_config(args.config, args.truncation, args.seed)
-        report = pipeline.run_experiment(config, out_path=args.out or config.report_path)
+        report = pipeline.run_experiment(config)
+        if (out := args.out or config.report_path) is not None:
+            pipeline.write_report(report, out)
         _print_summary(report)
         return EXIT_OK
     if args.command == "sweep-phase":
@@ -108,7 +110,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             _emit_rows(result["rows"], args.out, "csv")
         return EXIT_OK
     if args.command == "certify":
-        report = pipeline.certify_from_counts(args.counts, args.settings, out_path=args.out)
+        report = pipeline.certify_from_counts(args.counts, args.settings)
+        if args.out is not None:
+            pipeline.write_report(report, args.out)
         _print_summary(report)
         return EXIT_OK
     raise ConfigError(f"unknown command {args.command!r}")

@@ -17,8 +17,8 @@ from typing import get_args, get_type_hints
 
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
-from .measurement import DetectorModel, DisplacementSetting, JointClickProbabilities
-from .stats import CountRecord, ProbEstimate, estimate_probabilities
+from .measurement import DetectorModel, DisplacementSetting
+from .stats import BasisMeasurement, CountRecord, ProbEstimate, estimate_probabilities
 
 
 class ConfigError(ValueError):
@@ -208,22 +208,6 @@ def parse_experiment_config(
     if config.source.pair_probability >= 0.5 or pair_b >= 0.5:
         raise ConfigError("pair probabilities must be below 0.5")
     return config
-
-
-@dataclass(frozen=True)
-class BasisMeasurement:
-    """One measured basis: the four probability estimates plus the raw record."""
-
-    estimates: tuple[ProbEstimate, ProbEstimate, ProbEstimate, ProbEstimate]
-    counts: CountRecord
-
-    def __post_init__(self):
-        self.probabilities  # raises unless the estimates form a valid quadruple
-
-    @property
-    def probabilities(self) -> JointClickProbabilities:
-        e = self.estimates
-        return JointClickProbabilities(e[0].value, e[1].value, e[2].value, e[3].value)
 
 
 @dataclass(frozen=True)

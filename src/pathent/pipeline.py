@@ -21,12 +21,10 @@ import numpy as np
 from . import stats, witness
 from .config import (
     AnalysisSettings,
-    BasisMeasurement,
     ConfigError,
     CountsFile,
     ExperimentConfig,
     load_counts_file,
-    load_experiment_config,
     load_settings_file,
 )
 from .herald import heralding_rate, simulate_heralded_state
@@ -38,7 +36,7 @@ from .measurement import (
     displacement_settings_from_phases,
     multiphoton_coincidence_probability,
 )
-from .stats import CountRecord, ProbEstimate
+from .stats import BasisMeasurement, CountRecord, ProbEstimate
 
 SCHEMA_VERSION = 1
 REPORT_KIND = "pathent.run_report"
@@ -47,13 +45,11 @@ REPORT_KIND = "pathent.run_report"
 _STREAM_ALPHA, _STREAM_Z, _STREAM_P1, _STREAM_P2 = 0, 1, 2, 3
 
 
-def run_experiment(config: ExperimentConfig | str, out_path=None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Simulate the configured experiment and certify the result."""
     started = time.monotonic()
-    if not isinstance(config, ExperimentConfig):
-        config = load_experiment_config(config)
     sim = _simulate_probabilities(config)
-    report = _certification_report(
+    return _certification_report(
         mode="simulation",
         config_echo=config.echo(),
         alpha=sim["alpha"],
@@ -66,9 +62,6 @@ def run_experiment(config: ExperimentConfig | str, out_path=None) -> dict:
         },
         started=started,
     )
-    if out_path is not None:
-        write_report(report, out_path)
-    return report
 
 
 def _simulate_probabilities(config: ExperimentConfig) -> dict:
@@ -98,27 +91,22 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
 
     rate = heralding_rate(heralded.herald_probability, config.pump_rep_rate_hz, config.duty_fraction)
     mc = config.monte_carlo
-    n_alpha = mc.n_alpha or max(1, round(rate * config.duration_alpha_s))
-    n_z = mc.n_z or max(1, round(rate * config.duration_z_s))
-    n_pstar = mc.n_multiphoton or max(1, round(rate * config.duration_multiphoton_s))
 
-    if config.monte_carlo.enabled:
-        seed = config.monte_carlo.seed
-        counts_alpha = stats.sample_counts(jp_alpha, n_alpha, stats.derive_seed(seed, _STREAM_ALPHA))
-        counts_z = stats.sample_counts(jp_z, n_z, stats.derive_seed(seed, _STREAM_Z))
-        alpha = BasisMeasurement(stats.estimate_probabilities(counts_alpha), counts_alpha)
-        z = BasisMeasurement(stats.estimate_probabilities(counts_z), counts_z)
-        rng1 = np.random.Generator(np.random.PCG64(stats.derive_seed(seed, _STREAM_P1)))
-        rng2 = np.random.Generator(np.random.PCG64(stats.derive_seed(seed, _STREAM_P2)))
-        k1 = int(rng1.binomial(n_pstar, p1_value))
-        k2 = int(rng2.binomial(n_pstar, p2_value))
-        p1 = ProbEstimate(k1 / n_pstar, stats.binomial_sigma(k1 / n_pstar, n_pstar))
-        p2 = ProbEstimate(k2 / n_pstar, stats.binomial_sigma(k2 / n_pstar, n_pstar))
-    else:
-        alpha = _ideal_basis(jp_alpha, n_alpha)
-        z = _ideal_basis(jp_z, n_z)
-        p1 = ProbEstimate(p1_value, stats.binomial_sigma(p1_value, n_pstar))
-        p2 = ProbEstimate(p2_value, stats.binomial_sigma(p2_value, n_pstar))
+    def measure(jp: JointClickProbabilities, n_total: int, stream: int) -> BasisMeasurement:
+        """One counting run of n_total heralds, logged as a counts-file row would be."""
+        if not mc.enabled:
+            return _ideal_basis(jp, n_total)
+        c = stats.sample_counts(jp, n_total, stats.derive_seed(mc.seed, stream))
+        return BasisMeasurement(stats.estimate_probabilities(c), c)
+
+    alpha = measure(jp_alpha, mc.n_alpha or max(1, round(rate * config.duration_alpha_s)), _STREAM_ALPHA)
+    z = measure(jp_z, mc.n_z or max(1, round(rate * config.duration_z_s)), _STREAM_Z)
+    # an HBT run is a pstar row: its coincidences sit in the (c,c) slot, as in a counts file
+    n_pstar = mc.n_multiphoton or max(1, round(rate * config.duration_multiphoton_s))
+    p1, p2 = (
+        measure(JointClickProbabilities(1.0 - p, 0.0, 0.0, p), n_pstar, stream).estimates[3]
+        for p, stream in ((p1_value, _STREAM_P1), (p2_value, _STREAM_P2))
+    )
 
     return {
         "alpha": alpha,
@@ -141,25 +129,21 @@ def _ideal_basis(jp: JointClickProbabilities, n_total: int) -> BasisMeasurement:
     return BasisMeasurement(stats.estimates_from_probabilities(jp, n_total), counts)
 
 
-def certify_from_counts(counts_path, settings_path, out_path=None) -> dict:
+def certify_from_counts(counts_path, settings_path) -> dict:
     """Analysis path: certification from recorded counts, no simulation."""
     started = time.monotonic()
     counts = load_counts_file(counts_path)
     settings = load_settings_file(settings_path)
-    p1, p2 = _resolve_pstar(counts, settings)
-    report = _certification_report(
+    return _certification_report(
         mode="analysis",
         config_echo={"counts_file": str(counts_path), "settings_file": str(settings_path)},
         alpha=counts.alpha,
         z=counts.z,
-        pstar=(p1, p2),
+        pstar=_resolve_pstar(counts, settings),
         settings=(settings.setting_1, settings.setting_2),
         heralding=None,
         started=started,
     )
-    if out_path is not None:
-        write_report(report, out_path)
-    return report
 
 
 def _resolve_pstar(counts: CountsFile, settings: AnalysisSettings) -> tuple[ProbEstimate, ProbEstimate]:
@@ -189,16 +173,7 @@ def _certification_report(
     started: float,
 ) -> dict:
     p1, p2 = pstar
-    mb = witness.MultiphotonBounds(p1.value, p2.value)
-    report = witness.certify(
-        alpha.probabilities,
-        z.probabilities,
-        settings[0],
-        settings[1],
-        mb,
-        (alpha.counts, z.counts),
-        p_star_estimates=pstar,
-    )
+    report = witness.certify(alpha, z, settings[0], settings[1], pstar)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": REPORT_KIND,
@@ -258,7 +233,7 @@ def _check_finite(node, path="report"):
         raise ValueError(f"non-finite value at {path}")
 
 
-def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: float, steps: int) -> list[dict]:
+def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, steps: int) -> list[dict]:
     """Witness expectation versus the relative measurement phase.
 
     The central-interferometer phase on Bob's side is offset so that the
@@ -275,8 +250,6 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
-    if not isinstance(config, ExperimentConfig):
-        config = load_experiment_config(config)
     # offsets and shifted chi_B between finite ends stay finite
     ends = [phase - config.phases.measured_relative_phase for phase in (phase_min, phase_max)]
     if not all(map(math.isfinite, [phase_max - phase_min, *ends, *(config.phases.chi_b + end for end in ends)])):
@@ -306,7 +279,7 @@ def sweep_phase(config: ExperimentConfig | str, phase_min: float, phase_max: flo
     return rows
 
 
-def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: float, steps: int) -> dict:
+def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, steps: int) -> dict:
     """Violation w_exp - w_ppt_max over a displacement-amplitude grid.
 
     Each grid point is evaluated at a point interval (no fluctuation
@@ -320,8 +293,6 @@ def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: flo
         raise ConfigError("alpha grid must satisfy 0 < alpha_min <= alpha_max <= 2")
     if steps < 1:
         raise ConfigError("sweep needs at least 1 step")
-    if not isinstance(config, ExperimentConfig):
-        config = load_experiment_config(config)
     base = _simulate_probabilities(config)
     jp_z = base["z"].probabilities
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
@@ -345,16 +316,12 @@ def sweep_alpha(config: ExperimentConfig | str, alpha_min: float, alpha_max: flo
 
     qp = witness.QubitProbs.from_joint_clicks(jp_z)
     optima = {}
-    try:
-        robust = witness.optimal_alpha(qp, "robust")
-        optima["robust"] = {"alpha1": robust[0], "alpha2": robust[1]}
-    except witness.AlphaSearchError as exc:
-        optima["robust"] = {"error": str(exc)}
-    try:
-        best = witness.optimal_alpha(qp, "max_violation")
-        optima["max_violation"] = {"alpha1": best[0], "alpha2": best[1]}
-    except witness.AlphaSearchError as exc:
-        optima["max_violation"] = {"error": str(exc)}
+    for mode in ("robust", "max_violation"):  # the CLI prints the optima in this order
+        try:
+            alpha1, alpha2 = witness.optimal_alpha(qp, mode)
+            optima[mode] = {"alpha1": alpha1, "alpha2": alpha2}
+        except witness.AlphaSearchError as exc:
+            optima[mode] = {"error": str(exc)}
     return {"rows": rows, "optima": optima}
 
 

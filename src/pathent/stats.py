@@ -56,6 +56,22 @@ class ProbEstimate:
             raise ValueError("sigma must be nonnegative")
 
 
+@dataclass(frozen=True)
+class BasisMeasurement:
+    """One measured basis: the four probability estimates plus the raw record."""
+
+    estimates: tuple[ProbEstimate, ProbEstimate, ProbEstimate, ProbEstimate]
+    counts: CountRecord
+
+    def __post_init__(self):
+        self.probabilities  # raises unless the estimates form a valid quadruple
+
+    @property
+    def probabilities(self) -> JointClickProbabilities:
+        e = self.estimates
+        return JointClickProbabilities(e[0].value, e[1].value, e[2].value, e[3].value)
+
+
 def binomial_sigma(p: float, n_total: int) -> float:
     return sqrt(max(p * (1.0 - p), 0.0) / n_total)
 

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import stats
-from .measurement import DisplacementSetting, JointClickProbabilities
+from .measurement import PROB_SUM_ATOL, DisplacementSetting, JointClickProbabilities
 
 BOX_GRID_POINTS = 101
 BOX_REFINEMENT_TOL = 1e-9
@@ -38,8 +38,7 @@ class QubitProbs:
         values = (self.p00, self.p01, self.p10, self.p11)
         if any(p < 0 for p in values):
             raise ValueError(f"probabilities must be nonnegative, got {values}")
-        # rounded published tables can overshoot unit sum slightly
-        if sum(values) > 1.0 + 2e-4:
+        if sum(values) > 1.0 + PROB_SUM_ATOL:
             raise ValueError(f"probabilities sum to {sum(values)} > 1")
 
     @classmethod
@@ -269,38 +268,30 @@ def _robust_alpha(qp: QubitProbs):
 
 
 def certify(
-    jp_alpha: JointClickProbabilities,
-    jp_z: JointClickProbabilities,
+    alpha: stats.BasisMeasurement,
+    z: stats.BasisMeasurement,
     i1: DisplacementSetting,
     i2: DisplacementSetting,
-    mb: MultiphotonBounds,
-    counts: tuple[stats.CountRecord, stats.CountRecord],
-    p_star_estimates: tuple[stats.ProbEstimate, stats.ProbEstimate] | None = None,
+    p_star: tuple[stats.ProbEstimate, stats.ProbEstimate],
 ) -> WitnessReport:
-    """Assemble the full certification verdict from both measurement bases.
+    """Assemble the certification verdict from one measured record.
 
-    counts carries the (alpha-basis, z-basis) records; only their totals
-    enter, through the binomial standard deviations of the given
-    probabilities.  Multiphoton uncertainties are zero unless estimates
-    with standard deviations are supplied.
+    alpha and z are the two measured bases, each with its probability
+    estimates and their binomial standard deviations; p_star holds the
+    estimates of p1* and p2* from the two HBT runs.  The estimates are
+    used as given: the witness expectation and bounds take their values,
+    the significance k takes their standard deviations.
     """
-    counts_alpha, counts_z = counts
-    est_alpha = stats.estimates_from_probabilities(jp_alpha, counts_alpha.n_total)
-    est_z = stats.estimates_from_probabilities(jp_z, counts_z.n_total)
-    if p_star_estimates is None:
-        p_star_estimates = (
-            stats.ProbEstimate(mb.p1_star, 0.0),
-            stats.ProbEstimate(mb.p2_star, 0.0),
-        )
-
-    value_w_exp = w_exp(jp_alpha)
-    sigma_exp = stats.sigma_w_exp(est_alpha)
+    mb = MultiphotonBounds(p_star[0].value, p_star[1].value)
+    jp_z = z.probabilities
+    value_w_exp = w_exp(alpha.probabilities)
+    sigma_exp = stats.sigma_w_exp(alpha.estimates)
     qp = QubitProbs.from_joint_clicks(jp_z)
     value_w_ppt = w_ppt_qubit(i1.alpha_mean, i2.alpha_mean, qp)
     w_tilde, coeffs = w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
     beta = beta_bound(i1, i2)
     value_w_ppt_max = w_ppt_max(w_tilde, mb, beta)
-    sigma_ppt_max = stats.sigma_ppt_max(est_z, p_star_estimates, coeffs, beta)
+    sigma_ppt_max = stats.sigma_ppt_max(z.estimates, p_star, coeffs, beta)
     if sigma_exp + sigma_ppt_max > 0.0:
         k = stats.violation_k(value_w_exp, sigma_exp, value_w_ppt_max, sigma_ppt_max)
     else:

@@ -13,6 +13,7 @@ import pytest
 from pathent import fockcore as fc
 from pathent import measurement as meas
 from pathent import pipeline, stats, witness
+from pathent.config import load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, ideal_lossy_state, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities
 
@@ -175,7 +176,7 @@ def test_criterion_6_optimal_amplitudes():
 
 def test_criterion_7_phase_sweep_cosine():
     start = time.monotonic()
-    rows = pipeline.sweep_phase(str(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 25)
+    rows = pipeline.sweep_phase(load_experiment_config(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 25)
     theta = np.array([row["delta_theta_rad"] for row in rows])
     w = np.array([row["w_exp"] for row in rows])
     bound = rows[0]["w_ppt_max"]

@@ -9,7 +9,7 @@ import pytest
 
 from pathent import pipeline
 from pathent.cli import main
-from pathent.config import parse_experiment_config
+from pathent.config import load_experiment_config, parse_experiment_config
 
 from conftest import FIXTURES, REPO_ROOT
 from test_config import valid_config_dict
@@ -235,7 +235,7 @@ def test_sweep_alpha_output_and_optima(fixtures_dir, tmp_path, capsys):
 
 
 def test_sweep_alpha_ideal_argmax_near_inverse_sqrt2(fixtures_dir):
-    result = pipeline.sweep_alpha(str(fixtures_dir / "ideal_link.json"), 0.5, 0.9, 9)
+    result = pipeline.sweep_alpha(load_experiment_config(fixtures_dir / "ideal_link.json"), 0.5, 0.9, 9)
     best = max(result["rows"], key=lambda row: row["violation"])
     assert abs(best["alpha1"] - 0.7071) <= 0.05
     assert abs(best["alpha2"] - 0.7071) <= 0.05
@@ -244,7 +244,7 @@ def test_sweep_alpha_ideal_argmax_near_inverse_sqrt2(fixtures_dir):
 
 
 def test_sweep_alpha_robust_optimum_on_lossy_link(fixtures_dir):
-    result = pipeline.sweep_alpha(str(fixtures_dir / "lossy_link.json"), 0.7, 0.9, 2)
+    result = pipeline.sweep_alpha(load_experiment_config(fixtures_dir / "lossy_link.json"), 0.7, 0.9, 2)
     robust = result["optima"]["robust"]
     assert abs(robust["alpha1"] - 0.83) <= 0.01
     assert robust["alpha1"] == robust["alpha2"]

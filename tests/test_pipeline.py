@@ -1,8 +1,10 @@
-"""The pipeline measures the heralded state on its own support, against the zero-padded reference."""
+"""The pipeline measures the heralded state on its own support, against the zero-padded reference,
+and a simulated run certifies exactly as the counts file it would log."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +94,32 @@ def test_run_builds_no_state_beyond_the_herald_support(monkeypatch):
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     pipeline.run_experiment(config)
     assert dims and max(dims) <= config.herald_truncation.dim ** 2
+
+
+@pytest.mark.parametrize("fixture", ("ideal_link", "lossy_link"))
+def test_sampled_run_certifies_as_its_counts_file(fixture, tmp_path):
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    n_pstar = 30_000_000
+    config = replace(config, monte_carlo=replace(config.monte_carlo, enabled=True, n_multiphoton=n_pstar))
+    run = pipeline.run_experiment(config)
+
+    rows = ["basis,n_total,n_a,n_b,n_d"]
+    for basis in ("alpha", "z"):
+        c = run["counts"][f"{basis}_basis"]
+        rows.append(f"{basis},{c['n_total']},{c['n_a']},{c['n_b']},{c['n_d']}")
+    for i in (1, 2):
+        rows.append(f"pstar{i},{n_pstar},0,0,{round(run['multiphoton'][f'p{i}_star'] * n_pstar)}")
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("\n".join(rows) + "\n")
+    intervals = {
+        f"alpha{side}_{bound}": getattr(setting, f"alpha_{bound}")
+        for side, setting in ((1, config.setting_1), (2, config.setting_2))
+        for bound in ("min", "mean", "max")
+    }
+    settings_path = tmp_path / "settings.csv"
+    settings_path.write_text(",".join(intervals) + "\n" + ",".join(map(repr, intervals.values())) + "\n")
+
+    analysis = pipeline.certify_from_counts(counts_path, settings_path)
+    assert run["multiphoton"]["p1_star"] > 0.0
+    for block in ("witness", "probabilities", "counts", "multiphoton"):
+        assert analysis[block] == run[block], block

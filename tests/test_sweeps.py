@@ -135,7 +135,7 @@ def test_sweep_phase_simulates_the_heralded_state_once(monkeypatch):
         return simulate_heralded_state(*args)
 
     monkeypatch.setattr(pipeline, "simulate_heralded_state", counting)
-    rows = pipeline.sweep_phase(str(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 9)
+    rows = pipeline.sweep_phase(load_experiment_config(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 9)
     assert len(rows) == 9
     assert len(calls) == 1
 

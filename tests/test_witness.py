@@ -53,14 +53,16 @@ def certify_row(row) -> witness.WitnessReport:
         stats.ProbEstimate(row["mb"].p2_star, stats.binomial_sigma(row["mb"].p2_star, row["n_pstar"])),
     )
     return witness.certify(
-        row["jp_alpha"],
-        row["jp_z"],
+        measured(row["jp_alpha"], row["n_alpha"]),
+        measured(row["jp_z"], row["n_z"]),
         row["i1"],
         row["i2"],
-        row["mb"],
-        (stats.CountRecord(row["n_alpha"], 0, 0, 0), stats.CountRecord(row["n_z"], 0, 0, 0)),
-        p_star_estimates=pstars,
+        pstars,
     )
+
+
+def measured(jp, n_total) -> stats.BasisMeasurement:
+    return stats.BasisMeasurement(stats.estimates_from_probabilities(jp, n_total), stats.CountRecord(n_total, 0, 0, 0))
 
 
 def test_w_exp_examples():
@@ -400,12 +402,11 @@ def test_certify_not_entangled_reports_nonpositive_k():
     jp_alpha = meas.JointClickProbabilities(0.25, 0.25, 0.25, 0.25)
     row = ROW_1P0KM
     report = witness.certify(
-        jp_alpha,
-        row["jp_z"],
+        measured(jp_alpha, 10_000),
+        measured(row["jp_z"], 10_000),
         row["i1"],
         row["i2"],
-        row["mb"],
-        (stats.CountRecord(10_000, 0, 0, 0), stats.CountRecord(10_000, 0, 0, 0)),
+        (stats.ProbEstimate(row["mb"].p1_star, 0.0), stats.ProbEstimate(row["mb"].p2_star, 0.0)),
     )
     assert not report.entangled
     assert report.k <= 0.0

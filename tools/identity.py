@@ -8,7 +8,9 @@ pinned to one thread, and records per case the exit code, stdout,
 stderr and the output text with the report's "timing" block removed.
 The cases are every run, certify, sweep-phase and sweep-alpha pool entry
 of perfbench/workloads.py, the three published certify runs, and
-variants of the two fixture configs.  `compare` lists the cases that
+variants of the two fixture configs, among them Monte Carlo runs with
+explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
+the totals from durations).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
 a warning prints the path of the source line that raised it.
 """
@@ -38,6 +40,9 @@ WORK = "<work>"
 TREE = "<tree>"
 SWEEP_PHASE_RANGES = ((), ("--phase-min", "-3", "--phase-max", "9", "--steps", "41"),
                       ("--phase-min=-0.5", "--phase-max", "0.5", "--steps", "7"))
+MC_TOTALS = ({"n_alpha": 1, "n_z": 1, "n_multiphoton": 1},
+             {"n_alpha": 1000, "n_z": 2500, "n_multiphoton": 40_000},
+             {"n_alpha": 5_040_000, "n_z": 12_600_000, "n_multiphoton": 30_000_000})
 
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
@@ -56,6 +61,11 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
         for name, extra in (("plain", ()), ("truncation-8", ("--truncation", "8")),
                             ("truncation-3", ("--truncation", "3")), ("seed-7", ("--seed", "7"))):
             out[f"run/{fixture}/{name}"] = ("run", "--config", config, "--out", report, *extra)
+        raw = json.loads(Path(config).read_text())
+        for k, totals in enumerate(MC_TOTALS):
+            mc_config = work / f"{fixture}-mc-totals-{k}.json"
+            mc_config.write_text(json.dumps({**raw, "monte_carlo": {"enabled": True, "seed": 11, **totals}}))
+            out[f"run/{fixture}/mc-totals-{k}"] = ("run", "--config", str(mc_config), "--out", report)
         for k, extra in enumerate(SWEEP_PHASE_RANGES):
             for fmt in ("csv", "json"):
                 out[f"sweep-phase/{fixture}/range-{k}/{fmt}"] = ("sweep-phase", "--config", config, "--format", fmt, *extra)
