@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
 from .measurement import DetectorModel, DisplacementSetting
-from .stats import BasisMeasurement, CountRecord, ProbEstimate, estimate_probabilities
+from .stats import MAX_TOTAL, BasisMeasurement, CountRecord, ProbEstimate, estimate_probabilities
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,8 @@ class MonteCarloSettings:
             raise ConfigError("seed must be nonnegative when Monte Carlo is enabled")
         for name in ("n_alpha", "n_z", "n_multiphoton"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive when given")
+            if value is not None and (value <= 0 or self.enabled and value >= MAX_TOTAL):
+                raise ConfigError(f"{name} must be positive when given, and below 2**63 when sampled")
 
 
 # File keys of the config blocks whose names differ from the ExperimentConfig

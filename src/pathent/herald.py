@@ -41,19 +41,10 @@ class SourceParams:
     pair_probability_b: float | None = None
 
     def __post_init__(self):
-        probs = {
-            "pair_probability": self.pair_probability,
-            "signal_transmission_a": self.signal_transmission_a,
-            "signal_transmission_b": self.signal_transmission_b,
-            "idler_transmission_a": self.idler_transmission_a,
-            "idler_transmission_b": self.idler_transmission_b,
-            "false_herald_probability": self.false_herald_probability,
-        }
-        for name, value in probs.items():
-            if not 0.0 <= value <= 1.0:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.pair_probability_b is not None and not 0.0 <= self.pair_probability_b <= 1.0:
-            raise ValueError(f"pair_probability_b must lie in [0, 1], got {self.pair_probability_b}")
 
     @property
     def pair_probability_a(self) -> float:
@@ -72,6 +63,8 @@ class PhaseConfig:
     crystal; chi: crystal to central station; xi_long / xi_short: crystal
     to detector through the long / short arm of each measurement
     interferometer.  Phases act as propagation factors exp(i theta n).
+    A field may be an array, one entry per setting; the derived phases
+    then broadcast.
     """
 
     phi_a: float = 0.0
@@ -87,7 +80,7 @@ class PhaseConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"phase {name} must be finite")
 
     @property

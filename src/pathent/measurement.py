@@ -11,7 +11,7 @@ to loss acting on the measured state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isqrt
+from math import cos, exp, isqrt
 
 import numpy as np
 
@@ -66,10 +66,11 @@ PROB_SUM_ATOL = 2e-4
 
 @dataclass(frozen=True)
 class JointClickProbabilities:
-    """Joint outcome probabilities for one (alpha_1, alpha_2) setting.
+    """Joint outcome probabilities for one (alpha_1, alpha_2) setting, or a grid of them.
 
     Ordering is (no-click, no-click), (no-click, click), (click, no-click),
-    (click, click) with the first slot on mode 1 (Alice).
+    (click, click) with the first slot on mode 1 (Alice).  The fields may
+    be arrays of one shape, one entry per setting; each entry is checked.
     """
 
     p_nc_nc: float
@@ -81,8 +82,9 @@ class JointClickProbabilities:
         probs = self.as_array()
         if np.any(probs < -1e-9) or np.any(probs > 1.0 + 1e-9):
             raise ValueError(f"probabilities out of range: {probs}")
-        if abs(probs.sum() - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        sums = probs.sum(axis=0)
+        if np.any(np.abs(sums - 1.0) > PROB_SUM_ATOL):
+            raise ValueError(f"probabilities sum to {sums}, expected 1")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_nc_nc, self.p_nc_c, self.p_c_nc, self.p_c_c])
@@ -203,12 +205,10 @@ def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
 
     Valid for |alpha_1| = |alpha_2| = alpha_abs with the displacement
     phases derived from the same phase configuration as the state; the
-    pump phases cancel.
+    pump phases cancel, and the two single-photon paths interfere with
+    the locking invariant delta as their phase difference.
     """
-    delta_a = phases.zeta_a + phases.chi_a + phases.xi_a_long - phases.xi_a_short
-    delta_b = phases.zeta_b + phases.chi_b + phases.xi_b_long - phases.xi_b_short
-    interference = abs(np.exp(1j * delta_a) + np.exp(1j * delta_b)) ** 2
-    return 0.5 * alpha_abs**2 * exp(-2.0 * alpha_abs**2) * interference
+    return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
 
 
 def displacement_settings_from_phases(

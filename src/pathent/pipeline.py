@@ -99,10 +99,17 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         c = stats.sample_counts(jp, n_total, stats.derive_seed(mc.seed, stream))
         return BasisMeasurement(stats.estimate_probabilities(c), c)
 
-    alpha = measure(jp_alpha, mc.n_alpha or max(1, round(rate * config.duration_alpha_s)), _STREAM_ALPHA)
-    z = measure(jp_z, mc.n_z or max(1, round(rate * config.duration_z_s)), _STREAM_Z)
+    def n_heralds(explicit: int | None, key: str, duration: float) -> int:
+        """The explicit total, else the heralds counted over the configured duration."""
+        n = explicit or rate * duration
+        if not math.isfinite(n) or (mc.enabled and n >= stats.MAX_TOTAL):
+            raise ConfigError(f"durations_s.{key} = {duration!r} s gives {n!r} heralds at {rate!r} Hz: too many")
+        return explicit or max(1, round(n))
+
+    alpha = measure(jp_alpha, n_heralds(mc.n_alpha, "alpha_basis", config.duration_alpha_s), _STREAM_ALPHA)
+    z = measure(jp_z, n_heralds(mc.n_z, "z_basis", config.duration_z_s), _STREAM_Z)
     # an HBT run is a pstar row: its coincidences sit in the (c,c) slot, as in a counts file
-    n_pstar = mc.n_multiphoton or max(1, round(rate * config.duration_multiphoton_s))
+    n_pstar = n_heralds(mc.n_multiphoton, "multiphoton", config.duration_multiphoton_s)
     p1, p2 = (
         measure(JointClickProbabilities(1.0 - p, 0.0, 0.0, p), n_pstar, stream).estimates[3]
         for p, stream in ((p1_value, _STREAM_P1), (p2_value, _STREAM_P2))
@@ -148,18 +155,13 @@ def certify_from_counts(counts_path, settings_path) -> dict:
 
 def _resolve_pstar(counts: CountsFile, settings: AnalysisSettings) -> tuple[ProbEstimate, ProbEstimate]:
     """Multiphoton bounds: dedicated count rows win over sidecar point values."""
-    p1 = counts.pstar1 if counts.pstar1 is not None else (
-        ProbEstimate(settings.p1_star, 0.0) if settings.p1_star is not None else None
-    )
-    p2 = counts.pstar2 if counts.pstar2 is not None else (
-        ProbEstimate(settings.p2_star, 0.0) if settings.p2_star is not None else None
-    )
-    if p1 is None or p2 is None:
+    pairs = ((counts.pstar1, settings.p1_star), (counts.pstar2, settings.p2_star))
+    if any(row is None and point is None for row, point in pairs):
         raise ConfigError(
             "multiphoton bounds unavailable: provide pstar1/pstar2 count rows "
             "or p1_star/p2_star in the settings file"
         )
-    return p1, p2
+    return tuple(ProbEstimate(point, 0.0) if row is None else row for row, point in pairs)
 
 
 def _certification_report(
@@ -246,7 +248,9 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     tr[rho (E1 x U^dag E2 U)], and one contraction over the stacked
     rotated pairs gives every point.  The displacement settings do not
     depend on chi_B, so the alpha-basis POVM pairs of the base simulation
-    are reused; the separable bound is computed once.
+    are reused.  The phases and probabilities of all points are one
+    PhaseConfig and one JointClickProbabilities with array fields.
+    The bound column is the run's own: witness.certify of the base record.
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
@@ -255,11 +259,8 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     if not all(map(math.isfinite, [phase_max - phase_min, *ends, *(config.phases.chi_b + end for end in ends)])):
         raise ConfigError("phase range too wide: the sweep's phase offsets overflow")
     base = _simulate_probabilities(config)
-    mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
-    w_tilde, _ = witness.w_ppt_fluctuation_bound(
-        config.setting_1, config.setting_2, base["z"].probabilities, mb
-    )
-    bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(config.setting_1, config.setting_2))
+    pstar = (base["p1_star"], base["p2_star"])
+    bound = witness.certify(base["alpha"], base["z"], config.setting_1, config.setting_2, pstar).w_ppt_max
 
     offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
     # U rho U^dag against E1 x E2 equals rho against E1 x U^dag E2 U, U = exp(i delta n) on Bob's mode
@@ -268,15 +269,12 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     povms_1, povms_2 = base["povms_alpha"]
     probs = click_probability_grid(base["rho"], povms_1, povms_2 * rotations[:, None])[0]
 
-    rows = []
-    for offset, p in zip(offsets, probs):
-        phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
-        rows.append({
-            "delta_theta_rad": phases.measured_relative_phase,
-            "w_exp": witness.w_exp(JointClickProbabilities(*p)),
-            "w_ppt_max": bound,
-        })
-    return rows
+    phases = replace(config.phases, chi_b=config.phases.chi_b + offsets)
+    w_exp = witness.w_exp(JointClickProbabilities(*probs.T))
+    return [
+        {"delta_theta_rad": delta, "w_exp": w, "w_ppt_max": bound}
+        for delta, w in zip(phases.measured_relative_phase.tolist(), w_exp.tolist())
+    ]
 
 
 def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, steps: int) -> dict:
@@ -284,8 +282,9 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
 
     Each grid point is evaluated at a point interval (no fluctuation
     slack), where the fluctuation and beta bounds reduce to their
-    objectives at the point.  One POVM pair is built per axis value and
-    all steps x steps probability quadruples come from one contraction.
+    objectives at the point.  One POVM pair is built per axis value, all
+    steps x steps probability quadruples come from one contraction, and
+    the witness and its bound are evaluated once on the whole grid.
     The returned document also carries the two optima of the
     certification amplitudes.
     """
@@ -304,15 +303,12 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     probs = click_probability_grid(base["rho"], povms_1, povms_2)
     a1, a2 = grid[:, None], grid[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
+    violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds
 
-    rows = []
-    for i, j in np.ndindex(steps, steps):
-        jp = JointClickProbabilities(*probs[i, j])
-        rows.append({
-            "alpha1": float(grid[i]),
-            "alpha2": float(grid[j]),
-            "violation": witness.w_exp(jp) - bounds[i, j],
-        })
+    rows = [
+        {"alpha1": float(grid[i]), "alpha2": float(grid[j]), "violation": violation[i, j]}
+        for i, j in np.ndindex(steps, steps)
+    ]
 
     qp = witness.QubitProbs.from_joint_clicks(jp_z)
     optima = {}

@@ -16,6 +16,10 @@ import numpy as np
 from .measurement import JointClickProbabilities
 
 
+# Generator.binomial takes int64 totals: a sampled run counts fewer heralds than this
+MAX_TOTAL = 2**63
+
+
 class PStarDomainError(ValueError):
     """Multiphoton bounds left the domain of the linearized square-root bound."""
 
@@ -180,6 +184,6 @@ def sample_counts(jp: JointClickProbabilities, n_total: int, seed: int) -> Count
 
 
 def derive_seed(seed: int, stream_index: int) -> int:
-    """Independent 64-bit child seed for concurrent batches: (seed, index) -> child."""
+    """Independent 64-bit child seed, one stream per counting run: (seed, index) -> child."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -308,6 +308,15 @@ MALFORMED_INPUTS = [
     pytest.param("run", {"monte_carlo.enabled": 1}, [], id="number as a flag"),
     pytest.param("run", {"phases_rad.chi_b": 1e308}, [], id="phase overflowing its propagation factor"),
     pytest.param("run", {"output.report_path": "a\u0000b"}, [], id="NUL byte in report_path"),
+    pytest.param("run", {"monte_carlo": {"enabled": True, "n_alpha": 2**63}}, [], id="n_alpha of 2**63"),
+    pytest.param("run", {"monte_carlo": {"enabled": True}, "durations_s.alpha_basis": 1e300}, [],
+                 id="sampled derived total beyond int64"),
+    pytest.param("run", {"pump_rep_rate_hz": 1e308, "durations_s.z_basis": 1e10}, [],
+                 id="derived total overflowing to inf"),
+    pytest.param("run", {"monte_carlo": {"enabled": True}, "pump_rep_rate_hz": 1e308,
+                         "durations_s.multiphoton": 1e10}, [], id="sampled derived total overflowing to inf"),
+    pytest.param("sweep-alpha", {"monte_carlo": {"enabled": True}, "durations_s.z_basis": 1e300}, [],
+                 id="sweep with a sampled derived total beyond int64"),
     pytest.param("sweep-phase", {}, ["--phase-min", "nan"], id="NaN --phase-min"),
     pytest.param("sweep-phase", {}, ["--phase-max", "inf"], id="infinite --phase-max"),
     pytest.param("sweep-phase", {}, ["--phase-min=-1e308", "--phase-max", "1e308", "--steps", "3"],
@@ -347,6 +356,18 @@ def test_malformed_input_exits_2_with_one_line(command, inputs, extra, tmp_path,
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"monte_carlo": {"enabled": True, "n_alpha": 2**63 - 1}},
+    # a total is only rounded, never drawn, when nothing is sampled
+    {"durations_s.alpha_basis": 1e300},
+    {"monte_carlo": {"n_multiphoton": 2**64}},
+], ids=["sampled n_alpha of 2**63 - 1", "unsampled derived total beyond int64", "unsampled n_multiphoton of 2**64"])
+def test_largest_herald_totals_run(overrides, tmp_path, schema_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(write_config(tmp_path, overrides)), "--out", str(out)]) == 0
+    jsonschema.validate(json.loads(out.read_text()), json.loads(schema_path.read_text()))
 
 
 def test_certify_with_valid_sidecar_pstar(tmp_path):

@@ -259,3 +259,13 @@ def test_source_params_validation():
 def test_phase_config_requires_finite():
     with pytest.raises(ValueError):
         herald.PhaseConfig(phi_a=np.inf)
+
+
+def test_phase_config_array_field_checks_every_entry():
+    chi_b = np.linspace(-1.0, 1.0, 5)
+    grid = herald.PhaseConfig(**{**PHASE_FIELDS, "chi_b": chi_b})
+    scalar = [herald.PhaseConfig(**{**PHASE_FIELDS, "chi_b": c}).measured_relative_phase for c in chi_b.tolist()]
+    assert grid.measured_relative_phase.tolist() == scalar
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="phase chi_b must be finite"):
+            herald.PhaseConfig(chi_b=np.where(np.arange(5) == 2, bad, chi_b))

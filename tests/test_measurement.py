@@ -120,6 +120,29 @@ def test_click_probability_grid_matches_kron_traces():
                 assert np.max(np.abs(grid[x, y] - direct)) < 1e-12
 
 
+def test_joint_click_probabilities_scalar_messages():
+    with pytest.raises(ValueError) as exc:
+        meas.JointClickProbabilities(0.5, 0.5, 0.5, 0.5)
+    assert str(exc.value) == "probabilities sum to 2.0, expected 1"
+    with pytest.raises(ValueError) as exc:
+        meas.JointClickProbabilities(1.5, 0.0, 0.0, 0.0)
+    assert str(exc.value) == "probabilities out of range: [1.5 0.  0.  0. ]"
+
+
+def test_joint_click_probabilities_grid_checks_every_entry():
+    grid = np.full((4, 2, 3), 0.25)
+    jp = meas.JointClickProbabilities(*grid)
+    assert jp.as_array().shape == (4, 2, 3)
+    out_of_range = grid.copy()
+    out_of_range[:, 1, 2] = (1.2, -0.1, -0.05, -0.05)
+    with pytest.raises(ValueError, match="out of range"):
+        meas.JointClickProbabilities(*out_of_range)
+    off_sum = grid.copy()
+    off_sum[0, 0, 1] = 0.3
+    with pytest.raises(ValueError, match="sum to"):
+        meas.JointClickProbabilities(*off_sum)
+
+
 def test_joint_click_probabilities_match_p00_model_at_083():
     rho = herald.ideal_lossy_state(1.0, 0.0, TR10)
     s = meas.DisplacementSetting.point(0.83)

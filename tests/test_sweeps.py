@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
         jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
         assert row["delta_theta_rad"] == phases.measured_relative_phase
         assert abs(row["w_exp"] - witness.w_exp(jp)) <= 1e-12
-        assert abs(row["w_ppt_max"] - bound) <= 1e-12
+        assert row["w_ppt_max"] == bound
 
 
 @CONFIGS
@@ -138,6 +139,27 @@ def test_sweep_phase_simulates_the_heralded_state_once(monkeypatch):
     rows = pipeline.sweep_phase(load_experiment_config(FIXTURES / "ideal_link.json"), -np.pi, np.pi, 9)
     assert len(rows) == 9
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sweep, span, steps", [
+    (pipeline.sweep_phase, (-np.pi, np.pi), (3, 25)),
+    (pipeline.sweep_alpha, (0.1, 1.2), (3, 12)),
+])
+def test_sweeps_build_records_per_grid_not_per_point(sweep, span, steps, monkeypatch):
+    built = Counter()
+    for cls in (JointClickProbabilities, PhaseConfig):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    config = load_experiment_config(FIXTURES / "ideal_link.json")
+    per_steps = []
+    for n in steps:
+        built.clear()
+        sweep(config, *span, n)
+        per_steps.append(dict(built))
+    assert per_steps[0] == per_steps[1]
 
 
 def _fields(text: str) -> list[list[str]]:

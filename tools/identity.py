@@ -12,7 +12,8 @@ variants of the two fixture configs, among them Monte Carlo runs with
 explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
 the totals from durations).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
-a warning prints the path of the source line that raised it.
+a warning prints the path of the source line that raised it.  For a
+stderr difference it also prints the first differing line of each side.
 """
 
 from __future__ import annotations
@@ -146,12 +147,22 @@ def compare(path_a: str, path_b: str) -> int:
         for key in ("exit", "stdout", "output"):
             if ra[key] != rb[key]:
                 differ.append(f"{name}: {key}")
-        if ra["stderr"].replace(a["tree"], TREE) != rb["stderr"].replace(b["tree"], TREE):
-            differ.append(f"{name}: stderr")
+        err_a, err_b = ra["stderr"].replace(a["tree"], TREE), rb["stderr"].replace(b["tree"], TREE)
+        if err_a != err_b:
+            differ.append(f"{name}: stderr\n{_first_differing_lines(err_a, err_b)}")
     for line in differ:
         print(line)
     print(f"{len(a['cases'])} vs {len(b['cases'])} cases, {len(differ)} differences")
     return 1 if differ else 0
+
+
+def _first_differing_lines(text_a: str, text_b: str) -> str:
+    """The first line where two texts differ, one per side, so a moved warning reads as one."""
+    lines_a, lines_b = text_a.splitlines(keepends=True), text_b.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
+    return "\n".join(
+        f"  {side} {lines[i] if i < len(lines) else '<end>'!r}" for side, lines in (("-", lines_a), ("+", lines_b))
+    )
 
 
 if __name__ == "__main__":
