@@ -68,19 +68,6 @@ def annihilation_matrix(trunc: FockTruncation) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, trunc.dim, dtype=float)), 1).astype(complex)
 
 
-def fock_ket(occupations, trunc: FockTruncation) -> np.ndarray:
-    """Basis vector |n_0, n_1, ...> over len(occupations) modes."""
-    d = trunc.dim
-    idx = 0
-    for n in occupations:
-        if not 0 <= n < d:
-            raise ValueError(f"occupation {n} outside truncation (n_max={trunc.n_max})")
-        idx = idx * d + int(n)
-    vec = np.zeros(d ** len(tuple(occupations)), dtype=complex)
-    vec[idx] = 1.0
-    return vec
-
-
 def expm(generator: np.ndarray) -> np.ndarray:
     """exp(G) of an anti-Hermitian generator G = iH, as V diag(e^{i lambda}) V^dag.
 
@@ -100,15 +87,25 @@ def displacement_operator(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     the cutoff deviate from their infinite-dimensional values; keep
     |alpha|^2 well below n_max.
     """
-    if abs(alpha) ** 2 > trunc.n_max / 4:
-        warnings.warn(
-            f"|alpha|^2 = {abs(alpha) ** 2:.3f} is large for n_max = {trunc.n_max}; "
-            "displaced-state support may reach the truncation boundary",
-            stacklevel=2,
-        )
+    warn_large_displacements(alpha, trunc)
     a = annihilation_matrix(trunc)
     gen = alpha * a.conj().T - np.conjugate(alpha) * a
     return expm(gen)
+
+
+def warn_large_displacements(alpha, trunc: FockTruncation) -> None:
+    """Warn once per distinct amplitude with |alpha|^2 > n_max/4.
+
+    The warning points at the calling line inside this package, so the
+    default once-per-location filter shows each distinct text once.
+    """
+    abs2 = np.abs(np.asarray(alpha)) ** 2
+    for value in dict.fromkeys(abs2[abs2 > trunc.n_max / 4].tolist()):
+        warnings.warn(
+            f"|alpha|^2 = {value:.3f} is large for n_max = {trunc.n_max}; "
+            "displaced-state support may reach the truncation boundary",
+            stacklevel=2,
+        )
 
 
 def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> np.ndarray:
@@ -160,11 +157,15 @@ def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator
 
 
 def adjoint_loss_channel(obs: np.ndarray, eta: float, trunc: FockTruncation) -> np.ndarray:
-    """Heisenberg-picture (adjoint) loss channel on a single-mode observable."""
+    """Heisenberg-picture (adjoint) loss channel sum_k K_k^dag O K_k on single-mode observables.
+
+    obs has shape (..., d, d); every leading index is one observable, and
+    each gets the same products as it would alone.
+    """
     if eta == 1.0:
         return obs
     kraus = loss_channel_kraus(eta, trunc)
-    return (kraus.conj().transpose(0, 2, 1) @ obs @ kraus).sum(0)
+    return (kraus.conj().transpose(0, 2, 1) @ obs[..., None, :, :] @ kraus).sum(-3)
 
 
 def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:
@@ -177,39 +178,6 @@ def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_p
     ket = np.zeros(d * d, dtype=complex)
     ket[np.arange(d) * d + np.arange(d)] = amps
     return ket / np.linalg.norm(ket)
-
-
-def expectation_value(rho: DensityOperator, obs: np.ndarray) -> float:
-    """tr(rho obs) for a Hermitian observable; the residual imaginary part is checked then dropped."""
-    mat = np.asarray(obs)
-    if mat.shape != rho.matrix.shape:
-        raise ValueError(f"dimension mismatch: observable {mat.shape} vs state {rho.matrix.shape}")
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if herm > 1e-10:
-        raise ValueError(f"observable is not Hermitian (deviation {herm:.3e})")
-    val = np.trace(rho.matrix @ mat)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
-def embed_state(rho: DensityOperator, trunc: FockTruncation) -> DensityOperator:
-    """Zero-pad every mode of rho to the (larger or equal) target truncation.
-
-    The pipeline measures the state on its own support; this padded copy
-    with joint_click_probabilities is the reference the tests check it
-    against.
-    """
-    new_dims = (trunc.dim,) * rho.n_modes
-    if new_dims == rho.mode_dims:
-        return rho
-    if any(trunc.dim < d for d in rho.mode_dims):
-        raise ValueError("target truncation is smaller than the state's support")
-    t = rho.matrix.reshape(rho.mode_dims + rho.mode_dims)
-    pad = [(0, trunc.dim - d) for d in rho.mode_dims] * 2
-    t = np.pad(t, pad)
-    dim = prod(new_dims)
-    return DensityOperator(t.reshape(dim, dim), new_dims)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

@@ -91,13 +91,6 @@ class PhaseConfig:
         return delta_a - delta_b
 
     @property
-    def relative_state_phase(self) -> float:
-        """Phase of the |01> component relative to |10> in the heralded state."""
-        theta_a = self.phi_a + self.chi_a + self.xi_a_long
-        theta_b = self.phi_b + self.chi_b + self.xi_b_long
-        return theta_b - theta_a
-
-    @property
     def measured_relative_phase(self) -> float:
         """The displacement-referenced relative phase whose cosine modulates the witness."""
         return -self.delta
@@ -172,16 +165,6 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     rho = fc.loss_channel(rho, 0, src.signal_transmission_a)
     rho = fc.loss_channel(rho, 1, src.signal_transmission_b)
     return HeraldedState(rho, herald_probability)
-
-
-def ideal_lossy_state(eta: float, relative_phase: float, trunc: fc.FockTruncation) -> fc.DensityOperator:
-    """(1-eta)|00><00| + eta |psi><psi| with |psi> = (|10> + e^{i phi}|01>)/sqrt(2)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    psi = (fc.fock_ket((1, 0), trunc) + np.exp(1j * relative_phase) * fc.fock_ket((0, 1), trunc)) / np.sqrt(2.0)
-    vac = fc.fock_ket((0, 0), trunc)
-    mat = (1.0 - eta) * np.outer(vac, vac.conj()) + eta * np.outer(psi, psi.conj())
-    return fc.DensityOperator(mat, (trunc.dim, trunc.dim))
 
 
 def heralding_rate(herald_probability: float, pump_rep_rate_hz: float, duty_fraction: float = 1.0) -> float:

@@ -70,7 +70,8 @@ class JointClickProbabilities:
 
     Ordering is (no-click, no-click), (no-click, click), (click, no-click),
     (click, click) with the first slot on mode 1 (Alice).  The fields may
-    be arrays of one shape, one entry per setting; each entry is checked.
+    be arrays of one shape, one entry per setting; each entry is checked,
+    and a non-finite one is out of range.
     """
 
     p_nc_nc: float
@@ -80,7 +81,7 @@ class JointClickProbabilities:
 
     def __post_init__(self):
         probs = self.as_array()
-        if np.any(probs < -1e-9) or np.any(probs > 1.0 + 1e-9):
+        if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):
             raise ValueError(f"probabilities out of range: {probs}")
         sums = probs.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > PROB_SUM_ATOL):
@@ -90,21 +91,30 @@ class JointClickProbabilities:
         return np.array([self.p_nc_nc, self.p_nc_c, self.p_c_nc, self.p_c_c])
 
 
-def click_povm(alpha: complex, det: DetectorModel, trunc: fc.FockTruncation):
-    """POVM (E_noclick, E_click) of a displaced click detector with efficiency eta.
+def click_povm(alpha, det: DetectorModel, trunc: fc.FockTruncation) -> np.ndarray:
+    """POVM pairs (E_noclick, E_click) of a displaced click detector with efficiency eta.
 
-    E_noclick = Lambda_eta^dag[ D^dag(alpha sqrt(eta)) |0><0| D(alpha sqrt(eta)) ]
-    and E_click = 1 - E_noclick, exactly complete by construction.
+    E_noclick = Lambda_eta^dag(|w><w|) with w = D^dag(alpha sqrt(eta))|0>,
+    and E_click = 1 - E_noclick, exactly complete by construction.  alpha
+    may be an array; the result has shape alpha.shape + (2, D, D).
+    Phase covariance, D(r e^{i phi}) = R D(r) R^dag with R = e^{i phi n}
+    and R|0> = |0>, gives w = e^{i phi n} D^dag(r)|0>, and one
+    eigendecomposition V diag(lambda) V^dag of -i(a^dag - a) gives
+    D^dag(r)|0> = V e^{-i r lambda} V^dag e_0 for every r.  It is written
+    as e_0 plus a correction, so that alpha = 0 gives |0><0| exactly.
     """
     eta = det.efficiency
-    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc)
-    vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    vac[0, 0] = 1.0
-    e_nc = disp.conj().T @ vac @ disp
-    e_nc = fc.adjoint_loss_channel(e_nc, eta, trunc)
-    e_nc = 0.5 * (e_nc + e_nc.conj().T)
-    e_c = np.eye(trunc.dim, dtype=complex) - e_nc
-    return e_nc, e_c
+    amp = np.asarray(alpha, dtype=complex) * np.sqrt(eta)
+    fc.warn_large_displacements(amp, trunc)
+    a = fc.annihilation_matrix(trunc)
+    eigenvalues, vectors = np.linalg.eigh(-1j * (a.conj().T - a))
+    shift = np.exp(-1j * np.abs(amp)[..., None] * eigenvalues) - 1.0
+    w = (shift * vectors[0].conj()) @ vectors.T
+    w[..., 0] += 1.0
+    w *= np.exp(1j * np.angle(amp)[..., None] * np.arange(trunc.dim))
+    e_nc = fc.adjoint_loss_channel(w[..., :, None] * w[..., None, :].conj(), eta, trunc)
+    e_nc = 0.5 * (e_nc + e_nc.conj().swapaxes(-1, -2))
+    return np.stack([e_nc, np.eye(trunc.dim) - e_nc], axis=-3)
 
 
 def joint_click_probabilities(
@@ -117,14 +127,14 @@ def joint_click_probabilities(
     """The four joint click/no-click probabilities of the tensor POVM on a two-mode state.
 
     The POVMs are built at the state's own truncation.  On a state
-    zero-padded by fockcore.embed_state this is the reference for the
-    pipeline, which measures the unpadded state with compressed POVMs.
+    zero-padded to the measurement truncation this is the reference for
+    the pipeline, which measures the unpadded state with compressed POVMs.
     """
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
     trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
-    povms_1 = np.array([click_povm(s1.amplitude, d1, trunc)])
-    povms_2 = np.array([click_povm(s2.amplitude, d2, trunc)])
+    povms_1 = click_povm([s1.amplitude], d1, trunc)
+    povms_2 = click_povm([s2.amplitude], d2, trunc)
     return JointClickProbabilities(*click_probability_grid(rho.matrix, povms_1, povms_2)[0, 0])
 
 

@@ -79,8 +79,8 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
     )
     # (alpha, z) POVM pairs per mode; the diagonal of the 2 x 2 grid holds both bases
-    povms_1 = np.array([click_povm(a, config.detector_1, config.truncation) for a in (s1.amplitude, 0.0)])
-    povms_2 = np.array([click_povm(a, config.detector_2, config.truncation) for a in (s2.amplitude, 0.0)])
+    povms_1 = click_povm([s1.amplitude, 0.0], config.detector_1, config.truncation)
+    povms_2 = click_povm([s2.amplitude, 0.0], config.detector_2, config.truncation)
     grid = click_probability_grid(rho, povms_1, povms_2)
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
@@ -282,7 +282,7 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
 
     Each grid point is evaluated at a point interval (no fluctuation
     slack), where the fluctuation and beta bounds reduce to their
-    objectives at the point.  One POVM pair is built per axis value, all
+    objectives at the point.  One stack of POVM pairs is built per axis, all
     steps x steps probability quadruples come from one contraction, and
     the witness and its bound are evaluated once on the whole grid.
     The returned document also carries the two optima of the
@@ -297,9 +297,9 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
     grid = np.linspace(alpha_min, alpha_max, steps)
 
-    settings = [displacement_settings_from_phases(a, a, config.phases) for a in grid]
-    povms_1 = np.array([click_povm(s1.amplitude, config.detector_1, config.truncation) for s1, _ in settings])
-    povms_2 = np.array([click_povm(s2.amplitude, config.detector_2, config.truncation) for _, s2 in settings])
+    s1, s2 = displacement_settings_from_phases(0.0, 0.0, config.phases)
+    povms_1 = click_povm(grid * np.exp(1j * s1.phase), config.detector_1, config.truncation)
+    povms_2 = click_povm(grid * np.exp(1j * s2.phase), config.detector_2, config.truncation)
     probs = click_probability_grid(base["rho"], povms_1, povms_2)
     a1, a2 = grid[:, None], grid[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))

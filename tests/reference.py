@@ -1,0 +1,71 @@
+"""Reference helpers the tests build states and oracles with; no CLI path needs them."""
+
+from math import prod
+
+import numpy as np
+
+from pathent import fockcore as fc
+from pathent.herald import PhaseConfig
+
+
+def fock_ket(occupations, trunc: fc.FockTruncation) -> np.ndarray:
+    """Basis vector |n_0, n_1, ...> over len(occupations) modes."""
+    d = trunc.dim
+    idx = 0
+    for n in occupations:
+        if not 0 <= n < d:
+            raise ValueError(f"occupation {n} outside truncation (n_max={trunc.n_max})")
+        idx = idx * d + int(n)
+    vec = np.zeros(d ** len(tuple(occupations)), dtype=complex)
+    vec[idx] = 1.0
+    return vec
+
+
+def expectation_value(rho: fc.DensityOperator, obs: np.ndarray) -> float:
+    """tr(rho obs) for a Hermitian observable; the residual imaginary part is checked then dropped."""
+    mat = np.asarray(obs)
+    if mat.shape != rho.matrix.shape:
+        raise ValueError(f"dimension mismatch: observable {mat.shape} vs state {rho.matrix.shape}")
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm > 1e-10:
+        raise ValueError(f"observable is not Hermitian (deviation {herm:.3e})")
+    val = np.trace(rho.matrix @ mat)
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
+def embed_state(rho: fc.DensityOperator, trunc: fc.FockTruncation) -> fc.DensityOperator:
+    """Zero-pad every mode of rho to the (larger or equal) target truncation.
+
+    The pipeline measures the state on its own support; this padded copy
+    with measurement.joint_click_probabilities is the reference the tests
+    check it against.
+    """
+    new_dims = (trunc.dim,) * rho.n_modes
+    if new_dims == rho.mode_dims:
+        return rho
+    if any(trunc.dim < d for d in rho.mode_dims):
+        raise ValueError("target truncation is smaller than the state's support")
+    t = rho.matrix.reshape(rho.mode_dims + rho.mode_dims)
+    pad = [(0, trunc.dim - d) for d in rho.mode_dims] * 2
+    t = np.pad(t, pad)
+    dim = prod(new_dims)
+    return fc.DensityOperator(t.reshape(dim, dim), new_dims)
+
+
+def ideal_lossy_state(eta: float, relative_phase: float, trunc: fc.FockTruncation) -> fc.DensityOperator:
+    """(1-eta)|00><00| + eta |psi><psi| with |psi> = (|10> + e^{i phi}|01>)/sqrt(2)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    psi = (fock_ket((1, 0), trunc) + np.exp(1j * relative_phase) * fock_ket((0, 1), trunc)) / np.sqrt(2.0)
+    vac = fock_ket((0, 0), trunc)
+    mat = (1.0 - eta) * np.outer(vac, vac.conj()) + eta * np.outer(psi, psi.conj())
+    return fc.DensityOperator(mat, (trunc.dim, trunc.dim))
+
+
+def relative_state_phase(phases: PhaseConfig) -> float:
+    """Phase of the |01> component relative to |10> in the heralded state."""
+    theta_a = phases.phi_a + phases.chi_a + phases.xi_a_long
+    theta_b = phases.phi_b + phases.chi_b + phases.xi_b_long
+    return theta_b - theta_a

@@ -14,10 +14,11 @@ from pathent import fockcore as fc
 from pathent import measurement as meas
 from pathent import pipeline, stats, witness
 from pathent.config import load_experiment_config
-from pathent.herald import PhaseConfig, SourceParams, ideal_lossy_state, simulate_heralded_state
+from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities
 
 from conftest import FIXTURES, random_density_matrix, random_qubit_pure_state
+from reference import expectation_value, fock_ket, ideal_lossy_state
 
 TR10 = fc.FockTruncation(10)
 
@@ -84,7 +85,7 @@ def test_criterion_3_robustness_identity():
         diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         for alpha in (0.3, 0.7, 0.83, 1.2):
             w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
-            violation = fc.expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
+            violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
             expected = 8.0 * alpha * alpha * np.exp(-2.0 * alpha * alpha) * eta / 2.0
             worst = max(worst, abs(violation - expected))
     elapsed = time.monotonic() - start
@@ -215,7 +216,7 @@ def test_criterion_9_heralded_state_limit():
     start = time.monotonic()
     trunc = fc.FockTruncation(3)
     low = simulate_heralded_state(SourceParams(pair_probability=1e-6), PhaseConfig(), trunc)
-    psi = (fc.fock_ket((1, 0), trunc) + fc.fock_ket((0, 1), trunc)) / np.sqrt(2.0)
+    psi = (fock_ket((1, 0), trunc) + fock_ket((0, 1), trunc)) / np.sqrt(2.0)
     fidelity = float((psi.conj() @ low.rho.matrix @ psi).real)
 
     p = 3e-3

@@ -8,6 +8,7 @@ from pathent import measurement as meas
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 
 from conftest import random_density_matrix
+from reference import embed_state, expectation_value, fock_ket
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -107,12 +108,12 @@ def test_expm_of_beam_splitter_generators(d, transmission):
 def test_beam_splitter_sign_convention():
     trunc = fc.FockTruncation(3)
     u = fc.beam_splitter_unitary(0.5, trunc)
-    out = u @ fc.fock_ket((1, 0), trunc)
+    out = u @ fock_ket((1, 0), trunc)
     idx10 = trunc.dim  # |1,0>
     idx01 = 1  # |0,1>
     assert abs(out[idx10] - 1 / np.sqrt(2)) < 1e-12
     assert abs(out[idx01] - 1 / np.sqrt(2)) < 1e-12
-    out = u @ fc.fock_ket((0, 1), trunc)
+    out = u @ fock_ket((0, 1), trunc)
     assert abs(out[idx10] + 1 / np.sqrt(2)) < 1e-12
     assert abs(out[idx01] - 1 / np.sqrt(2)) < 1e-12
 
@@ -126,7 +127,7 @@ def test_beam_splitter_transmission_one_is_identity():
 def test_beam_splitter_hong_ou_mandel():
     trunc = fc.FockTruncation(3)
     u = fc.beam_splitter_unitary(0.5, trunc)
-    v11 = fc.fock_ket((1, 1), trunc)
+    v11 = fock_ket((1, 1), trunc)
     amp = v11.conj() @ u @ v11
     assert abs(amp) ** 2 < 1e-24
 
@@ -195,6 +196,17 @@ def test_adjoint_loss_channel_matches_kraus_loop():
         assert np.array_equal(fc.adjoint_loss_channel(obs, eta, trunc), loop)
 
 
+def test_adjoint_loss_channel_of_a_stack_is_per_matrix_bitwise():
+    rng = np.random.default_rng(31)
+    trunc = fc.FockTruncation(6)
+    stack = np.array([random_density_matrix(rng, trunc.dim) for _ in range(6)]).reshape(2, 3, trunc.dim, trunc.dim)
+    for eta in (0.0, 0.37, 0.9, 1.0):
+        out = fc.adjoint_loss_channel(stack, eta, trunc)
+        assert out.shape == stack.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(out[i, j], fc.adjoint_loss_channel(stack[i, j], eta, trunc))
+
+
 def test_two_mode_squeezed_state_examples():
     trunc = fc.FockTruncation(3)
     ket = fc.two_mode_squeezed_ket(0.0, trunc)
@@ -215,20 +227,20 @@ def test_expectation_value_examples():
     trunc = fc.FockTruncation(4)
     rng = np.random.default_rng(2)
     rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim), (trunc.dim,))
-    assert abs(fc.expectation_value(rho, np.eye(trunc.dim)) - 1.0) < 1e-12
+    assert abs(expectation_value(rho, np.eye(trunc.dim)) - 1.0) < 1e-12
 
     sigma0 = meas.displaced_parity_observable(0.0, trunc)
     vac = np.zeros(trunc.dim, dtype=complex)
     vac[0] = 1.0
-    assert abs(fc.expectation_value(fc.DensityOperator(np.outer(vac, vac.conj()), (trunc.dim,)), sigma0) - 1.0) < 1e-12
+    assert abs(expectation_value(fc.DensityOperator(np.outer(vac, vac.conj()), (trunc.dim,)), sigma0) - 1.0) < 1e-12
     one = np.zeros(trunc.dim, dtype=complex)
     one[1] = 1.0
-    assert abs(fc.expectation_value(fc.DensityOperator(np.outer(one, one.conj()), (trunc.dim,)), sigma0) + 1.0) < 1e-12
+    assert abs(expectation_value(fc.DensityOperator(np.outer(one, one.conj()), (trunc.dim,)), sigma0) + 1.0) < 1e-12
 
     with pytest.raises(ValueError):
-        fc.expectation_value(rho, np.eye(3))
+        expectation_value(rho, np.eye(3))
     with pytest.raises(ValueError):
-        fc.expectation_value(rho, np.diag(np.arange(trunc.dim)) * 1j)
+        expectation_value(rho, np.diag(np.arange(trunc.dim)) * 1j)
 
 
 def test_density_operator_validation():
@@ -253,7 +265,7 @@ def test_truncation_convergence_of_downstream_probabilities():
     setting = meas.DisplacementSetting.point(0.85)
     results = []
     for n_max in (8, 12):
-        rho = fc.embed_state(heralded.rho, fc.FockTruncation(n_max))
+        rho = embed_state(heralded.rho, fc.FockTruncation(n_max))
         jp = meas.joint_click_probabilities(rho, setting, setting)
         results.append(jp.as_array())
     assert np.max(np.abs(results[0] - results[1])) < 1e-6

@@ -4,20 +4,25 @@ Mutations drop keys, cells or trailing fields, swap value types, and
 insert NaN, Infinity and negative values.  The numerics section keeps
 the fixture values, since a fuzzed truncation would allocate d^8-sized
 arrays.  The output section is fuzzed on its own, with every report
-path inside the test's temporary directory.
+path inside the test's temporary directory.  Probability records are
+fuzzed directly: a JointClickProbabilities that constructs holds only
+finite, in-range, normalized entries.
 """
 
 import copy
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathent.cli import main
+from pathent.measurement import PROB_SUM_ATOL, JointClickProbabilities
 
 from conftest import FIXTURES
 
@@ -152,3 +157,19 @@ def test_fuzzed_output_section_never_raises(tmp_path, output):
     before = set(Path.cwd().iterdir())
     assert main(["run", "--config", str(path)]) in EXIT_CODES
     assert set(Path.cwd().iterdir()) == before
+
+
+# a valid quadruple, or one whose entries hypothesis pushes anywhere, NaN and +-inf included
+probability = st.sampled_from([0.25, float("nan"), float("inf"), float("-inf")]) | st.floats(-0.5, 1.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(probability, probability, probability, probability), min_size=1, max_size=4))
+def test_fuzzed_click_probabilities_accept_only_finite_normalized_entries(rows):
+    grid = np.array(rows).T
+    try:
+        JointClickProbabilities(*grid)
+    except ValueError:
+        return
+    assert all(math.isfinite(p) and -1e-9 <= p <= 1.0 + 1e-9 for p in grid.ravel())
+    assert np.all(np.abs(grid.sum(axis=0) - 1.0) <= PROB_SUM_ATOL)

@@ -12,6 +12,7 @@ from pathent import measurement as meas
 from pathent.config import load_experiment_config
 
 from conftest import FIXTURES
+from reference import embed_state, fock_ket, ideal_lossy_state
 
 TR3 = fc.FockTruncation(3)
 TR10 = fc.FockTruncation(10)
@@ -69,7 +70,7 @@ def _tail_weight(rho: np.ndarray, d: int) -> float:
 
 def test_heralded_state_ideal_limit():
     hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-6), herald.PhaseConfig(), TR3)
-    psi = (fc.fock_ket((1, 0), TR3) + fc.fock_ket((0, 1), TR3)) / np.sqrt(2)
+    psi = (fock_ket((1, 0), TR3) + fock_ket((0, 1), TR3)) / np.sqrt(2)
     fidelity = (psi.conj() @ hs.rho.matrix @ psi).real
     assert fidelity >= 0.999
     assert abs(np.trace(hs.rho.matrix) - 1.0) < 1e-10
@@ -115,7 +116,7 @@ def test_pump_phase_invariance():
     def click_probs(fields):
         phases = herald.PhaseConfig(**fields)
         hs = herald.simulate_heralded_state(src, phases, TR3)
-        rho = fc.embed_state(hs.rho, TR10)
+        rho = embed_state(hs.rho, TR10)
         s1, s2 = meas.displacement_settings_from_phases(0.83, 0.83, phases)
         return meas.joint_click_probabilities(rho, s1, s2).as_array()
 
@@ -226,16 +227,16 @@ def test_heralded_state_swap_symmetry(fixture):
 
 
 def test_ideal_lossy_state_examples():
-    pure = herald.ideal_lossy_state(1.0, 0.0, TR3)
-    psi = (fc.fock_ket((1, 0), TR3) + fc.fock_ket((0, 1), TR3)) / np.sqrt(2)
+    pure = ideal_lossy_state(1.0, 0.0, TR3)
+    psi = (fock_ket((1, 0), TR3) + fock_ket((0, 1), TR3)) / np.sqrt(2)
     assert abs((psi.conj() @ pure.matrix @ psi).real - 1.0) < 1e-12
-    vac = herald.ideal_lossy_state(0.0, 0.3, TR3)
+    vac = ideal_lossy_state(0.0, 0.3, TR3)
     assert abs(vac.matrix[0, 0] - 1.0) < 1e-12
-    mixed = herald.ideal_lossy_state(0.4, 1.1, TR3)
+    mixed = ideal_lossy_state(0.4, 1.1, TR3)
     assert abs(np.trace(mixed.matrix) - 1.0) < 1e-12
     assert np.sum(np.linalg.eigvalsh(mixed.matrix) > 1e-12) <= 2
     with pytest.raises(ValueError):
-        herald.ideal_lossy_state(1.2, 0.0, TR3)
+        ideal_lossy_state(1.2, 0.0, TR3)
 
 
 def test_heralding_rate_examples():

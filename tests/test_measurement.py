@@ -9,6 +9,7 @@ from pathent import measurement as meas
 from pathent.witness import b_max, bound_coefficients
 
 from conftest import random_density_matrix
+from reference import embed_state, expectation_value, ideal_lossy_state, relative_state_phase
 
 TR10 = fc.FockTruncation(10)
 
@@ -34,7 +35,7 @@ def test_click_povm_vacuum_probability():
     rho = fc.DensityOperator(vac, (TR10.dim,))
     for alpha in (0.3, 0.83, 1.2):
         e_nc, _ = meas.click_povm(alpha, meas.DetectorModel(1.0), TR10)
-        p = fc.expectation_value(rho, e_nc)
+        p = expectation_value(rho, e_nc)
         assert abs(p - np.exp(-(alpha**2))) < 1e-9
 
 
@@ -62,6 +63,56 @@ def test_click_povm_completeness_and_positivity():
             assert eigs[-1] <= 1.0 + 1e-10
 
 
+def per_amplitude_povm(alpha: complex, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """Lambda_eta^dag(D^dag|0><0|D) at alpha sqrt(eta), from the full displacement operator."""
+    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc)
+    e_nc = fc.adjoint_loss_channel(np.outer(disp[0].conj(), disp[0]), eta, trunc)
+    return np.array([e_nc, np.eye(trunc.dim) - e_nc])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(2, 14),
+    eta=st.just(1.0) | st.floats(0.0, 1.0),
+    radii=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6),
+    angles=st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6),
+)
+def test_click_povm_stack_matches_per_amplitude_reference(n_max, eta, radii, angles):
+    trunc = fc.FockTruncation(n_max)
+    # |alpha|^2 up to just below n_max / 4, the edge of the truncation warning
+    amps = np.array([r * np.sqrt(n_max / 4) * np.exp(1j * phi) for r, phi in zip(radii, angles)])
+    stack = meas.click_povm(amps.reshape(-1, 1), meas.DetectorModel(eta), trunc)
+    assert stack.shape == (len(amps), 1, 2, trunc.dim, trunc.dim)
+    for alpha, povm in zip(amps, stack[:, 0]):
+        assert np.max(np.abs(povm - per_amplitude_povm(alpha, eta, trunc))) <= 1e-14
+
+
+def test_click_povm_at_zero_amplitude_is_exact():
+    for n_max in (2, 5, 10):
+        trunc = fc.FockTruncation(n_max)
+        vacuum = np.zeros((trunc.dim, trunc.dim))
+        vacuum[0, 0] = 1.0
+        e_nc, _ = meas.click_povm(0.0, meas.DetectorModel(1.0), trunc)
+        assert np.array_equal(e_nc, vacuum)
+        for eta in (0.0, 0.3, 0.9):
+            e_nc, _ = meas.click_povm([0.0, 0.7], meas.DetectorModel(eta), trunc)[0]
+            assert np.all(e_nc[~np.eye(trunc.dim, dtype=bool)] == 0.0)
+
+
+def test_click_povm_phase_covariance():
+    rng = np.random.default_rng(41)
+    n = np.arange(TR10.dim)
+    for eta in (1.0, 0.6):
+        radii = rng.uniform(0.0, 1.5, 8)
+        phis = rng.uniform(-np.pi, np.pi, 8)
+        rotated = meas.click_povm(radii * np.exp(1j * phis), meas.DetectorModel(eta), TR10)
+        plain = meas.click_povm(radii, meas.DetectorModel(eta), TR10)
+        for phi, got, povm in zip(phis, rotated, plain):
+            r = np.exp(1j * phi * n)
+            expected = r[:, None] * povm * r.conj()[None, :]  # R E R^dag, R = e^{i phi n}
+            assert np.max(np.abs(got - expected)) <= 1e-14
+
+
 def test_efficiency_folding_on_random_states():
     # detector inefficiency equals loss on the state with alpha rescaled
     rng = np.random.default_rng(8)
@@ -81,7 +132,7 @@ def test_efficiency_folding_on_random_states():
 
 
 def test_joint_click_probabilities_bell_state_z_basis():
-    rho = herald.ideal_lossy_state(1.0, 0.0, TR10)
+    rho = ideal_lossy_state(1.0, 0.0, TR10)
     z = meas.DisplacementSetting.point(0.0)
     jp = meas.joint_click_probabilities(rho, z, z)
     assert np.max(np.abs(jp.as_array() - np.array([0.0, 0.5, 0.5, 0.0]))) < 1e-12
@@ -109,7 +160,7 @@ def test_click_probability_grid_matches_kron_traces():
         povms_1 = np.array([meas.click_povm(a, meas.DetectorModel(0.8), povm_trunc) for a in amps_1])
         povms_2 = np.array([meas.click_povm(a, meas.DetectorModel(0.6), povm_trunc) for a in amps_2])
         grid = meas.click_probability_grid(rho, povms_1, povms_2)
-        padded = fc.embed_state(fc.DensityOperator(rho, (trunc.dim, trunc.dim)), povm_trunc).matrix
+        padded = embed_state(fc.DensityOperator(rho, (trunc.dim, trunc.dim)), povm_trunc).matrix
         assert grid.shape == (3, 2, 4)
         for x, (e1_nc, e1_c) in enumerate(povms_1):
             for y, (e2_nc, e2_c) in enumerate(povms_2):
@@ -143,8 +194,18 @@ def test_joint_click_probabilities_grid_checks_every_entry():
         meas.JointClickProbabilities(*off_sum)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_joint_click_probabilities_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="out of range"):
+        meas.JointClickProbabilities(bad, 0.0, 0.0, 1.0)
+    grid = np.full((4, 2, 3), 0.25)
+    grid[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="out of range"):
+        meas.JointClickProbabilities(*grid)
+
+
 def test_joint_click_probabilities_match_p00_model_at_083():
-    rho = herald.ideal_lossy_state(1.0, 0.0, TR10)
+    rho = ideal_lossy_state(1.0, 0.0, TR10)
     s = meas.DisplacementSetting.point(0.83)
     jp = meas.joint_click_probabilities(rho, s, s)
     assert abs(jp.p_nc_nc - 0.3474) < 2e-4
@@ -156,7 +217,7 @@ def test_model_agreement_random_phases():
     names = list(herald.PhaseConfig.__dataclass_fields__)
     for _ in range(50):
         phases = herald.PhaseConfig(**dict(zip(names, rng.uniform(-np.pi, np.pi, len(names)))))
-        rho = herald.ideal_lossy_state(1.0, phases.relative_state_phase, TR10)
+        rho = ideal_lossy_state(1.0, relative_state_phase(phases), TR10)
         alpha = rng.uniform(0.3, 1.0)
         s1, s2 = meas.displacement_settings_from_phases(alpha, alpha, phases)
         jp = meas.joint_click_probabilities(rho, s1, s2)

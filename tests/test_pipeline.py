@@ -21,6 +21,7 @@ from pathent.measurement import (
 )
 
 from conftest import FIXTURES
+from reference import embed_state
 
 QUADRUPLE = ("p_nc_nc", "p_nc_c", "p_c_nc", "p_c_c")
 transmission = st.floats(0.05, 1.0)
@@ -64,7 +65,7 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
     report = pipeline.run_experiment(config)
 
     trunc = fc.FockTruncation(trunc_n_max)
-    padded = fc.embed_state(simulate_heralded_state(src, phase_config, config.herald_truncation).rho, trunc)
+    padded = embed_state(simulate_heralded_state(src, phase_config, config.herald_truncation).rho, trunc)
     s1, s2 = displacement_settings_from_phases(*amplitudes, phase_config)
     z = DisplacementSetting.point(0.0)
     for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (z, z))):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from pathent.measurement import (
 )
 
 from conftest import FIXTURES
+from reference import embed_state
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TR3 = fc.FockTruncation(3)
@@ -91,7 +93,7 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
     for row, offset in zip(rows, offsets):
         phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
         heralded = simulate_heralded_state(config.source, phases, config.herald_truncation)
-        rho = fc.embed_state(heralded.rho, config.truncation)
+        rho = embed_state(heralded.rho, config.truncation)
         s1, s2 = displacement_settings_from_phases(
             config.setting_1.alpha_mean, config.setting_2.alpha_mean, phases
         )
@@ -111,7 +113,7 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     jp_z = JointClickProbabilities(z["p_nc_nc"], z["p_nc_c"], z["p_c_nc"], z["p_c_c"])
     mb = witness.MultiphotonBounds(report["multiphoton"]["p1_star"], report["multiphoton"]["p2_star"])
     heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-    rho = fc.embed_state(heralded.rho, config.truncation)
+    rho = embed_state(heralded.rho, config.truncation)
     grid = np.linspace(alpha_min, alpha_max, steps)
     expected = []
     for a1 in grid:
@@ -160,6 +162,55 @@ def test_sweeps_build_records_per_grid_not_per_point(sweep, span, steps, monkeyp
         sweep(config, *span, n)
         per_steps.append(dict(built))
     assert per_steps[0] == per_steps[1]
+
+
+def test_sweep_alpha_eigendecompositions_do_not_grow_with_steps(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
+    per_steps = []
+    for steps in (3, 12):
+        calls.clear()
+        pipeline.sweep_alpha(config, 0.1, 1.2, steps)
+        per_steps.append(len(calls))
+    assert per_steps[0] == per_steps[1]
+
+
+def test_sweep_alpha_warns_as_per_amplitude_displacements():
+    # measurement n_max 3 puts the warning edge at |alpha|^2 = 0.75: grid points 1.0 and 1.5 pass it
+    config = _config("ideal_link", "phased-sampled")
+    config = replace(config, numerics=replace(config.numerics, truncation_n_max=3))
+    grid = np.linspace(0.5, 1.5, 3)
+    s1, s2 = displacement_settings_from_phases(config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases)
+    # the base run's (alpha, z) pairs, then the grid, mode by mode
+    amplitudes = [
+        a * np.sqrt(det.efficiency)
+        for s, det in ((s1, config.detector_1), (s2, config.detector_2))
+        for a in (s.amplitude, 0.0)
+    ] + [
+        a * np.exp(1j * s.phase) * np.sqrt(det.efficiency)
+        for s, det in ((s1, config.detector_1), (s2, config.detector_2))
+        for a in grid
+    ]
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        for alpha in amplitudes:
+            fc.displacement_operator(alpha, config.truncation)
+    texts = [str(w.message) for w in expected]
+    assert len(texts) == 4
+    for action, want in (("always", texts), ("default", list(dict.fromkeys(texts)))):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter(action)
+            pipeline.sweep_alpha(config, grid[0], grid[-1], len(grid))
+        assert [str(w.message) for w in got] == want
+        # one location inside click_povm, so the once-per-location filter shows each text once
+        assert {Path(w.filename).name for w in got} == {"measurement.py"}
 
 
 def _fields(text: str) -> list[list[str]]:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from pathent import fockcore as fc
 from pathent import measurement as meas
 from pathent import stats, witness
-from pathent.herald import ideal_lossy_state
 
 from conftest import random_qubit_pure_state
+from reference import expectation_value, ideal_lossy_state
 
 TR10 = fc.FockTruncation(10)
 
@@ -214,7 +214,7 @@ def test_robustness_identity_quick():
             rho = ideal_lossy_state(eta, 0.0, TR10)
             w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
             diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
-            violation = fc.expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
+            violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
             expected = 8.0 * alpha**2 * np.exp(-2.0 * alpha**2) * eta / 2.0
             assert abs(violation - expected) < 1e-9
 
@@ -226,7 +226,7 @@ def test_detection_for_arbitrary_loss():
         rho = ideal_lossy_state(eta, 0.0, TR10)
         diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         best = max(
-            fc.expectation_value(rho, w_op) - witness.w_ppt_qubit(a, a, diag)
+            expectation_value(rho, w_op) - witness.w_ppt_qubit(a, a, diag)
             for a, w_op in w_ops.items()
         )
         assert best > 0.0
