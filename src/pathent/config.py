@@ -25,12 +25,20 @@ class ConfigError(ValueError):
     """Configuration or input file failed to parse or validate."""
 
 
+# A run's largest arrays, (n+1)^6 herald amplitudes and 8 (n+1)^2 click POVM
+# entries (complex), stay within 256 MiB at these caps.
+_N_MAX_CAPS = {"herald_truncation_n_max": 15, "truncation_n_max": 1447}
+
+
 @dataclass(frozen=True)
 class Numerics:
     truncation_n_max: int = 10
     herald_truncation_n_max: int = 3
 
     def __post_init__(self):
+        for name, cap in _N_MAX_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"numerics.{name} = {getattr(self, name)} exceeds the cap of {cap}")
         if not 3 <= self.herald_truncation_n_max <= self.truncation_n_max:
             raise ConfigError("need 3 <= herald_truncation_n_max <= truncation_n_max")
 

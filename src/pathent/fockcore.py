@@ -156,18 +156,6 @@ def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator
     return DensityOperator(_hermitize(out.reshape(rho.matrix.shape)), rho.mode_dims)
 
 
-def adjoint_loss_channel(obs: np.ndarray, eta: float, trunc: FockTruncation) -> np.ndarray:
-    """Heisenberg-picture (adjoint) loss channel sum_k K_k^dag O K_k on single-mode observables.
-
-    obs has shape (..., d, d); every leading index is one observable, and
-    each gets the same products as it would alone.
-    """
-    if eta == 1.0:
-        return obs
-    kraus = loss_channel_kraus(eta, trunc)
-    return (kraus.conj().transpose(0, 2, 1) @ obs[..., None, :, :] @ kraus).sum(-3)
-
-
 def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:
     """State vector sum_n lambda^n |n,n> with lambda = sqrt(p) e^{i pair_phase}, renormalized after truncation."""
     if not 0.0 <= pair_probability < 0.5:

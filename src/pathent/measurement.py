@@ -2,16 +2,15 @@
 
 A measurement on one mode is a non-photon-number-resolving detector
 preceded by a displacement D(alpha): outcome "no click" projects onto the
-displaced vacuum, "click" onto its complement.  Detector inefficiency is
-folded into the POVM through the adjoint loss channel with the
-displacement amplitude rescaled to alpha*sqrt(eta), which is equivalent
-to loss acting on the measured state.
+displaced vacuum, "click" onto its complement.  A detector of efficiency
+eta is loss eta in front of an ideal detector displaced by alpha*sqrt(eta),
+so inefficiency acts once, as the loss channel on the measured state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, exp, isqrt
+from math import cos, exp
 
 import numpy as np
 
@@ -91,29 +90,25 @@ class JointClickProbabilities:
         return np.array([self.p_nc_nc, self.p_nc_c, self.p_c_nc, self.p_c_c])
 
 
-def click_povm(alpha, det: DetectorModel, trunc: fc.FockTruncation) -> np.ndarray:
-    """POVM pairs (E_noclick, E_click) of a displaced click detector with efficiency eta.
+def click_povm(alpha, trunc: fc.FockTruncation) -> np.ndarray:
+    """POVM pairs (E_noclick, E_click) of an ideal displaced click detector.
 
-    E_noclick = Lambda_eta^dag(|w><w|) with w = D^dag(alpha sqrt(eta))|0>,
-    and E_click = 1 - E_noclick, exactly complete by construction.  alpha
-    may be an array; the result has shape alpha.shape + (2, D, D).
+    E_noclick = |w><w| with w = D^dag(alpha)|0>, and E_click = 1 - E_noclick.
+    alpha may be an array; the result has shape alpha.shape + (2, D, D).
     Phase covariance, D(r e^{i phi}) = R D(r) R^dag with R = e^{i phi n}
     and R|0> = |0>, gives w = e^{i phi n} D^dag(r)|0>, and one
     eigendecomposition V diag(lambda) V^dag of -i(a^dag - a) gives
     D^dag(r)|0> = V e^{-i r lambda} V^dag e_0 for every r.  It is written
     as e_0 plus a correction, so that alpha = 0 gives |0><0| exactly.
     """
-    eta = det.efficiency
-    amp = np.asarray(alpha, dtype=complex) * np.sqrt(eta)
-    fc.warn_large_displacements(amp, trunc)
+    amp = np.asarray(alpha, dtype=complex)
     a = fc.annihilation_matrix(trunc)
     eigenvalues, vectors = np.linalg.eigh(-1j * (a.conj().T - a))
     shift = np.exp(-1j * np.abs(amp)[..., None] * eigenvalues) - 1.0
     w = (shift * vectors[0].conj()) @ vectors.T
     w[..., 0] += 1.0
     w *= np.exp(1j * np.angle(amp)[..., None] * np.arange(trunc.dim))
-    e_nc = fc.adjoint_loss_channel(w[..., :, None] * w[..., None, :].conj(), eta, trunc)
-    e_nc = 0.5 * (e_nc + e_nc.conj().swapaxes(-1, -2))
+    e_nc = w[..., :, None] * w[..., None, :].conj()
     return np.stack([e_nc, np.eye(trunc.dim) - e_nc], axis=-3)
 
 
@@ -124,35 +119,42 @@ def joint_click_probabilities(
     d1: DetectorModel = DetectorModel(),
     d2: DetectorModel = DetectorModel(),
 ) -> JointClickProbabilities:
-    """The four joint click/no-click probabilities of the tensor POVM on a two-mode state.
+    """The four joint click/no-click probabilities of one setting pair: click_probability_grid at one point.
 
-    The POVMs are built at the state's own truncation.  On a state
-    zero-padded to the measurement truncation this is the reference for
-    the pipeline, which measures the unpadded state with compressed POVMs.
+    The POVMs are built at the state's own truncation.
     """
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
     trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
-    povms_1 = click_povm([s1.amplitude], d1, trunc)
-    povms_2 = click_povm([s2.amplitude], d2, trunc)
-    return JointClickProbabilities(*click_probability_grid(rho.matrix, povms_1, povms_2)[0, 0])
+    return JointClickProbabilities(*click_probability_grid(rho, [s1.amplitude], [s2.amplitude], d1, d2, trunc)[0, 0])
 
 
-def click_probability_grid(rho_matrix: np.ndarray, povms_1: np.ndarray, povms_2: np.ndarray) -> np.ndarray:
-    """Joint click probabilities of a two-mode state for every pair of stacked POVMs.
+def click_probability_grid(
+    rho: fc.DensityOperator, amplitudes_1, amplitudes_2, d1: DetectorModel, d2: DetectorModel, trunc: fc.FockTruncation
+) -> np.ndarray:
+    """Joint click probabilities of a two-mode state for every pair of displacement amplitudes.
 
-    povms_k has shape (n_k, 2, D, D), each entry a (no-click, click) pair
-    on mode k, built at a measurement truncation D at least the state's
-    per-mode dimension d.  The state is zero outside its d lowest levels,
-    so the POVMs are compressed to their top-left d x d blocks, which is
-    exact.  One contraction of rho reshaped to (d, d, d, d) gives
-    tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the result has shape
-    (n_1, n_2, 4) in JointClickProbabilities order, clipped to [0, 1].
+    A detector of efficiency eta is loss eta on its mode followed by an
+    ideal detector displaced by amplitude * sqrt(eta).  Every POVM comes
+    from one click_povm call at the measurement truncation trunc, at least
+    the state's per-mode dimension d.  The lossy state is zero outside its
+    d lowest levels, so the POVMs are compressed to their top-left d x d
+    blocks, which is exact.  One contraction of rho reshaped to
+    (d, d, d, d) gives tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the
+    result has shape (n_1, n_2, 4) in JointClickProbabilities order,
+    clipped to [0, 1].
     """
-    d = isqrt(len(rho_matrix))
-    t = rho_matrix.reshape(d, d, d, d)
-    p = np.einsum("abcd,xica,yjdb->xyij", t, povms_1[..., :d, :d], povms_2[..., :d, :d], optimize=True).real
-    return np.clip(p, 0.0, 1.0).reshape(len(povms_1), len(povms_2), 4)
+    amplitudes = []
+    for mode, (amps, det) in enumerate(((amplitudes_1, d1), (amplitudes_2, d2))):
+        rho = fc.loss_channel(rho, mode, det.efficiency)
+        amplitudes.append(np.asarray(amps, dtype=complex) * np.sqrt(det.efficiency))
+        fc.warn_large_displacements(amplitudes[-1], trunc)
+    d = rho.mode_dims[0]
+    povms = click_povm(np.concatenate(amplitudes), trunc)[..., :d, :d]
+    n_1 = len(amplitudes[0])
+    t = rho.matrix.reshape(d, d, d, d)
+    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=True).real
+    return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 
 def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:

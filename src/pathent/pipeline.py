@@ -31,7 +31,6 @@ from .herald import heralding_rate, simulate_heralded_state
 from .measurement import (
     DisplacementSetting,
     JointClickProbabilities,
-    click_povm,
     click_probability_grid,
     displacement_settings_from_phases,
     multiphoton_coincidence_probability,
@@ -69,23 +68,22 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
 
     rho stays at the herald truncation: click_probability_grid compresses
     the POVMs to its support, and the multiphoton coincidences read each
-    mode's photon-number distribution from its diagonal.  The alpha-basis
-    POVM pairs are returned for sweep_phase to reuse.
+    mode's photon-number distribution from its diagonal.  The state and
+    the alpha-basis amplitudes are returned for the sweeps to measure.
     """
     heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-    rho = heralded.rho.matrix
 
     s1, s2 = displacement_settings_from_phases(
         config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
     )
-    # (alpha, z) POVM pairs per mode; the diagonal of the 2 x 2 grid holds both bases
-    povms_1 = click_povm([s1.amplitude, 0.0], config.detector_1, config.truncation)
-    povms_2 = click_povm([s2.amplitude, 0.0], config.detector_2, config.truncation)
-    grid = click_probability_grid(rho, povms_1, povms_2)
+    # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
+    grid = click_probability_grid(
+        heralded.rho, [s1.amplitude, 0.0], [s2.amplitude, 0.0], config.detector_1, config.detector_2, config.truncation
+    )
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
     d = heralded.rho.mode_dims[0]
-    populations = np.diagonal(rho).real.reshape(d, d)
+    populations = np.diagonal(heralded.rho.matrix).real.reshape(d, d)
     p1_value = multiphoton_coincidence_probability(populations.sum(axis=1), config.detector_1)
     p2_value = multiphoton_coincidence_probability(populations.sum(axis=0), config.detector_2)
 
@@ -122,8 +120,8 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         "p2_star": p2,
         "herald_probability": heralded.herald_probability,
         "herald_rate_hz": rate,
-        "rho": rho,
-        "povms_alpha": (povms_1[:1], povms_2[:1]),
+        "rho": heralded.rho,
+        "amplitudes": (s1.amplitude, s2.amplitude),
     }
 
 
@@ -244,12 +242,12 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     the pair source puts equal photon numbers in signal and idler, and
     idler loss, the station beam splitter, heralding and signal loss are
     all phase covariant.  So the heralded state is simulated once, and the
-    rotation moves onto Bob's POVM: tr[U rho U^dag (E1 x E2)] equals
-    tr[rho (E1 x U^dag E2 U)], and one contraction over the stacked
-    rotated pairs gives every point.  The displacement settings do not
-    depend on chi_B, so the alpha-basis POVM pairs of the base simulation
-    are reused.  The phases and probabilities of all points are one
-    PhaseConfig and one JointClickProbabilities with array fields.
+    rotation moves onto Bob's displacement amplitude b:
+    tr[U rho U^dag (E1 x E2(b))] = tr[rho (E1 x E2(b e^{-i delta}))], and
+    one probability grid of the base run's amplitude for Alice against
+    Bob's rotated ones gives every point.  The phases and probabilities of
+    all points are one PhaseConfig and one JointClickProbabilities with
+    array fields.
     The bound column is the run's own: witness.certify of the base record.
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
@@ -263,11 +261,10 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     bound = witness.certify(base["alpha"], base["z"], config.setting_1, config.setting_2, pstar).w_ppt_max
 
     offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
-    # U rho U^dag against E1 x E2 equals rho against E1 x U^dag E2 U, U = exp(i delta n) on Bob's mode
-    n = np.arange(config.truncation.dim)
-    rotations = np.exp(-1j * offsets[:, None, None] * np.subtract.outer(n, n))
-    povms_1, povms_2 = base["povms_alpha"]
-    probs = click_probability_grid(base["rho"], povms_1, povms_2 * rotations[:, None])[0]
+    amp_1, amp_2 = base["amplitudes"]
+    probs = click_probability_grid(
+        base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets), config.detector_1, config.detector_2, config.truncation
+    )[0]
 
     phases = replace(config.phases, chi_b=config.phases.chi_b + offsets)
     w_exp = witness.w_exp(JointClickProbabilities(*probs.T))
@@ -282,8 +279,8 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
 
     Each grid point is evaluated at a point interval (no fluctuation
     slack), where the fluctuation and beta bounds reduce to their
-    objectives at the point.  One stack of POVM pairs is built per axis, all
-    steps x steps probability quadruples come from one contraction, and
+    objectives at the point.  All steps x steps probability quadruples
+    come from one probability grid over each side's amplitudes, and
     the witness and its bound are evaluated once on the whole grid.
     The returned document also carries the two optima of the
     certification amplitudes.
@@ -297,10 +294,8 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
     grid = np.linspace(alpha_min, alpha_max, steps)
 
-    s1, s2 = displacement_settings_from_phases(0.0, 0.0, config.phases)
-    povms_1 = click_povm(grid * np.exp(1j * s1.phase), config.detector_1, config.truncation)
-    povms_2 = click_povm(grid * np.exp(1j * s2.phase), config.detector_2, config.truncation)
-    probs = click_probability_grid(base["rho"], povms_1, povms_2)
+    amps_1, amps_2 = (grid * np.exp(1j * s.phase) for s in displacement_settings_from_phases(0.0, 0.0, config.phases))
+    probs = click_probability_grid(base["rho"], amps_1, amps_2, config.detector_1, config.detector_2, config.truncation)
     a1, a2 = grid[:, None], grid[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
     violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds

@@ -69,3 +69,36 @@ def relative_state_phase(phases: PhaseConfig) -> float:
     theta_a = phases.phi_a + phases.chi_a + phases.xi_a_long
     theta_b = phases.phi_b + phases.chi_b + phases.xi_b_long
     return theta_b - theta_a
+
+
+def adjoint_loss(obs: np.ndarray, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """Heisenberg-picture loss channel sum_k K_k^dag O K_k on one observable, one Kraus operator at a time."""
+    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for kraus in fc.loss_channel_kraus(eta, trunc):
+        out += kraus.conj().T @ obs @ kraus
+    return out
+
+
+def lossy_click_povm(alpha: complex, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """(E_noclick, E_click) of a displaced click detector of efficiency eta, in the Heisenberg picture.
+
+    E_noclick = Lambda_eta^dag(|w><w|) with w = D^dag(alpha sqrt(eta))|0>
+    from the full displacement operator, and E_click = 1 - E_noclick.
+    """
+    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc)
+    e_nc = adjoint_loss(np.outer(disp[0].conj(), disp[0]), eta, trunc)
+    return np.array([e_nc, np.eye(trunc.dim) - e_nc])
+
+
+def lossy_click_probabilities(rho: np.ndarray, amplitudes_1, amplitudes_2, eta_1: float, eta_2: float,
+                              trunc: fc.FockTruncation) -> np.ndarray:
+    """tr[rho (E_1 x E_2)] for lossy_click_povm pairs on a two-mode matrix at trunc, from Kronecker products.
+
+    The result has shape (n_1, n_2, 4) in JointClickProbabilities order.
+    """
+    povms_2 = [lossy_click_povm(a, eta_2, trunc) for a in amplitudes_2]
+    return np.array([
+        [[np.trace(rho @ np.kron(e1, e2)).real for e1 in lossy_click_povm(a, eta_1, trunc) for e2 in pair_2]
+         for pair_2 in povms_2]
+        for a in amplitudes_1
+    ])

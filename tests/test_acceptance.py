@@ -18,7 +18,7 @@ from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities
 
 from conftest import FIXTURES, random_density_matrix, random_qubit_pure_state
-from reference import expectation_value, fock_ket, ideal_lossy_state
+from reference import expectation_value, fock_ket, ideal_lossy_state, lossy_click_probabilities
 
 TR10 = fc.FockTruncation(10)
 
@@ -103,14 +103,12 @@ def test_criterion_4_efficiency_folding():
         rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
         eta = float(etas[i % len(etas)])
         alpha = float(rng.uniform(0.2, 1.2))
-        s = meas.DisplacementSetting.point(alpha)
-        jp_det = meas.joint_click_probabilities(
-            rho, s, s, meas.DetectorModel(eta), meas.DetectorModel(eta)
-        )
+        # the detector side in the Heisenberg picture, Lambda_eta^dag on each POVM
+        jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
         folded = meas.DisplacementSetting.point(alpha * np.sqrt(eta))
         lossy = fc.loss_channel(fc.loss_channel(rho, 0, eta), 1, eta)
         jp_loss = meas.joint_click_probabilities(lossy, folded, folded)
-        worst = max(worst, float(np.max(np.abs(jp_det.as_array() - jp_loss.as_array()))))
+        worst = max(worst, float(np.max(np.abs(jp_det - jp_loss.as_array()))))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 30.0
     _criterion(4, "efficiency folding", ok, f"worst deviation={worst:.2e}, elapsed={elapsed:.2f}s")

@@ -300,6 +300,10 @@ MALFORMED_INPUTS = [
     pytest.param("run", {"monte_carlo": {"enabled": True}}, ["--seed", "-3"], id="negative --seed"),
     pytest.param("run", {"numerics.truncation_n_max": 2}, [], id="truncation below herald truncation"),
     pytest.param("run", {}, ["--truncation", "2"], id="--truncation below herald truncation"),
+    pytest.param("run", {}, ["--truncation", "1000000"], id="--truncation above its cap"),
+    pytest.param("run", {"numerics": {"truncation_n_max": 20, "herald_truncation_n_max": 100}}, [],
+                 id="herald truncation above its cap"),
+    pytest.param("sweep-alpha", {"numerics.truncation_n_max": 10**9}, [], id="sweep truncation above its cap"),
     pytest.param("run", {"monte_carlo": {"enabled": "false"}}, [], id="enabled is a string"),
     pytest.param("run", {"monte_carlo.seed": 1.7}, [], id="fractional seed"),
     pytest.param("run", {"numerics.truncation_n_max": 10.9}, [], id="fractional truncation"),

@@ -4,6 +4,7 @@ import pytest
 
 from pathent.config import (
     ConfigError,
+    Numerics,
     load_counts_file,
     load_experiment_config,
     load_settings_file,
@@ -85,6 +86,17 @@ def test_phase_overflow_checked_at_the_final_truncation():
     assert parse_experiment_config(raw).phases.xi_b_long == 1e307
     with pytest.raises(ConfigError, match=r"phases_rad\.xi_b_long"):
         parse_experiment_config(raw, truncation_override=20)
+
+
+def test_truncations_capped_before_anything_is_built():
+    # parsing allocates nothing at the truncations, so a huge one is rejected without allocating
+    raw = {**valid_config_dict(), "numerics": {"truncation_n_max": 1447, "herald_truncation_n_max": 15}}
+    assert parse_experiment_config(raw).numerics == Numerics(1447, 15)
+    with pytest.raises(ConfigError, match=r"^numerics\.truncation_n_max = 1000000 exceeds the cap of 1447$"):
+        parse_experiment_config(raw, truncation_override=1_000_000)
+    raw["numerics"]["herald_truncation_n_max"] = 16
+    with pytest.raises(ConfigError, match=r"^numerics\.herald_truncation_n_max = 16 exceeds the cap of 15$"):
+        parse_experiment_config(raw)
 
 
 def test_unreadable_or_malformed_file(tmp_path):

@@ -185,28 +185,6 @@ def test_loss_channel_matches_beam_splitter_ancilla():
     assert np.max(np.abs(reduced - direct)) < 1e-12
 
 
-def test_adjoint_loss_channel_matches_kraus_loop():
-    rng = np.random.default_rng(29)
-    trunc = fc.FockTruncation(10)
-    obs = random_density_matrix(rng, trunc.dim) * trunc.dim - np.eye(trunc.dim)
-    for eta in (0.0, 0.37, 0.9):
-        loop = np.zeros_like(obs)
-        for kraus in fc.loss_channel_kraus(eta, trunc):
-            loop += kraus.conj().T @ obs @ kraus
-        assert np.array_equal(fc.adjoint_loss_channel(obs, eta, trunc), loop)
-
-
-def test_adjoint_loss_channel_of_a_stack_is_per_matrix_bitwise():
-    rng = np.random.default_rng(31)
-    trunc = fc.FockTruncation(6)
-    stack = np.array([random_density_matrix(rng, trunc.dim) for _ in range(6)]).reshape(2, 3, trunc.dim, trunc.dim)
-    for eta in (0.0, 0.37, 0.9, 1.0):
-        out = fc.adjoint_loss_channel(stack, eta, trunc)
-        assert out.shape == stack.shape
-        for i, j in np.ndindex(2, 3):
-            assert np.array_equal(out[i, j], fc.adjoint_loss_channel(stack[i, j], eta, trunc))
-
-
 def test_two_mode_squeezed_state_examples():
     trunc = fc.FockTruncation(3)
     ket = fc.two_mode_squeezed_ket(0.0, trunc)

@@ -9,7 +9,14 @@ from pathent import measurement as meas
 from pathent.witness import b_max, bound_coefficients
 
 from conftest import random_density_matrix
-from reference import embed_state, expectation_value, ideal_lossy_state, relative_state_phase
+from reference import (
+    embed_state,
+    expectation_value,
+    ideal_lossy_state,
+    lossy_click_povm,
+    lossy_click_probabilities,
+    relative_state_phase,
+)
 
 TR10 = fc.FockTruncation(10)
 
@@ -22,7 +29,7 @@ def test_displacement_setting_validation():
 
 
 def test_click_povm_identity_cases():
-    e_nc, e_c = meas.click_povm(0.0, meas.DetectorModel(1.0), TR10)
+    e_nc, e_c = meas.click_povm(0.0, TR10)
     expected = np.zeros((TR10.dim, TR10.dim))
     expected[0, 0] = 1.0
     assert np.max(np.abs(e_nc - expected)) < 1e-12
@@ -34,28 +41,47 @@ def test_click_povm_vacuum_probability():
     vac[0, 0] = 1.0
     rho = fc.DensityOperator(vac, (TR10.dim,))
     for alpha in (0.3, 0.83, 1.2):
-        e_nc, _ = meas.click_povm(alpha, meas.DetectorModel(1.0), TR10)
+        e_nc, _ = meas.click_povm(alpha, TR10)
         p = expectation_value(rho, e_nc)
         assert abs(p - np.exp(-(alpha**2))) < 1e-9
 
 
-def test_click_povm_coherent_state_closed_form():
-    # independent oracle: displaced click detector on a coherent state has
-    # P_nc = exp(-eta |gamma + alpha|^2)
-    trunc = fc.FockTruncation(14)
+def coherent_ket(gamma: complex, trunc: fc.FockTruncation) -> np.ndarray:
     n = np.arange(trunc.dim)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    for gamma, alpha, eta in ((0.4, 0.7, 0.55), (-0.3 + 0.2j, 0.83, 0.8), (0.5j, 0.4, 1.0)):
-        amps = np.exp(-abs(gamma) ** 2 / 2) * gamma**n / np.sqrt(np.exp(log_fact))
-        rho = fc.DensityOperator(np.outer(amps, amps.conj()), (trunc.dim,))
-        e_nc, _ = meas.click_povm(alpha, meas.DetectorModel(eta), trunc)
-        p = np.trace(rho.matrix @ e_nc).real
-        assert abs(p - np.exp(-eta * abs(gamma + alpha) ** 2)) < 1e-8
+    return np.exp(-abs(gamma) ** 2 / 2) * gamma**n / np.sqrt(np.exp(log_fact))
+
+
+COHERENT_CASES = ((0.4, 0.7, 0.55), (-0.3 + 0.2j, 0.83, 0.8), (0.5j, 0.4, 1.0))  # (gamma, alpha, eta)
+
+
+def test_click_povm_coherent_state_closed_form():
+    # independent oracle: an ideal displaced click detector on a coherent state has P_nc = exp(-|gamma + alpha|^2)
+    trunc = fc.FockTruncation(14)
+    for gamma, alpha, _ in COHERENT_CASES:
+        amps = coherent_ket(gamma, trunc)
+        e_nc, _ = meas.click_povm(alpha, trunc)
+        p = (amps.conj() @ e_nc @ amps).real
+        assert abs(p - np.exp(-abs(gamma + alpha) ** 2)) < 1e-8
+
+
+def test_click_probability_grid_coherent_states_closed_form():
+    # independent oracle: a displaced click detector of efficiency eta has P_nc = exp(-eta |gamma + alpha|^2)
+    trunc = fc.FockTruncation(14)
+    for (g1, a1, eta1), (g2, a2, eta2) in zip(COHERENT_CASES, COHERENT_CASES[1:] + COHERENT_CASES[:1]):
+        ket = np.kron(coherent_ket(g1, trunc), coherent_ket(g2, trunc))
+        rho = fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim))
+        det_1, det_2 = meas.DetectorModel(eta1), meas.DetectorModel(eta2)
+        p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [a1], [a2], det_1, det_2, trunc)[0, 0]
+        q1, q2 = np.exp(-eta1 * abs(g1 + a1) ** 2), np.exp(-eta2 * abs(g2 + a2) ** 2)
+        assert abs(p_nc_nc - q1 * q2) < 1e-8
+        assert abs(p_nc_c - q1 * (1.0 - q2)) < 1e-8
+        assert abs(p_c_nc - (1.0 - q1) * q2) < 1e-8
 
 
 def test_click_povm_completeness_and_positivity():
-    for alpha, eta in ((0.0, 1.0), (0.83, 0.6), (1.2, 0.35)):
-        e_nc, e_c = meas.click_povm(alpha, meas.DetectorModel(eta), TR10)
+    for alpha in (0.0, 0.83, 1.2):
+        e_nc, e_c = meas.click_povm(alpha, TR10)
         assert np.max(np.abs(e_nc + e_c - np.eye(TR10.dim))) == 0.0
         for element in (e_nc, e_c):
             eigs = np.linalg.eigvalsh(element)
@@ -63,28 +89,20 @@ def test_click_povm_completeness_and_positivity():
             assert eigs[-1] <= 1.0 + 1e-10
 
 
-def per_amplitude_povm(alpha: complex, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
-    """Lambda_eta^dag(D^dag|0><0|D) at alpha sqrt(eta), from the full displacement operator."""
-    disp = fc.displacement_operator(alpha * np.sqrt(eta), trunc)
-    e_nc = fc.adjoint_loss_channel(np.outer(disp[0].conj(), disp[0]), eta, trunc)
-    return np.array([e_nc, np.eye(trunc.dim) - e_nc])
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(2, 14),
-    eta=st.just(1.0) | st.floats(0.0, 1.0),
     radii=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6),
     angles=st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6),
 )
-def test_click_povm_stack_matches_per_amplitude_reference(n_max, eta, radii, angles):
+def test_click_povm_stack_matches_per_amplitude_reference(n_max, radii, angles):
     trunc = fc.FockTruncation(n_max)
     # |alpha|^2 up to just below n_max / 4, the edge of the truncation warning
     amps = np.array([r * np.sqrt(n_max / 4) * np.exp(1j * phi) for r, phi in zip(radii, angles)])
-    stack = meas.click_povm(amps.reshape(-1, 1), meas.DetectorModel(eta), trunc)
+    stack = meas.click_povm(amps.reshape(-1, 1), trunc)
     assert stack.shape == (len(amps), 1, 2, trunc.dim, trunc.dim)
     for alpha, povm in zip(amps, stack[:, 0]):
-        assert np.max(np.abs(povm - per_amplitude_povm(alpha, eta, trunc))) <= 1e-14
+        assert np.max(np.abs(povm - lossy_click_povm(alpha, 1.0, trunc))) <= 1e-14
 
 
 def test_click_povm_at_zero_amplitude_is_exact():
@@ -92,25 +110,54 @@ def test_click_povm_at_zero_amplitude_is_exact():
         trunc = fc.FockTruncation(n_max)
         vacuum = np.zeros((trunc.dim, trunc.dim))
         vacuum[0, 0] = 1.0
-        e_nc, _ = meas.click_povm(0.0, meas.DetectorModel(1.0), trunc)
+        e_nc, _ = meas.click_povm(0.0, trunc)
         assert np.array_equal(e_nc, vacuum)
-        for eta in (0.0, 0.3, 0.9):
-            e_nc, _ = meas.click_povm([0.0, 0.7], meas.DetectorModel(eta), trunc)[0]
-            assert np.all(e_nc[~np.eye(trunc.dim, dtype=bool)] == 0.0)
+        e_nc, _ = meas.click_povm([0.0, 0.7], trunc)[0]
+        assert np.array_equal(e_nc, vacuum)
+        # so a z-basis measurement of a state without |00> or |11> population gives exact zeros
+        rho = ideal_lossy_state(1.0, 0.4, trunc)
+        p_nc_nc, _, _, p_c_c = meas.click_probability_grid(
+            rho, [0.0], [0.0], meas.DetectorModel(), meas.DetectorModel(), TR10
+        )[0, 0]
+        assert p_nc_nc == 0.0 and p_c_c == 0.0
 
 
 def test_click_povm_phase_covariance():
     rng = np.random.default_rng(41)
     n = np.arange(TR10.dim)
-    for eta in (1.0, 0.6):
-        radii = rng.uniform(0.0, 1.5, 8)
-        phis = rng.uniform(-np.pi, np.pi, 8)
-        rotated = meas.click_povm(radii * np.exp(1j * phis), meas.DetectorModel(eta), TR10)
-        plain = meas.click_povm(radii, meas.DetectorModel(eta), TR10)
-        for phi, got, povm in zip(phis, rotated, plain):
-            r = np.exp(1j * phi * n)
-            expected = r[:, None] * povm * r.conj()[None, :]  # R E R^dag, R = e^{i phi n}
-            assert np.max(np.abs(got - expected)) <= 1e-14
+    radii = rng.uniform(0.0, 1.5, 8)
+    phis = rng.uniform(-np.pi, np.pi, 8)
+    rotated = meas.click_povm(radii * np.exp(1j * phis), TR10)
+    plain = meas.click_povm(radii, TR10)
+    for phi, got, povm in zip(phis, rotated, plain):
+        r = np.exp(1j * phi * n)
+        expected = r[:, None] * povm * r.conj()[None, :]  # R E R^dag, R = e^{i phi n}
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+efficiency = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+amplitude_stack = st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(-np.pi, np.pi)), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    state_n_max=st.integers(2, 4),
+    headroom=st.integers(0, 5),
+    etas=st.tuples(efficiency, efficiency),
+    stacks=st.tuples(amplitude_stack, amplitude_stack),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_click_probability_grid_matches_heisenberg_reference(state_n_max, headroom, etas, stacks, seed):
+    # loss on the state and ideal detectors at alpha sqrt(eta) against Lambda^dag of each POVM
+    trunc = fc.FockTruncation(state_n_max + headroom)
+    d = state_n_max + 1
+    rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), d * d), (d, d))
+    # |alpha|^2 up to just below n_max / 4 of the measurement truncation
+    amps_1, amps_2 = ([r * np.sqrt(trunc.n_max / 4) * np.exp(1j * phi) for r, phi in stack] for stack in stacks)
+    grid = meas.click_probability_grid(rho, amps_1, amps_2, *(meas.DetectorModel(eta) for eta in etas), trunc)
+    expected = lossy_click_probabilities(embed_state(rho, trunc).matrix, amps_1, amps_2, *etas, trunc)
+    assert grid.shape == expected.shape == (len(amps_1), len(amps_2), 4)
+    assert np.max(np.abs(grid - expected)) <= 1e-13
 
 
 def test_efficiency_folding_on_random_states():
@@ -121,14 +168,11 @@ def test_efficiency_folding_on_random_states():
         for _ in range(10):
             alpha = rng.uniform(0.2, 1.2)
             rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
-            s = meas.DisplacementSetting.point(alpha)
-            jp_det = meas.joint_click_probabilities(
-                rho, s, s, meas.DetectorModel(eta), meas.DetectorModel(eta)
-            )
+            jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
             lossy = fc.loss_channel(fc.loss_channel(rho, 0, eta), 1, eta)
             s_folded = meas.DisplacementSetting.point(alpha * np.sqrt(eta))
             jp_loss = meas.joint_click_probabilities(lossy, s_folded, s_folded)
-            assert np.max(np.abs(jp_det.as_array() - jp_loss.as_array())) < 1e-10
+            assert np.max(np.abs(jp_det - jp_loss.as_array())) < 1e-10
 
 
 def test_joint_click_probabilities_bell_state_z_basis():
@@ -153,22 +197,16 @@ def test_click_probability_grid_matches_kron_traces():
     # POVMs at the state's truncation, and at a larger one compressed to the state's support
     rng = np.random.default_rng(23)
     trunc = fc.FockTruncation(4)
-    rho = random_density_matrix(rng, trunc.dim**2)
+    rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
     amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
     amps_2 = [0.5 * np.exp(1.7j), 0.7]
     for povm_trunc in (trunc, fc.FockTruncation(9)):
-        povms_1 = np.array([meas.click_povm(a, meas.DetectorModel(0.8), povm_trunc) for a in amps_1])
-        povms_2 = np.array([meas.click_povm(a, meas.DetectorModel(0.6), povm_trunc) for a in amps_2])
-        grid = meas.click_probability_grid(rho, povms_1, povms_2)
-        padded = embed_state(fc.DensityOperator(rho, (trunc.dim, trunc.dim)), povm_trunc).matrix
+        grid = meas.click_probability_grid(
+            rho, amps_1, amps_2, meas.DetectorModel(0.8), meas.DetectorModel(0.6), povm_trunc
+        )
+        padded = embed_state(rho, povm_trunc).matrix
         assert grid.shape == (3, 2, 4)
-        for x, (e1_nc, e1_c) in enumerate(povms_1):
-            for y, (e2_nc, e2_c) in enumerate(povms_2):
-                direct = [
-                    np.trace(padded @ np.kron(ea, eb)).real
-                    for ea, eb in ((e1_nc, e2_nc), (e1_nc, e2_c), (e1_c, e2_nc), (e1_c, e2_c))
-                ]
-                assert np.max(np.abs(grid[x, y] - direct)) < 1e-12
+        assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, povm_trunc))) < 1e-12
 
 
 def test_joint_click_probabilities_scalar_messages():
@@ -307,7 +345,7 @@ def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
     vac[0, 0] = 1.0
     bs = fc.beam_splitter_unitary(0.5, trunc)
     joint = bs @ np.kron(rho, vac) @ bs.conj().T
-    _, e_c = meas.click_povm(0.0, meas.DetectorModel(eta), trunc)
+    _, e_c = lossy_click_povm(0.0, eta, trunc)
     return float(np.trace(joint @ np.kron(e_c, e_c)).real)
 
 

@@ -164,7 +164,8 @@ def test_sweeps_build_records_per_grid_not_per_point(sweep, span, steps, monkeyp
     assert per_steps[0] == per_steps[1]
 
 
-def test_sweep_alpha_eigendecompositions_do_not_grow_with_steps(monkeypatch):
+def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[int]:
+    """np.linalg.eigh calls of one sweep of the lossy_link fixture at each step count."""
     eigh = np.linalg.eigh
     calls = []
 
@@ -175,10 +176,20 @@ def test_sweep_alpha_eigendecompositions_do_not_grow_with_steps(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     per_steps = []
-    for steps in (3, 12):
+    for n in steps:
         calls.clear()
-        pipeline.sweep_alpha(config, 0.1, 1.2, steps)
+        sweep(config, *span, n)
         per_steps.append(len(calls))
+    return per_steps
+
+
+def test_sweep_alpha_eigendecompositions_do_not_grow_with_steps(monkeypatch):
+    per_steps = count_eigendecompositions(monkeypatch, pipeline.sweep_alpha, (0.1, 1.2), (3, 12))
+    assert per_steps[0] == per_steps[1]
+
+
+def test_sweep_phase_eigendecompositions_do_not_grow_with_steps(monkeypatch):
+    per_steps = count_eigendecompositions(monkeypatch, pipeline.sweep_phase, (-np.pi, np.pi), (3, 25))
     assert per_steps[0] == per_steps[1]
 
 

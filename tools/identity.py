@@ -10,7 +10,8 @@ The cases are every run, certify, sweep-phase and sweep-alpha pool entry
 of perfbench/workloads.py, the three published certify runs, and
 variants of the two fixture configs, among them Monte Carlo runs with
 explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
-the totals from durations).  `compare` lists the cases that
+the totals from durations) and runs and sweeps with detector efficiencies
+below 1 (every pool entry and fixture uses 1).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
 a warning prints the path of the source line that raised it.  For a
 stderr difference it also prints the first differing line of each side.
@@ -44,6 +45,8 @@ SWEEP_PHASE_RANGES = ((), ("--phase-min", "-3", "--phase-max", "9", "--steps", "
 MC_TOTALS = ({"n_alpha": 1, "n_z": 1, "n_multiphoton": 1},
              {"n_alpha": 1000, "n_z": 2500, "n_multiphoton": 40_000},
              {"n_alpha": 5_040_000, "n_z": 12_600_000, "n_multiphoton": 30_000_000})
+# (efficiency_a, efficiency_b), including a detector that never clicks and one that is ideal
+DETECTOR_EFFICIENCIES = ((0.6, 0.85), (0.1, 0.3), (0.0, 0.5), (1.0, 0.7))
 
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
@@ -67,6 +70,15 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
             mc_config = work / f"{fixture}-mc-totals-{k}.json"
             mc_config.write_text(json.dumps({**raw, "monte_carlo": {"enabled": True, "seed": 11, **totals}}))
             out[f"run/{fixture}/mc-totals-{k}"] = ("run", "--config", str(mc_config), "--out", report)
+        for k, (eta_a, eta_b) in enumerate(DETECTOR_EFFICIENCIES):
+            lossy = {**raw, "detectors": {"efficiency_a": eta_a, "efficiency_b": eta_b}}
+            det_config, mc_config = work / f"{fixture}-detectors-{k}.json", work / f"{fixture}-detectors-{k}-mc.json"
+            det_config.write_text(json.dumps(lossy))
+            mc_config.write_text(json.dumps({**lossy, "monte_carlo": {"enabled": True, "seed": 11}}))
+            out[f"run/{fixture}/detectors-{k}"] = ("run", "--config", str(det_config), "--out", report)
+            out[f"run/{fixture}/detectors-{k}/mc"] = ("run", "--config", str(mc_config), "--out", report)
+            for command in ("sweep-phase", "sweep-alpha"):
+                out[f"{command}/{fixture}/detectors-{k}"] = (command, "--config", str(det_config))
         for k, extra in enumerate(SWEEP_PHASE_RANGES):
             for fmt in ("csv", "json"):
                 out[f"sweep-phase/{fixture}/range-{k}/{fmt}"] = ("sweep-phase", "--config", config, "--format", fmt, *extra)
