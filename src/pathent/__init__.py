@@ -1,5 +1,6 @@
 """Heralded single-photon path entanglement: simulation and certification."""
 
+from .config import DetectorModel
 from .fockcore import (
     DensityOperator,
     FockTruncation,
@@ -16,7 +17,6 @@ from .herald import (
     simulate_heralded_state,
 )
 from .measurement import (
-    DetectorModel,
     DisplacementSetting,
     JointClickProbabilities,
     click_povm,

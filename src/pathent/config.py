@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
-from .measurement import DetectorModel, DisplacementSetting
+from .measurement import DisplacementSetting
 from .stats import MAX_TOTAL, BasisMeasurement, CountRecord, ProbEstimate, estimate_probabilities
 
 
@@ -60,6 +60,15 @@ class MonteCarloSettings:
             value = getattr(self, name)
             if value is not None and (value <= 0 or self.enabled and value >= MAX_TOTAL):
                 raise ConfigError(f"{name} must be positive when given, and below 2**63 when sampled")
+
+
+@dataclass(frozen=True)
+class DetectorModel:
+    efficiency: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
 
 
 # File keys of the config blocks whose names differ from the ExperimentConfig

@@ -95,6 +95,11 @@ class PhaseConfig:
         """The displacement-referenced relative phase whose cosine modulates the witness."""
         return -self.delta
 
+    @property
+    def displacement_phases(self) -> tuple[float, float]:
+        """(Alice, Bob) phases of the displacement fields: pump, minus seed, plus short interferometer arm."""
+        return self.phi_a - self.zeta_a + self.xi_a_short, self.phi_b - self.zeta_b + self.xi_b_short
+
 
 @dataclass(frozen=True)
 class HeraldedState:

@@ -2,9 +2,9 @@
 
 A measurement on one mode is a non-photon-number-resolving detector
 preceded by a displacement D(alpha): outcome "no click" projects onto the
-displaced vacuum, "click" onto its complement.  A detector of efficiency
-eta is loss eta in front of an ideal detector displaced by alpha*sqrt(eta),
-so inefficiency acts once, as the loss channel on the measured state.
+displaced vacuum, "click" onto its complement.  The detectors are ideal:
+one of efficiency eta is loss eta on the state in front of an ideal
+detector displaced by alpha*sqrt(eta), and callers apply both.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ _WITNESS_PADDING = 8
 
 @dataclass(frozen=True)
 class DisplacementSetting:
-    """Mean displacement amplitude, its fluctuation interval, and phase."""
+    """Mean displacement amplitude and its fluctuation interval."""
 
     alpha_mean: float
     alpha_min: float
     alpha_max: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_min <= self.alpha_mean <= self.alpha_max:
@@ -40,22 +39,12 @@ class DisplacementSetting:
             )
 
     @classmethod
-    def point(cls, alpha: float, phase: float = 0.0) -> "DisplacementSetting":
-        return cls(alpha, alpha, alpha, phase)
+    def point(cls, alpha: float) -> "DisplacementSetting":
+        return cls(alpha, alpha, alpha)
 
-    @property
-    def amplitude(self) -> complex:
-        """Complex displacement parameter used in the measurement."""
-        return self.alpha_mean * np.exp(1j * self.phase)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+    def scaled(self, factor: float) -> "DisplacementSetting":
+        """The interval times a nonnegative factor, such as sqrt(eta) for what a detector of efficiency eta sees."""
+        return DisplacementSetting(self.alpha_mean * factor, self.alpha_min * factor, self.alpha_max * factor)
 
 
 # Published probability tables are rounded per entry, so measured
@@ -112,43 +101,31 @@ def click_povm(alpha, trunc: fc.FockTruncation) -> np.ndarray:
     return np.stack([e_nc, np.eye(trunc.dim) - e_nc], axis=-3)
 
 
-def joint_click_probabilities(
-    rho: fc.DensityOperator,
-    s1: DisplacementSetting,
-    s2: DisplacementSetting,
-    d1: DetectorModel = DetectorModel(),
-    d2: DetectorModel = DetectorModel(),
-) -> JointClickProbabilities:
-    """The four joint click/no-click probabilities of one setting pair: click_probability_grid at one point.
+def joint_click_probabilities(rho: fc.DensityOperator, alpha_1: complex, alpha_2: complex) -> JointClickProbabilities:
+    """The four joint click/no-click probabilities at one amplitude pair: click_probability_grid at one point.
 
     The POVMs are built at the state's own truncation.
     """
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
     trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
-    return JointClickProbabilities(*click_probability_grid(rho, [s1.amplitude], [s2.amplitude], d1, d2, trunc)[0, 0])
+    return JointClickProbabilities(*click_probability_grid(rho, [alpha_1], [alpha_2], trunc)[0, 0])
 
 
-def click_probability_grid(
-    rho: fc.DensityOperator, amplitudes_1, amplitudes_2, d1: DetectorModel, d2: DetectorModel, trunc: fc.FockTruncation
-) -> np.ndarray:
+def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2, trunc: fc.FockTruncation) -> np.ndarray:
     """Joint click probabilities of a two-mode state for every pair of displacement amplitudes.
 
-    A detector of efficiency eta is loss eta on its mode followed by an
-    ideal detector displaced by amplitude * sqrt(eta).  Every POVM comes
-    from one click_povm call at the measurement truncation trunc, at least
-    the state's per-mode dimension d.  The lossy state is zero outside its
-    d lowest levels, so the POVMs are compressed to their top-left d x d
-    blocks, which is exact.  One contraction of rho reshaped to
-    (d, d, d, d) gives tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the
-    result has shape (n_1, n_2, 4) in JointClickProbabilities order,
-    clipped to [0, 1].
+    The detectors are ideal.  Every POVM comes from one click_povm call at
+    the measurement truncation trunc, at least the state's per-mode
+    dimension d.  The state is zero outside its d lowest levels, so the
+    POVMs are compressed to their top-left d x d blocks, which is exact.
+    One contraction of rho reshaped to (d, d, d, d) gives
+    tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the result has shape
+    (n_1, n_2, 4) in JointClickProbabilities order, clipped to [0, 1].
     """
-    amplitudes = []
-    for mode, (amps, det) in enumerate(((amplitudes_1, d1), (amplitudes_2, d2))):
-        rho = fc.loss_channel(rho, mode, det.efficiency)
-        amplitudes.append(np.asarray(amps, dtype=complex) * np.sqrt(det.efficiency))
-        fc.warn_large_displacements(amplitudes[-1], trunc)
+    amplitudes = [np.asarray(amps, dtype=complex) for amps in (amplitudes_1, amplitudes_2)]
+    for amps in amplitudes:
+        fc.warn_large_displacements(amps, trunc)
     d = rho.mode_dims[0]
     povms = click_povm(np.concatenate(amplitudes), trunc)[..., :d, :d]
     n_1 = len(amplitudes[0])
@@ -195,20 +172,19 @@ def _total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
     return (totals[:, None] == totals[None, :]).astype(float)
 
 
-def multiphoton_coincidence_probability(populations: np.ndarray, det: DetectorModel = DetectorModel()) -> float:
-    """Probability of a twofold coincidence after a 50/50 split of one mode.
+def multiphoton_coincidence_probability(populations: np.ndarray) -> float:
+    """Probability of a twofold coincidence after a 50/50 split of one mode, with ideal detectors.
 
     This mirrors the Hanbury Brown-Twiss estimate of the probability of
     more than one photon in the mode.  The second input port is vacuum,
     the split conserves photon number and the undisplaced click POVMs are
-    diagonal, so only the mode's photon-number distribution enters:
-    populations[n] is the probability of n photons, and n photons make
-    both detectors click with probability 1 - 2(1 - eta/2)^n + (1 - eta)^n.
+    diagonal, so only the mode's detected photon-number distribution
+    enters: populations[n] is the probability of n photons, and n photons
+    make both detectors click with probability 1 - 2 (1/2)^n + 0^n.
     This is exact in the truncation.
     """
-    eta = det.efficiency
     n = np.arange(len(populations))
-    p = populations @ (1.0 - 2.0 * (1.0 - eta / 2.0) ** n + (1.0 - eta) ** n)
+    p = populations @ (1.0 - 2.0 * 0.5**n + 0.0**n)
     return float(min(max(p, 0.0), 1.0))
 
 
@@ -222,15 +198,3 @@ def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
     """
     return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
 
-
-def displacement_settings_from_phases(
-    alpha1: float, alpha2: float, phases: PhaseConfig
-) -> tuple[DisplacementSetting, DisplacementSetting]:
-    """Displacement settings whose phases follow the experiment's composition.
-
-    The coherent field on each side inherits exp(i(phi - zeta + xi_short))
-    from the pump, seed, and short AMZI arm.
-    """
-    s1 = DisplacementSetting.point(alpha1, phases.phi_a - phases.zeta_a + phases.xi_a_short)
-    s2 = DisplacementSetting.point(alpha2, phases.phi_b - phases.zeta_b + phases.xi_b_short)
-    return s1, s2

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import fockcore as fc
 from . import stats, witness
 from .config import (
     AnalysisSettings,
@@ -32,7 +33,6 @@ from .measurement import (
     DisplacementSetting,
     JointClickProbabilities,
     click_probability_grid,
-    displacement_settings_from_phases,
     multiphoton_coincidence_probability,
 )
 from .stats import BasisMeasurement, CountRecord, ProbEstimate
@@ -54,7 +54,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         alpha=sim["alpha"],
         z=sim["z"],
         pstar=(sim["p1_star"], sim["p2_star"]),
-        settings=(config.setting_1, config.setting_2),
+        settings=sim["intervals"],
         heralding={
             "herald_probability": sim["herald_probability"],
             "herald_rate_hz": sim["herald_rate_hz"],
@@ -66,26 +66,30 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _simulate_probabilities(config: ExperimentConfig) -> dict:
     """Heralded-state simulation and both measurement bases, optionally sampled.
 
-    rho stays at the herald truncation: click_probability_grid compresses
-    the POVMs to its support, and the multiphoton coincidences read each
-    mode's photon-number distribution from its diagonal.  The state and
-    the alpha-basis amplitudes are returned for the sweeps to measure.
+    What the detectors see is formed once: a detector of efficiency eta is
+    loss eta on its mode in front of an ideal detector that sees the set
+    amplitudes times sqrt(eta).  The run, both sweeps and the separable
+    bound use the lossy state, these intervals and their complex means as
+    they are; the bound is sound there because loss keeps separable states
+    separable.  rho stays at the herald truncation: click_probability_grid
+    compresses the POVMs to its support, and the multiphoton coincidences
+    read each mode's detected photon-number distribution from its diagonal.
     """
     heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-
-    s1, s2 = displacement_settings_from_phases(
-        config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases
-    )
+    rho, scales = heralded.rho, []
+    for mode, detector in enumerate((config.detector_1, config.detector_2)):
+        rho = fc.loss_channel(rho, mode, detector.efficiency)
+        scales.append(math.sqrt(detector.efficiency))
+    intervals = tuple(s.scaled(f) for s, f in zip((config.setting_1, config.setting_2), scales))
+    amp_1, amp_2 = (s.alpha_mean * np.exp(1j * theta) for s, theta in zip(intervals, config.phases.displacement_phases))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
-    grid = click_probability_grid(
-        heralded.rho, [s1.amplitude, 0.0], [s2.amplitude, 0.0], config.detector_1, config.detector_2, config.truncation
-    )
+    grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0], config.truncation)
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
-    d = heralded.rho.mode_dims[0]
-    populations = np.diagonal(heralded.rho.matrix).real.reshape(d, d)
-    p1_value = multiphoton_coincidence_probability(populations.sum(axis=1), config.detector_1)
-    p2_value = multiphoton_coincidence_probability(populations.sum(axis=0), config.detector_2)
+    d = rho.mode_dims[0]
+    populations = np.diagonal(rho.matrix).real.reshape(d, d)
+    p1_value = multiphoton_coincidence_probability(populations.sum(axis=1))
+    p2_value = multiphoton_coincidence_probability(populations.sum(axis=0))
 
     rate = heralding_rate(heralded.herald_probability, config.pump_rep_rate_hz, config.duty_fraction)
     mc = config.monte_carlo
@@ -120,8 +124,10 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         "p2_star": p2,
         "herald_probability": heralded.herald_probability,
         "herald_rate_hz": rate,
-        "rho": heralded.rho,
-        "amplitudes": (s1.amplitude, s2.amplitude),
+        "rho": rho,
+        "amplitudes": (amp_1, amp_2),
+        "amplitude_scales": scales,
+        "intervals": intervals,
     }
 
 
@@ -258,13 +264,11 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
         raise ConfigError("phase range too wide: the sweep's phase offsets overflow")
     base = _simulate_probabilities(config)
     pstar = (base["p1_star"], base["p2_star"])
-    bound = witness.certify(base["alpha"], base["z"], config.setting_1, config.setting_2, pstar).w_ppt_max
+    bound = witness.certify(base["alpha"], base["z"], *base["intervals"], pstar).w_ppt_max
 
     offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
     amp_1, amp_2 = base["amplitudes"]
-    probs = click_probability_grid(
-        base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets), config.detector_1, config.detector_2, config.truncation
-    )[0]
+    probs = click_probability_grid(base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets), config.truncation)[0]
 
     phases = replace(config.phases, chi_b=config.phases.chi_b + offsets)
     w_exp = witness.w_exp(JointClickProbabilities(*probs.T))
@@ -277,13 +281,14 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
 def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, steps: int) -> dict:
     """Violation w_exp - w_ppt_max over a displacement-amplitude grid.
 
-    Each grid point is evaluated at a point interval (no fluctuation
-    slack), where the fluctuation and beta bounds reduce to their
-    objectives at the point.  All steps x steps probability quadruples
-    come from one probability grid over each side's amplitudes, and
-    the witness and its bound are evaluated once on the whole grid.
-    The returned document also carries the two optima of the
-    certification amplitudes.
+    The rows carry the set amplitudes; the measurement and the bound are
+    taken at what each side's detector sees, the set amplitude times
+    sqrt(eta).  Each grid point is evaluated at a point interval (no
+    fluctuation slack), where the fluctuation and beta bounds reduce to
+    their objectives at the point.  All steps x steps probability
+    quadruples come from one probability grid over each side's amplitudes,
+    and the witness and its bound are evaluated once on the whole grid.
+    The document also carries the two optimal amplitudes the detectors see.
     """
     if not 0.0 < alpha_min <= alpha_max <= 2.0:
         raise ConfigError("alpha grid must satisfy 0 < alpha_min <= alpha_max <= 2")
@@ -294,9 +299,10 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     mb = witness.MultiphotonBounds(base["p1_star"].value, base["p2_star"].value)
     grid = np.linspace(alpha_min, alpha_max, steps)
 
-    amps_1, amps_2 = (grid * np.exp(1j * s.phase) for s in displacement_settings_from_phases(0.0, 0.0, config.phases))
-    probs = click_probability_grid(base["rho"], amps_1, amps_2, config.detector_1, config.detector_2, config.truncation)
-    a1, a2 = grid[:, None], grid[None, :]
+    a1, a2 = (grid * f for f in base["amplitude_scales"])
+    theta_1, theta_2 = config.phases.displacement_phases
+    probs = click_probability_grid(base["rho"], a1 * np.exp(1j * theta_1), a2 * np.exp(1j * theta_2), config.truncation)
+    a1, a2 = a1[:, None], a2[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
     violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds
 

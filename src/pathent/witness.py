@@ -127,15 +127,16 @@ def _maximize_over_box(objective, i1: DisplacementSetting, i2: DisplacementSetti
     The objective must accept numpy arrays.  A coarse 101x101 grid is
     refined locally (one cell around the argmax per round) until the
     maximum improves by less than 1e-9; ties resolve to the lowest grid
-    index, so the result is deterministic.
+    index, so the result is deterministic.  An axis of zero width is
+    sampled once: its 101 samples would all be the same point.
     """
     lo1, hi1 = i1.alpha_min, i1.alpha_max
     lo2, hi2 = i2.alpha_min, i2.alpha_max
     best = -np.inf
     best_point = (lo1, lo2)
     for _ in range(40):
-        a1 = np.linspace(lo1, hi1, BOX_GRID_POINTS)
-        a2 = np.linspace(lo2, hi2, BOX_GRID_POINTS)
+        a1 = np.linspace(lo1, hi1, BOX_GRID_POINTS if hi1 > lo1 else 1)
+        a2 = np.linspace(lo2, hi2, BOX_GRID_POINTS if hi2 > lo2 else 1)
         grid = objective(a1[:, None], a2[None, :])
         flat = int(np.argmax(grid))
         j1, j2 = np.unravel_index(flat, grid.shape)
@@ -278,7 +279,9 @@ def certify(
 
     alpha and z are the two measured bases, each with its probability
     estimates and their binomial standard deviations; p_star holds the
-    estimates of p1* and p2* from the two HBT runs.  The estimates are
+    estimates of p1* and p2* from the two HBT runs.  i1 and i2 are the
+    amplitude intervals the detectors see: for a detector of efficiency
+    eta, the set interval times sqrt(eta).  The estimates are
     used as given: the witness expectation and bounds take their values,
     the significance k takes their standard deviations.
     """

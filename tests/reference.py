@@ -6,6 +6,7 @@ import numpy as np
 
 from pathent import fockcore as fc
 from pathent.herald import PhaseConfig
+from pathent.witness import BOX_GRID_POINTS, BOX_REFINEMENT_TOL
 
 
 def fock_ket(occupations, trunc: fc.FockTruncation) -> np.ndarray:
@@ -102,3 +103,44 @@ def lossy_click_probabilities(rho: np.ndarray, amplitudes_1, amplitudes_2, eta_1
          for pair_2 in povms_2]
         for a in amplitudes_1
     ])
+
+
+def lossy_coincidence_probability(rho: np.ndarray, eta: float) -> float:
+    """HBT coincidence of one mode: a vacuum ancilla, the truncated 50/50 beam splitter, two lossy_click_povm clicks."""
+    d = len(rho)
+    trunc = fc.FockTruncation(d - 1)
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 1.0
+    bs = fc.beam_splitter_unitary(0.5, trunc)
+    joint = bs @ np.kron(rho, vac) @ bs.conj().T
+    _, e_c = lossy_click_povm(0.0, eta, trunc)
+    return float(np.trace(joint @ np.kron(e_c, e_c)).real)
+
+
+def maximize_over_box_dense(objective, i1, i2):
+    """witness._maximize_over_box with every axis sampled BOX_GRID_POINTS times, zero-width ones included."""
+    lo1, hi1 = i1.alpha_min, i1.alpha_max
+    lo2, hi2 = i2.alpha_min, i2.alpha_max
+    best = -np.inf
+    best_point = (lo1, lo2)
+    for _ in range(40):
+        a1 = np.linspace(lo1, hi1, BOX_GRID_POINTS)
+        a2 = np.linspace(lo2, hi2, BOX_GRID_POINTS)
+        grid = objective(a1[:, None], a2[None, :])
+        j1, j2 = np.unravel_index(int(np.argmax(grid)), grid.shape)
+        value = float(grid[j1, j2])
+        point = (float(a1[j1]), float(a2[j2]))
+        improved = value > best + BOX_REFINEMENT_TOL
+        if value > best:
+            best, best_point = value, point
+        step1 = (hi1 - lo1) / (BOX_GRID_POINTS - 1)
+        step2 = (hi2 - lo2) / (BOX_GRID_POINTS - 1)
+        if not improved and max(step1, step2) < 1e-6:
+            break
+        lo1 = max(i1.alpha_min, point[0] - step1)
+        hi1 = min(i1.alpha_max, point[0] + step1)
+        lo2 = max(i2.alpha_min, point[1] - step2)
+        hi2 = min(i2.alpha_max, point[1] + step2)
+        if hi1 - lo1 <= 0 and hi2 - lo2 <= 0:
+            break
+    return best, best_point

@@ -105,7 +105,7 @@ def test_criterion_4_efficiency_folding():
         alpha = float(rng.uniform(0.2, 1.2))
         # the detector side in the Heisenberg picture, Lambda_eta^dag on each POVM
         jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
-        folded = meas.DisplacementSetting.point(alpha * np.sqrt(eta))
+        folded = alpha * np.sqrt(eta)
         lossy = fc.loss_channel(fc.loss_channel(rho, 0, eta), 1, eta)
         jp_loss = meas.joint_click_probabilities(lossy, folded, folded)
         worst = max(worst, float(np.max(np.abs(jp_det - jp_loss.as_array()))))

@@ -117,8 +117,8 @@ def test_pump_phase_invariance():
         phases = herald.PhaseConfig(**fields)
         hs = herald.simulate_heralded_state(src, phases, TR3)
         rho = embed_state(hs.rho, TR10)
-        s1, s2 = meas.displacement_settings_from_phases(0.83, 0.83, phases)
-        return meas.joint_click_probabilities(rho, s1, s2).as_array()
+        theta_1, theta_2 = phases.displacement_phases
+        return meas.joint_click_probabilities(rho, 0.83 * np.exp(1j * theta_1), 0.83 * np.exp(1j * theta_2)).as_array()
 
     reference = click_probs(PHASE_FIELDS)
     for delta in rng.uniform(-np.pi, np.pi, 20):

@@ -15,6 +15,7 @@ from reference import (
     ideal_lossy_state,
     lossy_click_povm,
     lossy_click_probabilities,
+    lossy_coincidence_probability,
     relative_state_phase,
 )
 
@@ -24,8 +25,8 @@ TR10 = fc.FockTruncation(10)
 def test_displacement_setting_validation():
     with pytest.raises(ValueError):
         meas.DisplacementSetting(0.8, 0.81, 0.85)
-    s = meas.DisplacementSetting.point(0.83, np.pi / 3)
-    assert abs(s.amplitude - 0.83 * np.exp(1j * np.pi / 3)) < 1e-15
+    s = meas.DisplacementSetting(0.8, 0.79, 0.85).scaled(np.sqrt(0.6))
+    assert (s.alpha_mean, s.alpha_min, s.alpha_max) == tuple(a * np.sqrt(0.6) for a in (0.8, 0.79, 0.85))
 
 
 def test_click_povm_identity_cases():
@@ -65,14 +66,19 @@ def test_click_povm_coherent_state_closed_form():
         assert abs(p - np.exp(-abs(gamma + alpha) ** 2)) < 1e-8
 
 
+def lossy(rho: fc.DensityOperator, eta_1: float, eta_2: float) -> fc.DensityOperator:
+    """The state at two detectors of efficiencies eta_1 and eta_2."""
+    return fc.loss_channel(fc.loss_channel(rho, 0, eta_1), 1, eta_2)
+
+
 def test_click_probability_grid_coherent_states_closed_form():
     # independent oracle: a displaced click detector of efficiency eta has P_nc = exp(-eta |gamma + alpha|^2)
     trunc = fc.FockTruncation(14)
     for (g1, a1, eta1), (g2, a2, eta2) in zip(COHERENT_CASES, COHERENT_CASES[1:] + COHERENT_CASES[:1]):
         ket = np.kron(coherent_ket(g1, trunc), coherent_ket(g2, trunc))
-        rho = fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim))
-        det_1, det_2 = meas.DetectorModel(eta1), meas.DetectorModel(eta2)
-        p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [a1], [a2], det_1, det_2, trunc)[0, 0]
+        rho = lossy(fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim)), eta1, eta2)
+        amp_1, amp_2 = a1 * np.sqrt(eta1), a2 * np.sqrt(eta2)
+        p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [amp_1], [amp_2], trunc)[0, 0]
         q1, q2 = np.exp(-eta1 * abs(g1 + a1) ** 2), np.exp(-eta2 * abs(g2 + a2) ** 2)
         assert abs(p_nc_nc - q1 * q2) < 1e-8
         assert abs(p_nc_c - q1 * (1.0 - q2)) < 1e-8
@@ -116,9 +122,7 @@ def test_click_povm_at_zero_amplitude_is_exact():
         assert np.array_equal(e_nc, vacuum)
         # so a z-basis measurement of a state without |00> or |11> population gives exact zeros
         rho = ideal_lossy_state(1.0, 0.4, trunc)
-        p_nc_nc, _, _, p_c_c = meas.click_probability_grid(
-            rho, [0.0], [0.0], meas.DetectorModel(), meas.DetectorModel(), TR10
-        )[0, 0]
+        p_nc_nc, _, _, p_c_c = meas.click_probability_grid(rho, [0.0], [0.0], TR10)[0, 0]
         assert p_nc_nc == 0.0 and p_c_c == 0.0
 
 
@@ -154,7 +158,8 @@ def test_click_probability_grid_matches_heisenberg_reference(state_n_max, headro
     rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), d * d), (d, d))
     # |alpha|^2 up to just below n_max / 4 of the measurement truncation
     amps_1, amps_2 = ([r * np.sqrt(trunc.n_max / 4) * np.exp(1j * phi) for r, phi in stack] for stack in stacks)
-    grid = meas.click_probability_grid(rho, amps_1, amps_2, *(meas.DetectorModel(eta) for eta in etas), trunc)
+    seen = [np.multiply(amps, np.sqrt(eta)) for amps, eta in zip((amps_1, amps_2), etas)]
+    grid = meas.click_probability_grid(lossy(rho, *etas), *seen, trunc)
     expected = lossy_click_probabilities(embed_state(rho, trunc).matrix, amps_1, amps_2, *etas, trunc)
     assert grid.shape == expected.shape == (len(amps_1), len(amps_2), 4)
     assert np.max(np.abs(grid - expected)) <= 1e-13
@@ -169,16 +174,14 @@ def test_efficiency_folding_on_random_states():
             alpha = rng.uniform(0.2, 1.2)
             rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
             jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
-            lossy = fc.loss_channel(fc.loss_channel(rho, 0, eta), 1, eta)
-            s_folded = meas.DisplacementSetting.point(alpha * np.sqrt(eta))
-            jp_loss = meas.joint_click_probabilities(lossy, s_folded, s_folded)
+            folded = alpha * np.sqrt(eta)
+            jp_loss = meas.joint_click_probabilities(lossy(rho, eta, eta), folded, folded)
             assert np.max(np.abs(jp_det - jp_loss.as_array())) < 1e-10
 
 
 def test_joint_click_probabilities_bell_state_z_basis():
     rho = ideal_lossy_state(1.0, 0.0, TR10)
-    z = meas.DisplacementSetting.point(0.0)
-    jp = meas.joint_click_probabilities(rho, z, z)
+    jp = meas.joint_click_probabilities(rho, 0.0, 0.0)
     assert np.max(np.abs(jp.as_array() - np.array([0.0, 0.5, 0.5, 0.0]))) < 1e-12
 
 
@@ -187,8 +190,7 @@ def test_joint_click_probabilities_vacuum():
     vac[0, 0] = 1.0
     rho = fc.DensityOperator(vac, (TR10.dim, TR10.dim))
     alpha = 0.6
-    s = meas.DisplacementSetting.point(alpha)
-    jp = meas.joint_click_probabilities(rho, s, s)
+    jp = meas.joint_click_probabilities(rho, alpha, alpha)
     assert abs(jp.p_nc_nc - np.exp(-2 * alpha**2)) < 1e-9
     assert abs(sum(jp.as_array()) - 1.0) < 1e-12
 
@@ -200,10 +202,9 @@ def test_click_probability_grid_matches_kron_traces():
     rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
     amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
     amps_2 = [0.5 * np.exp(1.7j), 0.7]
+    seen_1, seen_2 = np.multiply(amps_1, np.sqrt(0.8)), np.multiply(amps_2, np.sqrt(0.6))
     for povm_trunc in (trunc, fc.FockTruncation(9)):
-        grid = meas.click_probability_grid(
-            rho, amps_1, amps_2, meas.DetectorModel(0.8), meas.DetectorModel(0.6), povm_trunc
-        )
+        grid = meas.click_probability_grid(lossy(rho, 0.8, 0.6), seen_1, seen_2, povm_trunc)
         padded = embed_state(rho, povm_trunc).matrix
         assert grid.shape == (3, 2, 4)
         assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, povm_trunc))) < 1e-12
@@ -244,8 +245,7 @@ def test_joint_click_probabilities_reject_non_finite(bad):
 
 def test_joint_click_probabilities_match_p00_model_at_083():
     rho = ideal_lossy_state(1.0, 0.0, TR10)
-    s = meas.DisplacementSetting.point(0.83)
-    jp = meas.joint_click_probabilities(rho, s, s)
+    jp = meas.joint_click_probabilities(rho, 0.83, 0.83)
     assert abs(jp.p_nc_nc - 0.3474) < 2e-4
     assert abs(jp.p_nc_nc - meas.p00_phase_model(0.83, herald.PhaseConfig())) < 1e-9
 
@@ -257,8 +257,8 @@ def test_model_agreement_random_phases():
         phases = herald.PhaseConfig(**dict(zip(names, rng.uniform(-np.pi, np.pi, len(names)))))
         rho = ideal_lossy_state(1.0, relative_state_phase(phases), TR10)
         alpha = rng.uniform(0.3, 1.0)
-        s1, s2 = meas.displacement_settings_from_phases(alpha, alpha, phases)
-        jp = meas.joint_click_probabilities(rho, s1, s2)
+        theta_1, theta_2 = phases.displacement_phases
+        jp = meas.joint_click_probabilities(rho, alpha * np.exp(1j * theta_1), alpha * np.exp(1j * theta_2))
         assert abs(jp.p_nc_nc - meas.p00_phase_model(alpha, phases)) < 1e-9
 
 
@@ -337,24 +337,13 @@ def test_multiphoton_coincidence_examples():
     assert meas.multiphoton_coincidence_probability(vac) < 1e-15
 
 
-def dense_coincidence_oracle(rho: np.ndarray, eta: float) -> float:
-    """Split the mode with a vacuum ancilla on the truncated beam splitter and trace both click POVMs."""
-    d = len(rho)
-    trunc = fc.FockTruncation(d - 1)
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    bs = fc.beam_splitter_unitary(0.5, trunc)
-    joint = bs @ np.kron(rho, vac) @ bs.conj().T
-    _, e_c = lossy_click_povm(0.0, eta, trunc)
-    return float(np.trace(joint @ np.kron(e_c, e_c)).real)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(d=st.integers(3, 11), eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_multiphoton_closed_form_matches_dense_split(d, eta, seed):
     rho = random_density_matrix(np.random.default_rng(seed), d)
-    p = meas.multiphoton_coincidence_probability(np.diagonal(rho).real, meas.DetectorModel(eta))
-    assert abs(p - dense_coincidence_oracle(rho, eta)) <= 1e-13
+    detected = fc.loss_channel(fc.DensityOperator(rho, (d,)), 0, eta)
+    p = meas.multiphoton_coincidence_probability(np.diagonal(detected.matrix).real)
+    assert abs(p - lossy_coincidence_probability(rho, eta)) <= 1e-13
 
 
 def test_p00_phase_model_examples():

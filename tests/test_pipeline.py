@@ -2,7 +2,9 @@
 and a simulated run certifies exactly as the counts file it would log."""
 
 from dataclasses import replace
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,18 +12,12 @@ from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import pipeline
-from pathent.config import load_experiment_config
-from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
-from pathent.measurement import (
-    DetectorModel,
-    DisplacementSetting,
-    displacement_settings_from_phases,
-    joint_click_probabilities,
-    multiphoton_coincidence_probability,
-)
+from pathent.config import DetectorModel, load_experiment_config
+from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.measurement import DisplacementSetting
 
 from conftest import FIXTURES
-from reference import embed_state
+from reference import embed_state, lossy_click_probabilities, lossy_coincidence_probability
 
 QUADRUPLE = ("p_nc_nc", "p_nc_c", "p_c_nc", "p_c_c")
 transmission = st.floats(0.05, 1.0)
@@ -66,10 +62,9 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
 
     trunc = fc.FockTruncation(trunc_n_max)
     padded = embed_state(simulate_heralded_state(src, phase_config, config.herald_truncation).rho, trunc)
-    s1, s2 = displacement_settings_from_phases(*amplitudes, phase_config)
-    z = DisplacementSetting.point(0.0)
-    for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (z, z))):
-        expected = joint_click_probabilities(padded, t1, t2, det_1, det_2).as_array()
+    s1, s2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, phase_config.displacement_phases))
+    for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (0.0, 0.0))):
+        expected = lossy_click_probabilities(padded.matrix, [t1], [t2], *efficiencies, trunc)[0, 0]
         got = [report["probabilities"][basis][key] for key in QUADRUPLE]
         assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
 
@@ -79,7 +74,7 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
         ("p1_star", np.trace(t, axis1=1, axis2=3), det_1),
         ("p2_star", np.trace(t, axis1=0, axis2=2), det_2),
     ):
-        expected = multiphoton_coincidence_probability(np.diagonal(marginal).real, det)
+        expected = lossy_coincidence_probability(marginal, det.efficiency)
         assert abs(report["multiphoton"][key] - expected) <= 1e-13
 
 
@@ -124,3 +119,65 @@ def test_sampled_run_certifies_as_its_counts_file(fixture, tmp_path):
     assert run["multiphoton"]["p1_star"] > 0.0
     for block in ("witness", "probabilities", "counts", "multiphoton"):
         assert analysis[block] == run[block], block
+
+
+def phase_averaged_product(side_a, side_b) -> np.ndarray:
+    """Product of two states on the 0- and 1-photon levels, averaged over a global phase e^{i phi (n_1 + n_2)}.
+
+    A side (p, c, phi) has one-photon population p and coherence c sqrt(p (1 - p)) e^{i phi}.
+    """
+    def qubit(p, c, phi):
+        coherence = c * np.sqrt(p * (1.0 - p)) * np.exp(1j * phi)
+        return np.array([[1.0 - p, coherence], [np.conj(coherence), p]])
+
+    totals = np.add.outer([0, 1], [0, 1]).ravel()
+    return np.kron(qubit(*side_a), qubit(*side_b)) * (totals[:, None] == totals[None, :])
+
+
+qubit_side = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-np.pi, np.pi))
+efficiencies_in = st.sampled_from((0.2, 0.5, 0.8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sides=st.tuples(qubit_side, qubit_side),
+    amplitudes=st.tuples(st.floats(0.2, 1.2), st.floats(0.2, 1.2)),
+    efficiencies=st.tuples(efficiencies_in, efficiencies_in),
+)
+def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, amplitudes, efficiencies):
+    # loss maps separable states to separable states, so the bound at alpha sqrt(eta) must hold;
+    # the detector side is the Heisenberg-picture reference, the bound is the run's own
+    rho = phase_averaged_product(*sides)
+    config = load_experiment_config(FIXTURES / "ideal_link.json")
+    config = replace(
+        config,
+        setting_1=DisplacementSetting.point(amplitudes[0]),
+        setting_2=DisplacementSetting.point(amplitudes[1]),
+        detector_1=DetectorModel(efficiencies[0]),
+        detector_2=DetectorModel(efficiencies[1]),
+    )
+    heralded = HeraldedState(embed_state(fc.DensityOperator(rho, (2, 2)), config.herald_truncation), 1e-6)
+    with mock.patch.object(pipeline, "simulate_heralded_state", lambda *args: heralded):
+        report = pipeline.run_experiment(config)
+    padded = embed_state(heralded.rho, config.truncation).matrix
+    p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(padded, *np.reshape(amplitudes, (2, 1)),
+                                                                *efficiencies, config.truncation)[0, 0]
+    assert p_nc_nc + p_c_c - p_nc_c - p_c_nc <= report["witness"]["w_ppt_max"] + 1e-9
+
+
+@pytest.mark.parametrize("fixture", ("ideal_link", "lossy_link"))
+def test_pstar_at_lossy_detectors_to_rounding(fixture):
+    # p* = sum_n P(n) (1 - 2 (1 - eta/2)^n + (1 - eta)^n) on the heralded populations, in 50-digit arithmetic
+    mp.mp.dps = 50
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    d = config.herald_truncation.dim
+    rho = simulate_heralded_state(config.source, config.phases, config.herald_truncation).rho
+    populations = [[mp.mpf(float(x)) for x in row] for row in np.diagonal(rho.matrix).real.reshape(d, d)]
+    marginals = {"p1_star": [mp.fsum(row) for row in populations],
+                 "p2_star": [mp.fsum(column) for column in zip(*populations)]}
+    for eta in (0.1, 0.3, 0.6, 0.9):
+        report = pipeline.run_experiment(replace(config, detector_1=DetectorModel(eta), detector_2=DetectorModel(eta)))
+        e = mp.mpf(eta)
+        for key, marginal in marginals.items():
+            exact = mp.fsum(p * (1 - 2 * (1 - e / 2) ** n + (1 - e) ** n) for n, p in enumerate(marginal))
+            assert abs(report["multiphoton"][key] - exact) <= 1e-13 * exact, (eta, key)

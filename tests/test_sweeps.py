@@ -15,17 +15,12 @@ from hypothesis import strategies as st
 from pathent import fockcore as fc
 from pathent import pipeline, witness
 from pathent.cli import main
-from pathent.config import load_experiment_config
+from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
-from pathent.measurement import (
-    DisplacementSetting,
-    JointClickProbabilities,
-    displacement_settings_from_phases,
-    joint_click_probabilities,
-)
+from pathent.measurement import DisplacementSetting, JointClickProbabilities
 
 from conftest import FIXTURES
-from reference import embed_state
+from reference import embed_state, lossy_click_probabilities
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TR3 = fc.FockTruncation(3)
@@ -70,16 +65,26 @@ def test_chi_b_offset_is_phase_rotation_of_bob(
 
 
 def _config(fixture: str, variant: str):
-    """A fixture as shipped, or with nonzero phases and Monte Carlo sampling on."""
+    """A fixture as shipped, or with nonzero phases and either Monte Carlo sampling or lossy detectors."""
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
     if variant == "phased-sampled":
         config = replace(config, phases=PHASES, monte_carlo=replace(config.monte_carlo, enabled=True, seed=7))
+    if variant == "phased-lossy":
+        config = replace(config, phases=PHASES, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
     return config
 
 
 CONFIGS = pytest.mark.parametrize(
-    "fixture, variant", [(f, v) for f in ("ideal_link", "lossy_link") for v in ("as-shipped", "phased-sampled")]
+    "fixture, variant",
+    [(f, v) for f in ("ideal_link", "lossy_link") for v in ("as-shipped", "phased-sampled", "phased-lossy")],
 )
+
+
+def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, config) -> JointClickProbabilities:
+    """Click probabilities at the set amplitudes with the config's lossy detectors, in the Heisenberg picture."""
+    t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, phases.displacement_phases))
+    etas = (config.detector_1.efficiency, config.detector_2.efficiency)
+    return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.truncation)[0, 0])
 
 
 @CONFIGS
@@ -94,10 +99,8 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
         phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
         heralded = simulate_heralded_state(config.source, phases, config.herald_truncation)
         rho = embed_state(heralded.rho, config.truncation)
-        s1, s2 = displacement_settings_from_phases(
-            config.setting_1.alpha_mean, config.setting_2.alpha_mean, phases
-        )
-        jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
+        means = (config.setting_1.alpha_mean, config.setting_2.alpha_mean)
+        jp = reference_probabilities(rho.matrix, means, phases, config)
         assert row["delta_theta_rad"] == phases.measured_relative_phase
         assert abs(row["w_exp"] - witness.w_exp(jp)) <= 1e-12
         assert row["w_ppt_max"] == bound
@@ -115,12 +118,13 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
     rho = embed_state(heralded.rho, config.truncation)
     grid = np.linspace(alpha_min, alpha_max, steps)
+    scales = (np.sqrt(config.detector_1.efficiency), np.sqrt(config.detector_2.efficiency))
     expected = []
     for a1 in grid:
         for a2 in grid:
-            s1, s2 = displacement_settings_from_phases(a1, a2, config.phases)
-            jp = joint_click_probabilities(rho, s1, s2, config.detector_1, config.detector_2)
-            i1, i2 = DisplacementSetting.point(a1), DisplacementSetting.point(a2)
+            jp = reference_probabilities(rho.matrix, (a1, a2), config.phases, config)
+            # the bound at the amplitudes the detectors see
+            i1, i2 = DisplacementSetting.point(a1 * scales[0]), DisplacementSetting.point(a2 * scales[1])
             w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
             bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
             expected.append((a1, a2, witness.w_exp(jp) - bound))
@@ -193,20 +197,46 @@ def test_sweep_phase_eigendecompositions_do_not_grow_with_steps(monkeypatch):
     assert per_steps[0] == per_steps[1]
 
 
+@pytest.mark.parametrize("op, args", [
+    (pipeline.run_experiment, ()),
+    (pipeline.sweep_phase, (-np.pi, np.pi, 9)),
+    (pipeline.sweep_alpha, (0.1, 1.2, 4)),
+])
+def test_detector_loss_applied_once_per_op(op, args, monkeypatch):
+    # two signal losses in the heralding simulation, two detector losses on the state the detectors see
+    built = Counter()
+    loss_channel, validate = fc.loss_channel, fc.DensityOperator.__post_init__
+
+    def counting_loss(*loss_args):
+        built["loss_channel"] += 1
+        return loss_channel(*loss_args)
+
+    def counting_validate(self):
+        built["DensityOperator"] += 1
+        validate(self)
+
+    monkeypatch.setattr(fc, "loss_channel", counting_loss)
+    monkeypatch.setattr(fc.DensityOperator, "__post_init__", counting_validate)
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
+    op(replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85)), *args)
+    assert built == {"loss_channel": 4, "DensityOperator": 5}
+
+
 def test_sweep_alpha_warns_as_per_amplitude_displacements():
     # measurement n_max 3 puts the warning edge at |alpha|^2 = 0.75: grid points 1.0 and 1.5 pass it
     config = _config("ideal_link", "phased-sampled")
     config = replace(config, numerics=replace(config.numerics, truncation_n_max=3))
     grid = np.linspace(0.5, 1.5, 3)
-    s1, s2 = displacement_settings_from_phases(config.setting_1.alpha_mean, config.setting_2.alpha_mean, config.phases)
+    sides = tuple(zip((config.setting_1, config.setting_2), (config.detector_1, config.detector_2),
+                      config.phases.displacement_phases))
     # the base run's (alpha, z) pairs, then the grid, mode by mode
     amplitudes = [
         a * np.sqrt(det.efficiency)
-        for s, det in ((s1, config.detector_1), (s2, config.detector_2))
-        for a in (s.amplitude, 0.0)
+        for s, det, theta in sides
+        for a in (s.alpha_mean * np.exp(1j * theta), 0.0)
     ] + [
-        a * np.exp(1j * s.phase) * np.sqrt(det.efficiency)
-        for s, det in ((s1, config.detector_1), (s2, config.detector_2))
+        a * np.exp(1j * theta) * np.sqrt(det.efficiency)
+        for s, det, theta in sides
         for a in grid
     ]
     with warnings.catch_warnings(record=True) as expected:
@@ -220,7 +250,7 @@ def test_sweep_alpha_warns_as_per_amplitude_displacements():
             warnings.simplefilter(action)
             pipeline.sweep_alpha(config, grid[0], grid[-1], len(grid))
         assert [str(w.message) for w in got] == want
-        # one location inside click_povm, so the once-per-location filter shows each text once
+        # one location inside click_probability_grid, so the once-per-location filter shows each text once
         assert {Path(w.filename).name for w in got} == {"measurement.py"}
 
 

@@ -12,7 +12,7 @@ from pathent import measurement as meas
 from pathent import stats, witness
 
 from conftest import random_qubit_pure_state
-from reference import expectation_value, ideal_lossy_state
+from reference import expectation_value, ideal_lossy_state, maximize_over_box_dense
 
 TR10 = fc.FockTruncation(10)
 
@@ -192,6 +192,19 @@ def test_box_bounds_swap_symmetry(i1, i2, p, p1, p2):
     swapped, _ = witness.w_ppt_fluctuation_bound(i2, i1, swap_clicks(jp_z), witness.MultiphotonBounds(p2, p1))
     assert abs(value - swapped) <= 1e-12
     assert abs(witness.beta_bound(i1, i2) - witness.beta_bound(i2, i1)) <= 1e-12
+
+
+points = amplitudes.map(meas.DisplacementSetting.point)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(box_pair=st.tuples(points, points) | st.tuples(points, boxes) | st.tuples(boxes, points), p=quadruples,
+       p1=pstars, p2=pstars)
+def test_point_axes_match_the_dense_box_search_bitwise(box_pair, p, p1, p2):
+    # a zero-width axis is sampled once; its 101 identical samples gave the same maximum and maximizer
+    jp_z, mb = meas.JointClickProbabilities(*p), witness.MultiphotonBounds(p1, p2)
+    for objective in (witness.b_max, lambda x1, x2: witness.w_tilde_point(x1, x2, jp_z, mb)):
+        assert witness._maximize_over_box(objective, *box_pair) == maximize_over_box_dense(objective, *box_pair)
 
 
 def test_zero_displacement_cannot_witness():
