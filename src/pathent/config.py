@@ -12,7 +12,9 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import get_args, get_type_hints
 
 from . import fockcore as fc
@@ -160,12 +162,18 @@ def _fields(cls, record: dict, context: str, optional: bool = False, **overrides
     default to None; an optional section falls back to the dataclass
     defaults.  Overrides that are not None take precedence.
     """
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {name: value for name, value in overrides.items() if value is not None}
     for f in fields(cls):
         if f.name not in values and (f.name in record or (not optional and f.default is not None)):
             values[f.name] = _get(record, f.name, context, hints[f.name])
     return cls(**values)
+
+
+@cache
+def _type_hints(cls) -> MappingProxyType:
+    """The resolved field annotations of a dataclass, read once per class."""
+    return MappingProxyType(get_type_hints(cls))
 
 
 def _displacement(record: dict, side: str, context: str) -> DisplacementSetting:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from math import comb, prod
 
 import numpy as np
@@ -132,28 +133,40 @@ def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {eta}")
     d = trunc.dim
-    k, n = np.triu_indices(d)  # every photon count k lost from a level n >= k
-    binom = np.array([comb(m, j) for m, j in zip(n, k)], dtype=float)
+    k, n, binom = _loss_binomials(trunc)
     kraus = np.zeros((d, d, d), dtype=complex)
     kraus[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
     return kraus
 
 
+@cache
+def _loss_binomials(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every photon count k lost from a level n >= k, with C(n, k); built once per truncation, read-only."""
+    k, n = np.triu_indices(trunc.dim)
+    binom = np.array([comb(m, j) for m, j in zip(n, k)], dtype=float)
+    for table in (k, n, binom):
+        table.setflags(write=False)
+    return k, n, binom
+
+
 def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator:
-    """Apply photon loss with transmission eta to one mode of rho."""
+    """Apply photon loss with transmission eta to one mode of rho.
+
+    The channel is one matrix product: the d^2 x d^2 superoperator
+    L = sum_k K_k (x) K_k^* acts on the mode's (row, column) index pair,
+    moved to the front of rho, with every other index as columns.
+    """
     if not 0 <= mode < rho.n_modes:
         raise ValueError(f"mode index {mode} out of range for {rho.n_modes} modes")
     if eta == 1.0:
         return rho
-    m = rho.n_modes
-    kraus = loss_channel_kraus(eta, FockTruncation(rho.mode_dims[mode] - 1))
-    # axes 0..m-1 index rows, m..2m-1 columns; k sums over the Kraus stack
-    k, row, col = 2 * m, 2 * m + 1, 2 * m + 2
-    axes = list(range(2 * m))
-    out_axes = [row if a == mode else col if a == m + mode else a for a in axes]
-    t = rho.matrix.reshape(rho.mode_dims * 2)
-    out = np.einsum(kraus, [k, row, mode], t, axes, kraus.conj(), [k, col, m + mode], out_axes, optimize=True)
-    return DensityOperator(_hermitize(out.reshape(rho.matrix.shape)), rho.mode_dims)
+    m, d = rho.n_modes, rho.mode_dims[mode]
+    kraus = loss_channel_kraus(eta, FockTruncation(d - 1))
+    superop = np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
+    t = np.moveaxis(rho.matrix.reshape(rho.mode_dims * 2), (mode, m + mode), (0, 1))
+    out = (superop @ t.reshape(d * d, -1)).reshape(t.shape)
+    out = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.matrix.shape)
+    return DensityOperator(_hermitize(out), rho.mode_dims)
 
 
 def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:

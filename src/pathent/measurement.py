@@ -10,6 +10,7 @@ detector displaced by alpha*sqrt(eta), and callers apply both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import cos, exp
 
 import numpy as np
@@ -86,13 +87,12 @@ def click_povm(alpha, trunc: fc.FockTruncation) -> np.ndarray:
     alpha may be an array; the result has shape alpha.shape + (2, D, D).
     Phase covariance, D(r e^{i phi}) = R D(r) R^dag with R = e^{i phi n}
     and R|0> = |0>, gives w = e^{i phi n} D^dag(r)|0>, and one
-    eigendecomposition V diag(lambda) V^dag of -i(a^dag - a) gives
-    D^dag(r)|0> = V e^{-i r lambda} V^dag e_0 for every r.  It is written
-    as e_0 plus a correction, so that alpha = 0 gives |0><0| exactly.
+    eigendecomposition V diag(lambda) V^dag of -i(a^dag - a), built once per
+    truncation, gives D^dag(r)|0> = V e^{-i r lambda} V^dag e_0 for every r.
+    Written as e_0 plus a correction, alpha = 0 gives |0><0| exactly.
     """
     amp = np.asarray(alpha, dtype=complex)
-    a = fc.annihilation_matrix(trunc)
-    eigenvalues, vectors = np.linalg.eigh(-1j * (a.conj().T - a))
+    eigenvalues, vectors = _displacement_eigenbasis(trunc)
     shift = np.exp(-1j * np.abs(amp)[..., None] * eigenvalues) - 1.0
     w = (shift * vectors[0].conj()) @ vectors.T
     w[..., 0] += 1.0
@@ -130,8 +130,18 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2, 
     povms = click_povm(np.concatenate(amplitudes), trunc)[..., :d, :d]
     n_1 = len(amplitudes[0])
     t = rho.matrix.reshape(d, d, d, d)
-    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=True).real
+    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=["einsum_path", (0, 1), (0, 1)]).real
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
+
+
+@cache
+def _displacement_eigenbasis(trunc: fc.FockTruncation) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of -i(a^dag - a) at trunc, the generator of every real displacement; read-only."""
+    a = fc.annihilation_matrix(trunc)
+    eigenvalues, vectors = np.linalg.eigh(-1j * (a.conj().T - a))
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return eigenvalues, vectors
 
 
 def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:

@@ -80,6 +80,17 @@ def adjoint_loss(obs: np.ndarray, eta: float, trunc: fc.FockTruncation) -> np.nd
     return out
 
 
+def loss_kraus_sum(rho: fc.DensityOperator, mode: int, eta: float) -> np.ndarray:
+    """Schroedinger-picture loss on one mode as sum_k (1 x K_k x 1) rho (1 x K_k x 1)^dag, from Kronecker products."""
+    dims = rho.mode_dims
+    before, after = np.eye(prod(dims[:mode])), np.eye(prod(dims[mode + 1:]))
+    out = np.zeros_like(rho.matrix)
+    for kraus in fc.loss_channel_kraus(eta, fc.FockTruncation(dims[mode] - 1)):
+        op = np.kron(np.kron(before, kraus), after)
+        out += op @ rho.matrix @ op.conj().T
+    return out
+
+
 def lossy_click_povm(alpha: complex, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
     """(E_noclick, E_click) of a displaced click detector of efficiency eta, in the Heisenberg picture.
 

@@ -1,3 +1,5 @@
+from math import comb, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from pathent import measurement as meas
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 
 from conftest import random_density_matrix
-from reference import embed_state, expectation_value, fock_ket
+from reference import embed_state, expectation_value, fock_ket, loss_kraus_sum
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -158,6 +160,26 @@ def test_loss_channel_sanity_random_states():
         out = fc.loss_channel(rho, 0, eta)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@settings(max_examples=10, deadline=None)
+@given(dims=st.permutations([3, 4, 5]), seed=st.integers(0, 2**32 - 1))
+def test_loss_channel_matches_kraus_sum_on_three_modes(mode, eta, dims, seed):
+    # unequal mode dimensions, so a mixed-up row or column axis changes the shape or the values
+    dims = tuple(dims)
+    rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), prod(dims)), dims)
+    out = fc.loss_channel(rho, mode, eta)
+    assert out.mode_dims == dims
+    assert np.max(np.abs(out.matrix - loss_kraus_sum(rho, mode, eta))) <= 1e-14
+    assert abs(np.trace(out.matrix) - np.trace(rho.matrix)) <= 1e-14
+
+
+def test_loss_binomials_equal_math_comb():
+    for n_max in (2, 3, 10, 15):
+        k, n, binom = fc._loss_binomials(fc.FockTruncation(n_max))
+        assert binom.tolist() == [float(comb(m, j)) for m, j in zip(n.tolist(), k.tolist())]
 
 
 def test_loss_channel_composition():

@@ -177,8 +177,9 @@ def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[int]:
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
+    sweep(config, *span, steps[0])  # fills the per-truncation caches, so each count below is one steady-state op
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     per_steps = []
     for n in steps:
         calls.clear()
