@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
 
 import numpy as np
 
@@ -25,9 +24,7 @@ EXIT_NUMERICAL = 3
 EXIT_PSTAR = 4
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pathent",
         description="Simulate and certify heralded single-photon path entanglement.",

@@ -5,17 +5,13 @@ defaults and must be spelled out (field names carry units); only
 numerical settings (truncations, Monte Carlo seed) may be omitted.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache
 from pathlib import Path
-from types import MappingProxyType
-from typing import get_args, get_type_hints
+from typing import get_args
 
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
@@ -160,20 +156,15 @@ def _fields(cls, record: dict, context: str, optional: bool = False, **overrides
 
     Fields of a required section must all be given, except those that
     default to None; an optional section falls back to the dataclass
-    defaults.  Overrides that are not None take precedence.
+    defaults.  Overrides that are not None take precedence.  The field
+    annotations are types, not strings: this module, herald and stats do
+    not postpone the evaluation of annotations.
     """
-    hints = _type_hints(cls)
     values = {name: value for name, value in overrides.items() if value is not None}
     for f in fields(cls):
         if f.name not in values and (f.name in record or (not optional and f.default is not None)):
-            values[f.name] = _get(record, f.name, context, hints[f.name])
+            values[f.name] = _get(record, f.name, context, f.type)
     return cls(**values)
-
-
-@cache
-def _type_hints(cls) -> MappingProxyType:
-    """The resolved field annotations of a dataclass, read once per class."""
-    return MappingProxyType(get_type_hints(cls))
 
 
 def _displacement(record: dict, side: str, context: str) -> DisplacementSetting:

@@ -8,10 +8,7 @@ per idler that holds the photons idler loss removed, and the two
 station output ports.  The heralded state keeps (signal_A, signal_B).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -125,8 +122,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     vetoed), and false heralds mix in the unconditioned marginal M M^dag.
     Signal loss, linear and acting on the kept modes, follows on the
     two-mode result.  Returns the normalized state and the herald
-    probability per pump pulse.  The beam splitter depends on the
-    truncation alone, so it is built once per truncation and reused.
+    probability per pump pulse.
     """
     if trunc.n_max < 3:
         raise ValueError(f"heralding simulation needs n_max >= 3, got {trunc.n_max}")
@@ -144,7 +140,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     ket_b = source(
         src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
     )
-    bs = _station_beam_splitter(trunc)
+    bs = fc.beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
     amps = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs, optimize=["einsum_path", (0, 2), (0, 1)])
 
     # monitored output: the port where both idler inputs arrive with +1/sqrt(2)
@@ -172,15 +168,6 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     rho = fc.loss_channel(rho, 0, src.signal_transmission_a)
     rho = fc.loss_channel(rho, 1, src.signal_transmission_b)
     return HeraldedState(rho, herald_probability)
-
-
-@cache
-def _station_beam_splitter(trunc: fc.FockTruncation) -> np.ndarray:
-    """The station's 50/50 beam splitter as (port_1, port_2, idler_A, idler_B); read-only."""
-    d = trunc.dim
-    bs = fc.beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
-    bs.setflags(write=False)
-    return bs
 
 
 def heralding_rate(herald_probability: float, pump_rep_rate_hz: float, duty_fraction: float = 1.0) -> float:

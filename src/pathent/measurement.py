@@ -130,7 +130,9 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2, 
     povms = click_povm(np.concatenate(amplitudes), trunc)[..., :d, :d]
     n_1 = len(amplitudes[0])
     t = rho.matrix.reshape(d, d, d, d)
-    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=["einsum_path", (0, 1), (0, 1)]).real
+    # the state meets the smaller POVM stack first: the path optimize=True finds, without its search
+    path = ["einsum_path", (0, 1) if n_1 <= len(amplitudes[1]) else (0, 2), (0, 1)]
+    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=path).real
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 

@@ -6,8 +6,6 @@ sqrt(p(1-p)/N).  The square-root terms of the separable bound are
 replaced by their linearized upper bounds, valid while p1* + p2* < 1/2.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from math import sqrt
 

@@ -1,4 +1,4 @@
-"""Objects that depend on no input value are built once per process: what those caches hold and what they keep apart."""
+"""Objects that depend only on a truncation are built once per process: what those caches hold and what they keep apart."""
 
 import json
 from dataclasses import replace
@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathent import cli, config, herald, measurement, pipeline
+from pathent import cli, measurement, pipeline
 from pathent import fockcore as fc
 from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import simulate_heralded_state
@@ -14,11 +14,9 @@ from pathent.herald import simulate_heralded_state
 from conftest import FIXTURES
 from test_config import valid_config_dict
 
-# caches keyed by a FockTruncation, with the truncation each is built at in a run
-HERALD_CACHES = (fc._loss_binomials, herald._station_beam_splitter)
-MEASUREMENT_CACHES = (measurement._displacement_eigenbasis,)
-# the config dataclasses a run reads: source, phases_rad, monte_carlo, numerics
-CONFIG_CLASSES = 4
+# the caches keyed by a FockTruncation: loss binomials at the herald truncation, where every
+# loss acts, and the displacement eigenbasis at the measurement truncation
+CACHES = (fc._loss_binomials, measurement._displacement_eigenbasis)
 
 
 def _lossy_config():
@@ -29,13 +27,9 @@ def _lossy_config():
 @pytest.mark.parametrize("n_max", [3, 10])
 def test_cached_arrays_are_read_only(n_max):
     trunc = fc.FockTruncation(n_max)
-    arrays = [*fc._loss_binomials(trunc), herald._station_beam_splitter(trunc),
-              *measurement._displacement_eigenbasis(trunc)]
-    for array in arrays:
+    for array in (*fc._loss_binomials(trunc), *measurement._displacement_eigenbasis(trunc)):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
-    with pytest.raises(TypeError):
-        config._type_hints(config.Numerics)["truncation_n_max"] = float
 
 
 def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
@@ -68,7 +62,7 @@ CACHE_CASES = (
 
 
 def test_caches_hold_one_entry_per_truncation(tmp_path, capsys):
-    for cached in (*HERALD_CACHES, *MEASUREMENT_CACHES, config._type_hints, cli.build_parser):
+    for cached in CACHES:
         cached.cache_clear()
     herald_truncations, measurement_truncations = set(), set()
     for k, (changes, herald_n_max, n_max) in enumerate(CACHE_CASES):
@@ -81,45 +75,8 @@ def test_caches_hold_one_entry_per_truncation(tmp_path, capsys):
             assert cli.main([*command, "--config", str(path), "--truncation", str(n_max)]) == 0
         herald_truncations.add(herald_n_max)
         measurement_truncations.add(n_max)
-        for caches, used in ((HERALD_CACHES, herald_truncations), (MEASUREMENT_CACHES, measurement_truncations)):
-            for cached in caches:
-                info = cached.cache_info()
-                assert (info.currsize, info.misses) == (len(used), len(used)), cached.__qualname__
-        assert config._type_hints.cache_info().currsize == CONFIG_CLASSES
-        assert cli.build_parser.cache_info().currsize == 1
+        for cached, used in zip(CACHES, (herald_truncations, measurement_truncations)):
+            info = cached.cache_info()
+            assert (info.currsize, info.misses) == (len(used), len(used)), cached.__qualname__
     capsys.readouterr()
 
-
-def _invoke(argv, out, capsys):
-    """Exit code, stdout, stderr and output file of one CLI call; a run report's timing block is dropped."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    output = None
-    if out.exists():
-        output = out.read_bytes()
-        out.unlink()
-        if argv[0] == "run":
-            doc = json.loads(output)
-            doc.pop("timing")
-            output = json.dumps(doc, sort_keys=True).encode()
-    return code, captured.out, captured.err, output
-
-
-def test_reused_parser_is_stateless(tmp_path, capsys, monkeypatch):
-    config_path, out = str(FIXTURES / "lossy_link.json"), tmp_path / "out"
-    argvs = (
-        ("sweep-alpha", "--config", config_path, "--steps", "4", "--format", "json", "--out", str(out)),
-        ("sweep-alpha", "--config", config_path, "--steps", "four", "--format", "xml"),
-        ("run", "--config", config_path, "--out", str(out)),
-        ("sweep-phase", "--config", config_path, "--steps", "7", "--format", "csv", "--out", str(out)),
-    )
-    parser = cli.build_parser()
-    reused = [_invoke(argv, out, capsys) for argv in argvs]
-    assert cli.build_parser() is parser
-    assert [r[0] for r in reused] == [0, 2, 0, 0]
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    fresh = [_invoke(argv, out, capsys) for argv in argvs]
-    assert reused == fresh

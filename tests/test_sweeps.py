@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathent import fockcore as fc
-from pathent import pipeline, witness
+from pathent import measurement, pipeline, witness
 from pathent.cli import main
 from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
@@ -177,12 +177,12 @@ def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[int]:
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    config = load_experiment_config(FIXTURES / "lossy_link.json")
-    sweep(config, *span, steps[0])  # fills the per-truncation caches, so each count below is one steady-state op
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
     per_steps = []
     for n in steps:
         calls.clear()
+        measurement._displacement_eigenbasis.cache_clear()  # each count is one op from an empty cache
         sweep(config, *span, n)
         per_steps.append(len(calls))
     return per_steps
