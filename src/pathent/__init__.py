@@ -22,7 +22,6 @@ from .measurement import (
     click_povm,
     joint_click_probabilities,
     multiphoton_coincidence_probability,
-    p00_phase_model,
     phase_averaged_witness_operator,
 )
 from .stats import (
@@ -68,7 +67,6 @@ __all__ = [
     "click_povm",
     "joint_click_probabilities",
     "multiphoton_coincidence_probability",
-    "p00_phase_model",
     "phase_averaged_witness_operator",
     "CountRecord",
     "ProbEstimate",

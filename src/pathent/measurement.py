@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import cos, exp
 
 import numpy as np
 
 from . import fockcore as fc
-from .herald import PhaseConfig
 
 # Extra photon-number headroom used only when assembling witness-operator
 # matrix elements; keeps low-lying elements accurate to ~1e-12 for
@@ -199,14 +197,4 @@ def multiphoton_coincidence_probability(populations: np.ndarray) -> float:
     p = populations @ (1.0 - 2.0 * 0.5**n + 0.0**n)
     return float(min(max(p, 0.0), 1.0))
 
-
-def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
-    """Closed-form joint no-click probability of the ideal heralded state.
-
-    Valid for |alpha_1| = |alpha_2| = alpha_abs with the displacement
-    phases derived from the same phase configuration as the state; the
-    pump phases cancel, and the two single-photon paths interfere with
-    the locking invariant delta as their phase difference.
-    """
-    return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
 

@@ -17,8 +17,31 @@ import numpy as np
 from . import stats
 from .measurement import PROB_SUM_ATOL, DisplacementSetting, JointClickProbabilities
 
-BOX_GRID_POINTS = 101
-BOX_REFINEMENT_TOL = 1e-9
+# exp(-64**2) is exactly 0.0 in double precision, so every factor of the
+# bounds has reached its limit there; larger amplitudes are clipped to it
+# before a**2 or a**4 can overflow.
+AMPLITUDE_CLIP = 64.0
+BOX_GAP_TOL = 1e-13
+BOX_HALVINGS = 4  # per round of the box search: a live box becomes 16
+BOX_MAX_ROUNDS = 50
+BOX_MAX_LIVE = 1024  # an objective flat over a region keeps every box there alive
+
+# The box search's per-axis factors, with e = exp(-a^2): f = 2e - 1,
+# g = 2 a^2 e - 1, A = a e and the slopes A', f', g'.  Each is a cubic in
+# a times e, plus an offset.
+_F, _G, _A, _DA, _DF, _DG = range(6)
+_FACTOR_CUBICS = np.array([  # coefficients of 1, a, a^2, a^3
+    [2.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 2.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, -2.0, 0.0],
+    [0.0, -4.0, 0.0, 0.0],
+    [0.0, 4.0, 0.0, -4.0],
+])
+_FACTOR_OFFSETS = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])[:, None, None, None]
+_POWERS = np.arange(4.0)[:, None, None, None]
+# where A, A' and g, g' have their interior extrema (f is monotone)
+_CRITICAL_AMPLITUDES = np.sqrt([0.5, 1.5, 1.0, (5.0 - sqrt(17.0)) / 4.0, (5.0 + sqrt(17.0)) / 4.0])[:, None, None]
 
 
 class AlphaSearchError(RuntimeError):
@@ -92,12 +115,18 @@ def w_exp(jp: JointClickProbabilities) -> float:
     return jp.p_nc_nc + jp.p_c_c - jp.p_c_nc - jp.p_nc_c
 
 
+def _clip(alpha):
+    """alpha capped at AMPLITUDE_CLIP; a Python float stays one, as its square may differ from an array's by an ulp."""
+    return np.minimum(alpha, AMPLITUDE_CLIP) if isinstance(alpha, np.ndarray) else min(alpha, AMPLITUDE_CLIP)
+
+
 def bound_coefficients(alpha1, alpha2):
     """The five coefficients of the qubit separable bound at real amplitudes.
 
     Order: (C1, C2, C3, C4, C5) multiplying P00, sqrt(P00 P11), P11, P10, P01.
     Accepts scalars or broadcastable numpy arrays.
     """
+    alpha1, alpha2 = _clip(alpha1), _clip(alpha2)
     f1 = 2.0 * np.exp(-(alpha1**2)) - 1.0
     f2 = 2.0 * np.exp(-(alpha2**2)) - 1.0
     g1 = 2.0 * alpha1**2 * np.exp(-(alpha1**2)) - 1.0
@@ -116,46 +145,10 @@ def w_ppt_qubit(alpha1: float, alpha2: float, qp: QubitProbs) -> float:
 
 def b_max(alpha1, alpha2):
     """Largest singular value of the qubit-to-multiphoton block of the witness."""
+    alpha1, alpha2 = _clip(alpha1), _clip(alpha2)
     return (
         2.0 * alpha1 * alpha2 * np.exp(-(alpha1**2) - alpha2**2) * np.sqrt(2.0 * (alpha1**4 + alpha2**4))
     )
-
-
-def _maximize_over_box(objective, i1: DisplacementSetting, i2: DisplacementSetting):
-    """Dense-grid maximization over [alpha1_min, alpha1_max] x [alpha2_min, alpha2_max].
-
-    The objective must accept numpy arrays.  A coarse 101x101 grid is
-    refined locally (one cell around the argmax per round) until the
-    maximum improves by less than 1e-9; ties resolve to the lowest grid
-    index, so the result is deterministic.  An axis of zero width is
-    sampled once: its 101 samples would all be the same point.
-    """
-    lo1, hi1 = i1.alpha_min, i1.alpha_max
-    lo2, hi2 = i2.alpha_min, i2.alpha_max
-    best = -np.inf
-    best_point = (lo1, lo2)
-    for _ in range(40):
-        a1 = np.linspace(lo1, hi1, BOX_GRID_POINTS if hi1 > lo1 else 1)
-        a2 = np.linspace(lo2, hi2, BOX_GRID_POINTS if hi2 > lo2 else 1)
-        grid = objective(a1[:, None], a2[None, :])
-        flat = int(np.argmax(grid))
-        j1, j2 = np.unravel_index(flat, grid.shape)
-        value = float(grid[j1, j2])
-        point = (float(a1[j1]), float(a2[j2]))
-        improved = value > best + BOX_REFINEMENT_TOL
-        if value > best:
-            best, best_point = value, point
-        step1 = (hi1 - lo1) / (BOX_GRID_POINTS - 1)
-        step2 = (hi2 - lo2) / (BOX_GRID_POINTS - 1)
-        if not improved and max(step1, step2) < 1e-6:
-            break
-        lo1 = max(i1.alpha_min, point[0] - step1)
-        hi1 = min(i1.alpha_max, point[0] + step1)
-        lo2 = max(i2.alpha_min, point[1] - step2)
-        hi2 = min(i2.alpha_max, point[1] + step2)
-        if hi1 - lo1 <= 0 and hi2 - lo2 <= 0:
-            break
-    return best, best_point
 
 
 def w_tilde_point(a1, a2, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
@@ -176,6 +169,127 @@ def w_tilde_point(a1, a2, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
     )
 
 
+# Interval arithmetic on a batch of boxes: an interval is an array whose
+# first axis holds the lower and upper end; the last axis runs over boxes.
+
+def _imul(x, y):
+    products = (x[:, None] * y[None]).reshape(4, *x.shape[1:])
+    return np.array((products.min(axis=0), products.max(axis=0)))
+
+
+def _axis_factors(lo, hi):
+    """Ranges of the box-search factors over each box, shaped (end, factor, axis, box).
+
+    lo and hi are (axis, box) arrays.  Each factor is smooth, so its range
+    is spanned by its values at the ends and at the interior critical
+    points of any of them.
+    """
+    a = np.concatenate((lo[None], hi[None], np.minimum(np.maximum(_CRITICAL_AMPLITUDES, lo), hi)))
+    cubics = (_FACTOR_CUBICS @ (a**_POWERS).reshape(4, -1)).reshape(6, *a.shape)
+    values = cubics * np.exp(-a * a) + _FACTOR_OFFSETS
+    return np.array((values.min(axis=1), values.max(axis=1)))
+
+
+def _b_max_slopes(lo, hi):
+    """Enclosures of the partial derivatives of b_max = 2 sqrt(2) A1 A2 R over each box, shaped (end, axis, box).
+
+    R = sqrt(a1^4 + a2^4) grows in both amplitudes, and dR/da1 = 2 a1^3 / R
+    grows in a1 and falls in a2.
+    """
+    t = _axis_factors(lo, hi)
+    # corners (lo1, lo2), (hi1, hi2), (lo1, hi2), (hi1, lo2)
+    x1, x2 = np.array((lo[0], hi[0], lo[0], hi[0])), np.array((lo[1], hi[1], hi[1], lo[1]))
+    r = np.hypot(x1 * x1, x2 * x2)
+    safe = np.where(r > 0.0, r, 1.0)  # 2 a^3 / R is 0 where R is
+    dr1 = 2.0 * x1[2:] ** 3 / safe[2:]
+    dr2 = 2.0 * x2[3:1:-1] ** 3 / safe[3:1:-1]
+    # A1' R, A1 dR/da1, A2' R, A2 dR/da2
+    terms = _imul(t[:, [_DA, _A, _DA, _A], [0, 0, 1, 1]], np.array((r[:2], dr1, r[:2], dr2)).swapaxes(0, 1))
+    return 2.0 * sqrt(2.0) * _imul(t[:, _A, [1, 0]], terms[:, 0::2] + terms[:, 1::2])
+
+
+def _w_tilde_slopes(lo, hi, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
+    """Enclosures of the partial derivatives of w_tilde_point over each box, shaped (end, axis, box).
+
+    The objective is P00 f1 f2 + 8 S A1 A2 + P11 g1 g2
+    + h(g1 f2, P10, p1*) + h(f1 g2, P01, p2*), with S = sqrt(P00 P11) and
+    h(c, p, q) = max(c (p - q), c p), whose slope in c is p - q where
+    c < 0, p where c > 0, and either at c = 0.  As g < 0, g1 f2 has the
+    opposite sign of f2, and f1 g2 that of f1.
+    """
+    p00, p01, p10, p11 = jp_z.p_nc_nc, jp_z.p_nc_c, jp_z.p_c_nc, jp_z.p_c_c
+    t = _axis_factors(lo, hi)
+    # k5, k4, k4, k5 with k4 = dh/dc at c4 = g1 f2 and k5 at c5 = f1 g2, each on the branch its f decides
+    f = t[:, _F, [0, 1, 1, 0]]
+    stars = np.array([[mb.p2_star], [mb.p1_star], [mb.p1_star], [mb.p2_star]])
+    k = np.array([[p01], [p10], [p10], [p01]]) - stars * np.array((f[1] >= 0.0, f[0] > 0.0))
+    # k5 g2, k4 f2, k4 g1, k5 f1, A1 A2', A1' A2
+    mixed = _imul(np.concatenate((k, t[:, [_A, _DA], 0]), axis=1), t[:, [_G, _F, _G, _F, _DA, _A], [1, 1, 0, 0, 1, 1]])
+    # f1' (P00 f2 + k5 g2), g1' (P11 g2 + k4 f2), f2' (P00 f1 + k4 g1), g2' (P11 g1 + k5 f1)
+    inner = np.array([[p00], [p11], [p00], [p11]]) * t[:, [_F, _G, _F, _G], [1, 1, 0, 0]] + mixed[:, :4]
+    terms = _imul(t[:, [_DF, _DG, _DF, _DG], [0, 0, 1, 1]], inner)
+    return terms[:, 0::2] + terms[:, 1::2] + 8.0 * sqrt(p00 * p11) * mixed[:, [5, 4]]
+
+
+def _bisect(lo, hi):
+    """Halve every box across its wider side."""
+    width = hi - lo
+    across = np.array((width[0] >= width[1], width[0] < width[1]))
+    mid = 0.5 * (lo + hi)
+    return (
+        np.concatenate((lo, np.where(across, mid, lo)), axis=1),
+        np.concatenate((np.where(across, mid, hi), hi), axis=1),
+    )
+
+
+def _maximize_over_box(objective, slopes, boxes):
+    """Certified maximum of objective over a union of amplitude boxes, by branch and bound.
+
+    boxes holds (alpha1_min, alpha1_max, alpha2_min, alpha2_max) tuples.
+    objective evaluates arrays of amplitude pairs; slopes(lo, hi)
+    encloses its partial derivatives over each box of a batch.  Each
+    round first collapses every axis whose slope enclosure has one sign
+    to its higher end (its lower end on a tie), then takes the value at
+    each box's centre, which is its corner once both axes collapse, and
+    bounds the box by that value plus sum_i max|dF/da_i| w_i / 2.  Boxes
+    whose bound does not exceed the best value are dropped, the rest are
+    halved BOX_HALVINGS times.  Returns the best value found plus the
+    certified gap left above it, and the point where that value was found
+    first.  The gap is at most BOX_GAP_TOL unless the search stops at
+    BOX_MAX_ROUNDS or BOX_MAX_LIVE first.  A maximum at a corner, or on a
+    point box, is the objective's own value there.
+    """
+    ends = np.array(boxes).T
+    lo, hi = ends[0::2], ends[1::2]
+    best, point, gap = -np.inf, None, 0.0
+    for _ in range(BOX_MAX_ROUNDS):
+        slack = 0.0
+        if (hi > lo).any():
+            d = slopes(lo, hi)
+            hi = np.where(d[1] <= 0.0, lo, hi)
+            lo = np.where(d[0] >= 0.0, hi, lo)
+            slack = 0.5 * (np.abs(d).max(axis=0) * (hi - lo)).sum(axis=0)
+        centre = 0.5 * (lo + hi)
+        values = objective(centre[0], centre[1])
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, point = float(values[k]), (float(centre[0, k]), float(centre[1, k]))
+        upper = values + slack
+        live = upper > best
+        gap = float(upper[live].max()) - best if live.any() else 0.0
+        if gap <= BOX_GAP_TOL or live.sum() > BOX_MAX_LIVE:
+            break
+        lo, hi = lo[:, live], hi[:, live]
+        for _ in range(BOX_HALVINGS):
+            lo, hi = _bisect(lo, hi)
+    return best + gap, point
+
+
+def _clipped_box(i1: DisplacementSetting, i2: DisplacementSetting):
+    """The fluctuation box's ends, clipped where the objectives stop changing."""
+    return tuple(min(a, AMPLITUDE_CLIP) for a in (i1.alpha_min, i1.alpha_max, i2.alpha_min, i2.alpha_max))
+
+
 def w_ppt_fluctuation_bound(
     i1: DisplacementSetting,
     i2: DisplacementSetting,
@@ -186,15 +300,38 @@ def w_ppt_fluctuation_bound(
 
     Maximizes w_tilde_point over the box, so the multiphoton branch of
     each single-click term is decided per candidate amplitude pair.
-    Returns the maximum and the coefficients at the maximizer.
+    Returns the certified maximum and the coefficients at the best point.
     """
-    value, (a1, a2) = _maximize_over_box(lambda x1, x2: w_tilde_point(x1, x2, jp_z, mb), i1, i2)
+    value, (a1, a2) = _maximize_over_box(
+        lambda x1, x2: w_tilde_point(x1, x2, jp_z, mb),
+        lambda lo, hi: _w_tilde_slopes(lo, hi, jp_z, mb),
+        [_clipped_box(i1, i2)],
+    )
     return value, bound_coefficients(a1, a2)
 
 
+def _b_max_boxes(i1: DisplacementSetting, i2: DisplacementSetting):
+    """The fluctuation box's edges and the diagonal's best point, which hold the maximum of b_max over the box.
+
+    With u = alpha1^2 and v = alpha2^2, b_max = 2 sqrt(2) exp(-(u + v))
+    sqrt(uv ((u + v)^2 - 2uv)), which at fixed u + v grows with uv, that
+    is towards the diagonal.  The box meets each circle u + v = s in one
+    arc, so the maximum lies on the box's edges or at the diagonal's
+    best point, 4 a^4 exp(-2 a^2) peaking at a = 1.  Searching those
+    instead of the box avoids the flat ridge of b_max along the
+    anti-diagonal through (1, 1).
+    """
+    lo1, hi1, lo2, hi2 = _clipped_box(i1, i2)
+    boxes = [(lo1, lo1, lo2, hi2), (hi1, hi1, lo2, hi2), (lo1, hi1, lo2, lo2), (lo1, hi1, hi2, hi2)]
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    if lo <= hi:
+        boxes.append((min(max(1.0, lo), hi),) * 4)
+    return boxes
+
+
 def beta_bound(i1: DisplacementSetting, i2: DisplacementSetting) -> float:
-    """Maximum of the multiphoton coupling singular value over the fluctuation box."""
-    value, _ = _maximize_over_box(b_max, i1, i2)
+    """Certified maximum of the multiphoton coupling singular value over the fluctuation box."""
+    value, _ = _maximize_over_box(b_max, _b_max_slopes, _b_max_boxes(i1, i2))
     return value
 
 

@@ -1,12 +1,14 @@
 """Reference helpers the tests build states and oracles with; no CLI path needs them."""
 
-from math import prod
+from math import cos, exp, prod
 
 import numpy as np
 
 from pathent import fockcore as fc
 from pathent.herald import PhaseConfig
-from pathent.witness import BOX_GRID_POINTS, BOX_REFINEMENT_TOL
+
+DENSE_GRID_POINTS = 101
+DENSE_REFINEMENT_TOL = 1e-9
 
 
 def fock_ket(occupations, trunc: fc.FockTruncation) -> np.ndarray:
@@ -72,6 +74,17 @@ def relative_state_phase(phases: PhaseConfig) -> float:
     return theta_b - theta_a
 
 
+def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
+    """Closed-form joint no-click probability of the ideal heralded state.
+
+    Valid for |alpha_1| = |alpha_2| = alpha_abs with the displacement
+    phases derived from the same phase configuration as the state; the
+    pump phases cancel, and the two single-photon paths interfere with
+    the locking invariant delta as their phase difference.
+    """
+    return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
+
+
 def adjoint_loss(obs: np.ndarray, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
     """Heisenberg-picture loss channel sum_k K_k^dag O K_k on one observable, one Kraus operator at a time."""
     out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
@@ -129,23 +142,29 @@ def lossy_coincidence_probability(rho: np.ndarray, eta: float) -> float:
 
 
 def maximize_over_box_dense(objective, i1, i2):
-    """witness._maximize_over_box with every axis sampled BOX_GRID_POINTS times, zero-width ones included."""
+    """Grid-search maximum and maximizer over the box, every axis sampled 101 times, zero-width ones included.
+
+    A coarse 101x101 grid is refined one cell around the argmax per round
+    until the maximum improves by less than 1e-9; ties resolve to the
+    lowest grid index.  A heuristic: it can miss an interior maximum by
+    ~5e-8, but at a corner maximum it evaluates the corner itself.
+    """
     lo1, hi1 = i1.alpha_min, i1.alpha_max
     lo2, hi2 = i2.alpha_min, i2.alpha_max
     best = -np.inf
     best_point = (lo1, lo2)
     for _ in range(40):
-        a1 = np.linspace(lo1, hi1, BOX_GRID_POINTS)
-        a2 = np.linspace(lo2, hi2, BOX_GRID_POINTS)
+        a1 = np.linspace(lo1, hi1, DENSE_GRID_POINTS)
+        a2 = np.linspace(lo2, hi2, DENSE_GRID_POINTS)
         grid = objective(a1[:, None], a2[None, :])
         j1, j2 = np.unravel_index(int(np.argmax(grid)), grid.shape)
         value = float(grid[j1, j2])
         point = (float(a1[j1]), float(a2[j2]))
-        improved = value > best + BOX_REFINEMENT_TOL
+        improved = value > best + DENSE_REFINEMENT_TOL
         if value > best:
             best, best_point = value, point
-        step1 = (hi1 - lo1) / (BOX_GRID_POINTS - 1)
-        step2 = (hi2 - lo2) / (BOX_GRID_POINTS - 1)
+        step1 = (hi1 - lo1) / (DENSE_GRID_POINTS - 1)
+        step2 = (hi2 - lo2) / (DENSE_GRID_POINTS - 1)
         if not improved and max(step1, step2) < 1e-6:
             break
         lo1 = max(i1.alpha_min, point[0] - step1)

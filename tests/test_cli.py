@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -380,6 +381,24 @@ def test_certify_with_valid_sidecar_pstar(tmp_path):
 
 def test_sidecar_pstar_sum_of_one_half_exits_4(tmp_path):
     assert main(certify_argv(tmp_path, settings=SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.25,0.25\n")) == 4
+
+
+@pytest.mark.parametrize("command, alpha1_max", [("certify", 1e78), ("certify", 1e200), ("run", 1e200)])
+def test_huge_finite_amplitudes_certify_quietly(command, alpha1_max, tmp_path, capsys):
+    # a^4 overflows above ~1.2e77 and a^2 above ~1.3e154; every factor of the bounds reaches its limit long before
+    if command == "certify":
+        settings = SETTINGS + f"0.812,0.819,{alpha1_max!r},0.830,0.837,0.843,3.2e-6,1.25e-5\n"
+        argv = certify_argv(tmp_path, settings=settings)
+    else:
+        config = json.loads((FIXTURES / "lossy_link.json").read_text())
+        config["displacement"]["alpha1_max"] = alpha1_max
+        target = tmp_path / "config.json"
+        target.write_text(json.dumps(config))
+        argv = ["run", "--config", str(target), "--out", str(tmp_path / "report.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_import_loads_no_scipy():

@@ -16,6 +16,7 @@ from reference import (
     lossy_click_povm,
     lossy_click_probabilities,
     lossy_coincidence_probability,
+    p00_phase_model,
     relative_state_phase,
 )
 
@@ -247,7 +248,7 @@ def test_joint_click_probabilities_match_p00_model_at_083():
     rho = ideal_lossy_state(1.0, 0.0, TR10)
     jp = meas.joint_click_probabilities(rho, 0.83, 0.83)
     assert abs(jp.p_nc_nc - 0.3474) < 2e-4
-    assert abs(jp.p_nc_nc - meas.p00_phase_model(0.83, herald.PhaseConfig())) < 1e-9
+    assert abs(jp.p_nc_nc - p00_phase_model(0.83, herald.PhaseConfig())) < 1e-9
 
 
 def test_model_agreement_random_phases():
@@ -259,7 +260,7 @@ def test_model_agreement_random_phases():
         alpha = rng.uniform(0.3, 1.0)
         theta_1, theta_2 = phases.displacement_phases
         jp = meas.joint_click_probabilities(rho, alpha * np.exp(1j * theta_1), alpha * np.exp(1j * theta_2))
-        assert abs(jp.p_nc_nc - meas.p00_phase_model(alpha, phases)) < 1e-9
+        assert abs(jp.p_nc_nc - p00_phase_model(alpha, phases)) < 1e-9
 
 
 def test_witness_operator_z_basis_is_sigma_z_pair():
@@ -350,10 +351,10 @@ def test_p00_phase_model_examples():
     fields = dict(zeta_a=0.2, chi_a=0.4, xi_a_long=0.1, xi_a_short=0.05)
     # delta = pi: destructive
     phases = herald.PhaseConfig(**fields, zeta_b=0.2 + 0.4 + 0.1 - 0.05 - np.pi)
-    assert abs(meas.p00_phase_model(0.7, phases)) < 1e-12
+    assert abs(p00_phase_model(0.7, phases)) < 1e-12
     # delta = 0 at |alpha| = 0.83
-    assert abs(meas.p00_phase_model(0.83, herald.PhaseConfig()) - 0.3474) < 1e-4
+    assert abs(p00_phase_model(0.83, herald.PhaseConfig()) - 0.3474) < 1e-4
     # pump phase drops out
-    a = meas.p00_phase_model(0.6, herald.PhaseConfig(phi_a=0.0))
-    b = meas.p00_phase_model(0.6, herald.PhaseConfig(phi_a=2.345))
+    a = p00_phase_model(0.6, herald.PhaseConfig(phi_a=0.0))
+    b = p00_phase_model(0.6, herald.PhaseConfig(phi_a=2.345))
     assert abs(a - b) < 1e-15
