@@ -4,7 +4,6 @@ from .config import DetectorModel
 from .fockcore import (
     DensityOperator,
     FockTruncation,
-    beam_splitter_unitary,
     displacement_operator,
     loss_channel,
 )
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityOperator",
     "FockTruncation",
-    "beam_splitter_unitary",
     "displacement_operator",
     "loss_channel",
     "HeraldedState",

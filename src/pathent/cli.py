@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: run, sweep-phase, sweep-alpha, certify.  Exit codes:
-0 success, 2 malformed input or unwritable output, 3 numerical failure,
-4 multiphoton bounds outside the domain of the linearized statistics.
+0 success, 2 malformed input or unwritable output, 3 numerical failure or
+an array too large to allocate, 4 multiphoton bounds outside the domain
+of the linearized statistics.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     except PStarDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PSTAR
-    except (HeraldingError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (HeraldingError, ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -23,8 +23,8 @@ class ConfigError(ValueError):
     """Configuration or input file failed to parse or validate."""
 
 
-# A run's largest arrays, (n+1)^6 herald amplitudes and 8 (n+1)^2 click POVM
-# entries (complex), stay within 256 MiB at these caps.
+# A run's largest arrays, the herald's 2 (n+1)^5 contraction intermediate and
+# 8 (n+1)^2 click POVM entries (complex), stay within 256 MiB at these caps.
 _N_MAX_CAPS = {"herald_truncation_n_max": 15, "truncation_n_max": 1447}
 
 

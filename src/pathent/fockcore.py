@@ -109,21 +109,6 @@ def warn_large_displacements(alpha, trunc: FockTruncation) -> None:
         )
 
 
-def beam_splitter_unitary(transmission: float, trunc: FockTruncation) -> np.ndarray:
-    """Two-mode beam splitter with intensity transmission eta = cos^2(phi).
-
-    Sign convention (fixed once, all downstream phases refer to it):
-        U|1,0> = cos(phi)|1,0> + sin(phi)|0,1>
-        U|0,1> = -sin(phi)|1,0> + cos(phi)|0,1>
-    """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    phi = np.arccos(np.sqrt(transmission))
-    a = annihilation_matrix(trunc)
-    gen = phi * (np.kron(a, a.conj().T) - np.kron(a.conj().T, a))
-    return expm(gen)
-
-
 def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
     """Kraus operators of the single-mode loss channel with transmission eta, stacked as (k, row, col).
 

@@ -2,10 +2,10 @@
 
 Two squeezed-vacuum pair sources feed a central 50/50 beam splitter with
 their idler modes; a click of a non-photon-number-resolving detector on
-one output heralds the shared signal state.  The simulation stays a pure
-state throughout: one ket over both signal modes, one environment mode
-per idler that holds the photons idler loss removed, and the two
-station output ports.  The heralded state keeps (signal_A, signal_B).
+one output heralds the shared signal state.  Each source is one
+(signal, idler) density matrix; the station acts on the two idlers as a
+closed-form click POVM, which photon-number conservation at the beam
+splitter gives.  The heralded state keeps (signal_A, signal_B).
 """
 
 from dataclasses import dataclass
@@ -110,16 +110,19 @@ class HeraldedState:
 
 
 def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.FockTruncation) -> HeraldedState:
-    """Heralded signal-pair state from one purified ket of both sources.
+    """Heralded signal-pair state from the two sources and the station's click POVM.
 
     Each source ket (signal, idler) carries the configured phases; idler
-    loss is a Kraus stack contracted into it, so the photons each idler
-    loses land in an environment mode of their own.  The station's 50/50
-    beam splitter acts on the two idler axes, giving amplitudes
-    M[(signal_A, signal_B), (env_A, env_B, port_1, port_2)].  A click of
-    the monitored port keeps its columns with port_2 >= 1: the
-    conditioned state is Mc Mc^dag (the other port is traced out, not
-    vetoed), and false heralds mix in the unconditioned marginal M M^dag.
+    loss is a Kraus stack contracted into it, and tracing out the lost
+    photons leaves one (signal, idler) density matrix per source.  The
+    station's 50/50 beam splitter conserves the idler number J = j_A + j_B
+    and sends all J photons to the unmonitored port with amplitude
+    u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector with
+    J > n_max cannot leave the truncated port empty.  The click of the
+    monitored port is therefore Pi = 1 - sum_{J <= n_max} u_J u_J^dag on
+    the idlers, and the other port is traced out, not vetoed.  One
+    contraction with the stacked POVMs [1, Pi] gives the unconditioned
+    marginal, which false heralds mix in, and the conditioned state.
     Signal loss, linear and acting on the kept modes, follows on the
     two-mode result.  Returns the normalized state and the herald
     probability per pump pulse.
@@ -130,26 +133,29 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     n = np.arange(d)
 
     def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
-        # (signal, idler) amplitudes -> (signal, idler, environment)
+        # (signal, idler) amplitudes -> (signal, idler, environment) -> rho[(signal, idler), (signal, idler)]
         ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
         ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
         kraus = fc.loss_channel_kraus(idler_transmission, trunc)
-        return np.einsum("kji,si->sjk", kraus, ket)
+        ket = np.einsum("kji,si->sjk", kraus, ket).reshape(d * d, d)
+        return (ket @ ket.conj().T).reshape(d, d, d, d)
 
-    ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
-    ket_b = source(
+    rho_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
+    rho_b = source(
         src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
     )
-    bs = fc.beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
-    amps = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs, optimize=["einsum_path", (0, 2), (0, 1)])
-
-    # monitored output: the port where both idler inputs arrive with +1/sqrt(2)
-    # amplitude under the fixed beam-splitter convention (port_2)
-    clicked = amps[..., 1:].reshape(d * d, -1)
-    conditioned = clicked @ clicked.conj().T
+    # Pi over (idler_A, idler_B): 1 minus u_J u_J^dag on every sector J <= n_max.  The
+    # monitored port is the one both idler inputs reach with +1/sqrt(2) amplitude.
+    j_a, total, binom = fc._loss_binomials(trunc)  # C(J, j_A) for every j_A <= J <= n_max
+    u = (-1.0) ** (total - j_a) * np.sqrt(binom / 2.0**total)
+    pair_index = j_a * d + total - j_a
+    click = np.eye(d * d)
+    click[np.ix_(pair_index, pair_index)] -= (total[:, None] == total[None, :]) * np.outer(u, u)
+    povms = np.stack([np.eye(d * d), click]).reshape(2, d, d, d, d)
+    marginal, conditioned = np.einsum(
+        "aick,bjdl,sklij->sabcd", rho_a, rho_b, povms, optimize=["einsum_path", (0, 2), (0, 1)]
+    ).reshape(2, d * d, d * d)
     p_true = float(np.trace(conditioned).real)
-    amps = amps.reshape(d * d, -1)
-    marginal = amps @ amps.conj().T
 
     f = src.false_herald_probability
     if p_true <= 0.0:

@@ -85,6 +85,21 @@ def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
     return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
 
 
+def beam_splitter_unitary(transmission: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """Truncated two-mode beam splitter with intensity transmission eta = cos^2(phi), from expm of its generator.
+
+    Sign convention (the herald's station POVM refers to it):
+        U|1,0> = cos(phi)|1,0> + sin(phi)|0,1>
+        U|0,1> = -sin(phi)|1,0> + cos(phi)|0,1>
+    """
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    phi = np.arccos(np.sqrt(transmission))
+    a = fc.annihilation_matrix(trunc)
+    gen = phi * (np.kron(a, a.conj().T) - np.kron(a.conj().T, a))
+    return fc.expm(gen)
+
+
 def adjoint_loss(obs: np.ndarray, eta: float, trunc: fc.FockTruncation) -> np.ndarray:
     """Heisenberg-picture loss channel sum_k K_k^dag O K_k on one observable, one Kraus operator at a time."""
     out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
@@ -135,7 +150,7 @@ def lossy_coincidence_probability(rho: np.ndarray, eta: float) -> float:
     trunc = fc.FockTruncation(d - 1)
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
-    bs = fc.beam_splitter_unitary(0.5, trunc)
+    bs = beam_splitter_unitary(0.5, trunc)
     joint = bs @ np.kron(rho, vac) @ bs.conj().T
     _, e_c = lossy_click_povm(0.0, eta, trunc)
     return float(np.trace(joint @ np.kron(e_c, e_c)).real)

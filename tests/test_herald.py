@@ -12,7 +12,7 @@ from pathent import measurement as meas
 from pathent.config import load_experiment_config
 
 from conftest import FIXTURES
-from reference import embed_state, fock_ket, ideal_lossy_state
+from reference import beam_splitter_unitary, embed_state, fock_ket, ideal_lossy_state
 
 TR3 = fc.FockTruncation(3)
 TR10 = fc.FockTruncation(10)
@@ -52,7 +52,7 @@ def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc
     for mode, eta in enumerate(etas):
         kraus = [_embed(k, (mode,), d) for k in fc.loss_channel_kraus(eta, trunc)]
         mat = sum(k @ mat @ k.conj().T for k in kraus)
-    bs = _embed(fc.beam_splitter_unitary(0.5, trunc), (1, 3), d)
+    bs = _embed(beam_splitter_unitary(0.5, trunc), (1, 3), d)
     t = (bs @ mat @ bs.conj().T).reshape((d,) * 8)
     # trace out both idler outputs; the herald keeps monitored-port photon numbers >= 1
     marginal = np.einsum("aibjcidj->abcd", t).reshape(d * d, d * d)
@@ -180,17 +180,58 @@ def test_ket_heralding_matches_four_mode_oracle(
     assert abs(hs.herald_probability - herald_probability) <= 1e-13
 
 
+def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
+    """Heralded state before signal loss and false heralds, from the truncated 50/50 unitary on the idler kets.
+
+    Each source is a purified ket (signal, idler, environment of idler
+    loss); the unitary acts on both idlers and the click keeps the
+    monitored-port photon numbers >= 1.  Cost d^8, against the herald's d^6.
+    """
+    d = trunc.dim
+    n = np.arange(d)
+
+    def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
+        ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
+        ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
+        return np.einsum("kji,si->sjk", fc.loss_channel_kraus(idler_transmission, trunc), ket)
+
+    ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
+    ket_b = source(
+        src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
+    )
+    bs = beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
+    clicked = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs)[..., 1:].reshape(d * d, -1)
+    conditioned = clicked @ clicked.conj().T
+    p_true = np.trace(conditioned).real
+    return conditioned / p_true, p_true
+
+
+@pytest.mark.parametrize("n_max", range(3, 9))
+def test_station_click_povm_matches_truncated_beam_splitter(n_max):
+    # above n_max 3 the closed-form POVM still equals the truncated unitary, including the
+    # sectors J > n_max that cannot leave the monitored port empty
+    trunc = fc.FockTruncation(n_max)
+    phases = herald.PhaseConfig(**PHASE_FIELDS)
+    for src in (herald.SourceParams(0.2, pair_probability_b=0.05, idler_transmission_a=0.3, idler_transmission_b=0.8),
+                herald.SourceParams(3e-3, idler_transmission_a=0.007, idler_transmission_b=0.007)):
+        hs = herald.simulate_heralded_state(src, phases, trunc)
+        rho, herald_probability = station_unitary_oracle(src, phases, trunc)
+        assert np.max(np.abs(hs.rho.matrix - rho)) <= 1e-13
+        assert abs(hs.herald_probability - herald_probability) <= 1e-13 * herald_probability
+
+
 FIXTURE_SOURCES = pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
-HERALD_N_MAX = (3, 4, 5, 6)
+HERALD_N_MAX = tuple(range(3, 11))
 
 
 @FIXTURE_SOURCES
 def test_heralded_state_converges_in_truncation(fixture):
     # Truncation cuts the pair number of each source.  Between consecutive
-    # n_max the qubit block (at most one photon per mode) moves by no more
-    # than the truncation tail: the heralded weight of n_max pairs, read
-    # off the state before signal loss (photons per signal mode = pairs),
-    # plus a few ulps of rounding.
+    # n_max the qubit block (at most one photon per mode) and the
+    # multiphoton coincidences p1*, p2* (which read the populations with two
+    # or more photons) move by no more than the truncation tail: the
+    # heralded weight of n_max pairs, read off the state before signal loss
+    # (photons per signal mode = pairs), plus a few ulps of rounding.
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
     lossless = replace(config.source, signal_transmission_a=1.0, signal_transmission_b=1.0)
     previous = None
@@ -200,11 +241,14 @@ def test_heralded_state_converges_in_truncation(fixture):
         rho = herald.simulate_heralded_state(config.source, config.phases, trunc).rho.matrix
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         block = rho.reshape(d, d, d, d)[:2, :2, :2, :2]
+        populations = np.diagonal(rho).real.reshape(d, d)
+        pstar = np.array([meas.multiphoton_coincidence_probability(populations.sum(axis=axis)) for axis in (1, 0)])
         if previous is not None:
-            previous_block, tail = previous
+            previous_block, previous_pstar, tail = previous
             assert np.max(np.abs(block - previous_block)) <= tail + 4 * np.finfo(float).eps
+            assert np.max(np.abs(pstar - previous_pstar)) <= tail + 4 * np.finfo(float).eps
         pairs = herald.simulate_heralded_state(lossless, config.phases, trunc).rho.matrix
-        previous = (block, _tail_weight(pairs, d))
+        previous = (block, pstar, _tail_weight(pairs, d))
 
 
 @FIXTURE_SOURCES

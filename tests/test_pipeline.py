@@ -1,6 +1,7 @@
 """The pipeline measures the heralded state on its own support, against the zero-padded reference,
 and a simulated run certifies exactly as the counts file it would log."""
 
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import pipeline
-from pathent.config import DetectorModel, load_experiment_config
+from pathent.config import DetectorModel, load_experiment_config, parse_experiment_config
 from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import DisplacementSetting
 
@@ -181,3 +182,49 @@ def test_pstar_at_lossy_detectors_to_rounding(fixture):
         for key, marginal in marginals.items():
             exact = mp.fsum(p * (1 - 2 * (1 - e / 2) ** n + (1 - e) ** n) for n, p in enumerate(marginal))
             assert abs(report["multiphoton"][key] - exact) <= 1e-13 * exact, (eta, key)
+
+
+def _mirror(text: str, x: str, y: str) -> str:
+    """text with every x and y trading places."""
+    return text.replace(x, "\0").replace(y, x).replace("\0", y)
+
+
+@pytest.mark.parametrize("herald_n_max", (3, 6))
+def test_run_is_symmetric_under_swapping_alice_and_bob(herald_n_max):
+    # asymmetric sources, phases, boxes and detectors; the mirror swaps every one of them
+    raw = json.loads((FIXTURES / "lossy_link.json").read_text())
+    raw["source"].update(pair_probability=0.004, pair_probability_b=0.0025, idler_transmission_b=0.011,
+                         false_herald_probability=0.1)
+    raw["phases_rad"] = {key: 0.1 * i - 0.4 for i, key in enumerate(raw["phases_rad"])}
+    raw["detectors"] = {"efficiency_a": 0.8, "efficiency_b": 0.65}
+    raw["numerics"]["herald_truncation_n_max"] = herald_n_max
+    source = raw["source"]
+    mirror = {
+        **raw,
+        "source": {**{_mirror(key, "_a", "_b"): value for key, value in source.items() if not key.startswith("pair")},
+                   "pair_probability": source["pair_probability_b"], "pair_probability_b": source["pair_probability"]},
+        "phases_rad": {_mirror(key, "_a", "_b"): value for key, value in raw["phases_rad"].items()},
+        "detectors": {_mirror(key, "_a", "_b"): value for key, value in raw["detectors"].items()},
+        "displacement": {_mirror(key, "1", "2"): value for key, value in raw["displacement"].items()},
+    }
+    report, mirrored = (pipeline.run_experiment(parse_experiment_config(c)) for c in (raw, mirror))
+
+    # the witness agrees, with the two single-click coefficients C4 and C5 trading places
+    close = dict(rel=1e-12, abs=1e-15)
+    swapped = dict(mirrored["witness"])
+    c = swapped["coefficients"]
+    swapped["coefficients"] = [*c[:3], c[4], c[3]]
+    for key, value in report["witness"].items():
+        assert swapped[key] == (value if isinstance(value, bool) else pytest.approx(value, **close)), key
+    assert mirrored["heralding"] == pytest.approx(report["heralding"], **close)
+    # single clicks, their counts and the per-mode p* trade places
+    for basis in ("alpha_basis", "z_basis"):
+        counts = report["counts"][basis]
+        assert mirrored["counts"][basis] == {**counts, "n_a": counts["n_b"], "n_b": counts["n_a"]}
+        probs = {}
+        for key, value in report["probabilities"][basis].items():
+            prefix, first, second = key.split("_")
+            probs[f"{prefix}_{second}_{first}"] = value
+        assert mirrored["probabilities"][basis] == pytest.approx(probs, **close)
+    pstar = {_mirror(key, "p1", "p2"): value for key, value in report["multiphoton"].items()}
+    assert mirrored["multiphoton"] == pytest.approx(pstar, **close)

@@ -11,7 +11,8 @@ of perfbench/workloads.py, the three published certify runs, and
 variants of the two fixture configs, among them Monte Carlo runs with
 explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
 the totals from durations) and runs and sweeps with detector efficiencies
-below 1 (every pool entry and fixture uses 1).  `compare` lists the cases that
+below 1 (every pool entry and fixture uses 1), and runs and sweeps at herald
+truncations 6 and 10 (the fixtures use 3).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
 a warning prints the path of the source line that raised it.  For a
 stderr difference it also prints the first differing line of each side.
@@ -47,6 +48,8 @@ MC_TOTALS = ({"n_alpha": 1, "n_z": 1, "n_multiphoton": 1},
              {"n_alpha": 5_040_000, "n_z": 12_600_000, "n_multiphoton": 30_000_000})
 # (efficiency_a, efficiency_b), including a detector that never clicks and one that is ideal
 DETECTOR_EFFICIENCIES = ((0.6, 0.85), (0.1, 0.3), (0.0, 0.5), (1.0, 0.7))
+# herald truncations above the fixtures' 3, where the station projector has sectors the fixtures never reach
+HERALD_N_MAX = (6, 10)
 
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
@@ -86,6 +89,12 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
             for fmt in ("csv", "json"):
                 out[f"sweep-alpha/{fixture}/truncation-{trunc}/{fmt}"] = (
                     "sweep-alpha", "--config", config, "--truncation", trunc, "--format", fmt)
+        for n_max in HERALD_N_MAX:
+            herald_config = work / f"{fixture}-herald-{n_max}.json"
+            herald_config.write_text(json.dumps({**raw, "numerics": {**raw["numerics"], "herald_truncation_n_max": n_max}}))
+            out[f"run/{fixture}/herald-{n_max}"] = ("run", "--config", str(herald_config), "--out", report)
+            for command in ("sweep-phase", "sweep-alpha"):
+                out[f"{command}/{fixture}/herald-{n_max}"] = (command, "--config", str(herald_config))
     return out
 
 
