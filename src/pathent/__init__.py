@@ -5,7 +5,6 @@ from .fockcore import (
     DensityOperator,
     FockTruncation,
     displacement_operator,
-    loss_channel,
 )
 from .herald import (
     HeraldedState,
@@ -52,7 +51,6 @@ __all__ = [
     "DensityOperator",
     "FockTruncation",
     "displacement_operator",
-    "loss_channel",
     "HeraldedState",
     "HeraldingError",
     "PhaseConfig",

@@ -134,26 +134,6 @@ def _loss_binomials(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray, np.n
     return k, n, binom
 
 
-def loss_channel(rho: DensityOperator, mode: int, eta: float) -> DensityOperator:
-    """Apply photon loss with transmission eta to one mode of rho.
-
-    The channel is one matrix product: the d^2 x d^2 superoperator
-    L = sum_k K_k (x) K_k^* acts on the mode's (row, column) index pair,
-    moved to the front of rho, with every other index as columns.
-    """
-    if not 0 <= mode < rho.n_modes:
-        raise ValueError(f"mode index {mode} out of range for {rho.n_modes} modes")
-    if eta == 1.0:
-        return rho
-    m, d = rho.n_modes, rho.mode_dims[mode]
-    kraus = loss_channel_kraus(eta, FockTruncation(d - 1))
-    superop = np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
-    t = np.moveaxis(rho.matrix.reshape(rho.mode_dims * 2), (mode, m + mode), (0, 1))
-    out = (superop @ t.reshape(d * d, -1)).reshape(t.shape)
-    out = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.matrix.shape)
-    return DensityOperator(_hermitize(out), rho.mode_dims)
-
-
 def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:
     """State vector sum_n lambda^n |n,n> with lambda = sqrt(p) e^{i pair_phase}, renormalized after truncation."""
     if not 0.0 <= pair_probability < 0.5:

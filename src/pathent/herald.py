@@ -112,38 +112,39 @@ class HeraldedState:
 def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.FockTruncation) -> HeraldedState:
     """Heralded signal-pair state from the two sources and the station's click POVM.
 
-    Each source ket (signal, idler) carries the configured phases; idler
-    loss is a Kraus stack contracted into it, and tracing out the lost
-    photons leaves one (signal, idler) density matrix per source.  The
-    station's 50/50 beam splitter conserves the idler number J = j_A + j_B
-    and sends all J photons to the unmonitored port with amplitude
-    u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector with
-    J > n_max cannot leave the truncated port empty.  The click of the
+    Each source ket (signal, idler) carries the configured phases; signal
+    and idler loss are Kraus stacks contracted into it, and tracing out the
+    lost photons leaves one (signal, idler) density matrix per source.
+    Signal loss acts on modes the herald keeps, so it commutes with the
+    heralding, and a detector's efficiency folds into it as a product of
+    transmissions.  The station's 50/50 beam splitter conserves the idler
+    number J = j_A + j_B and sends all J photons to the unmonitored port
+    with amplitude u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector
+    with J > n_max cannot leave the truncated port empty.  The click of the
     monitored port is therefore Pi = 1 - sum_{J <= n_max} u_J u_J^dag on
     the idlers, and the other port is traced out, not vetoed.  One
     contraction with the stacked POVMs [1, Pi] gives the unconditioned
     marginal, which false heralds mix in, and the conditioned state.
-    Signal loss, linear and acting on the kept modes, follows on the
-    two-mode result.  Returns the normalized state and the herald
-    probability per pump pulse.
+    Returns the normalized state and the herald probability per pump
+    pulse.
     """
     if trunc.n_max < 3:
         raise ValueError(f"heralding simulation needs n_max >= 3, got {trunc.n_max}")
     d = trunc.dim
     n = np.arange(d)
 
-    def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
-        # (signal, idler) amplitudes -> (signal, idler, environment) -> rho[(signal, idler), (signal, idler)]
+    def source(pair_probability, pair_phase, xi_long, chi, signal_transmission, idler_transmission):
+        # (signal, idler) -> (signal, idler, lost_signal, lost_idler) -> rho[(signal, idler), (signal, idler)]
         ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
         ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
-        kraus = fc.loss_channel_kraus(idler_transmission, trunc)
-        ket = np.einsum("kji,si->sjk", kraus, ket).reshape(d * d, d)
+        kraus = [fc.loss_channel_kraus(eta, trunc) for eta in (signal_transmission, idler_transmission)]
+        ket = np.einsum("atr,bji,ri->tjab", *kraus, ket, optimize=["einsum_path", (0, 2), (0, 1)]).reshape(d * d, -1)
         return (ket @ ket.conj().T).reshape(d, d, d, d)
 
-    rho_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
-    rho_b = source(
-        src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
-    )
+    rho_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a,
+                   src.signal_transmission_a, src.idler_transmission_a)
+    rho_b = source(src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b,
+                   src.signal_transmission_b, src.idler_transmission_b)
     # Pi over (idler_A, idler_B): 1 minus u_J u_J^dag on every sector J <= n_max.  The
     # monitored port is the one both idler inputs reach with +1/sqrt(2) amplitude.
     j_a, total, binom = fc._loss_binomials(trunc)  # C(J, j_A) for every j_A <= J <= n_max
@@ -170,10 +171,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
         cond = (1.0 - f) * conditioned / p_true + f * marginal
         herald_probability = min(1.0, p_true / (1.0 - f)) if f < 1.0 else 1.0
 
-    rho = fc.DensityOperator(fc._hermitize(cond), (d, d))
-    rho = fc.loss_channel(rho, 0, src.signal_transmission_a)
-    rho = fc.loss_channel(rho, 1, src.signal_transmission_b)
-    return HeraldedState(rho, herald_probability)
+    return HeraldedState(fc.DensityOperator(fc._hermitize(cond), (d, d)), herald_probability)
 
 
 def heralding_rate(herald_probability: float, pump_rep_rate_hz: float, duty_fraction: float = 1.0) -> float:

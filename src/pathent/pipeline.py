@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import fockcore as fc
 from . import stats, witness
 from .config import (
     AnalysisSettings,
@@ -68,18 +67,24 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
 
     What the detectors see is formed once: a detector of efficiency eta is
     loss eta on its mode in front of an ideal detector that sees the set
-    amplitudes times sqrt(eta).  The run, both sweeps and the separable
-    bound use the lossy state, these intervals and their complex means as
-    they are; the bound is sound there because loss keeps separable states
-    separable.  rho stays at the herald truncation: click_probability_grid
-    compresses the POVMs to its support, and the multiphoton coincidences
-    read each mode's detected photon-number distribution from its diagonal.
+    amplitudes times sqrt(eta).  Losses on one mode compose as the product
+    of their transmissions, so each efficiency multiplies its side's signal
+    transmission, and the herald contracts the product into its source.
+    The run, both sweeps and the separable bound use that state, these
+    intervals and their complex means as they are; the bound is sound
+    there because loss keeps separable states separable.  rho stays at the
+    herald truncation: click_probability_grid compresses the POVMs to its
+    support, and the multiphoton coincidences read each mode's detected
+    photon-number distribution from its diagonal.
     """
-    heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-    rho, scales = heralded.rho, []
-    for mode, detector in enumerate((config.detector_1, config.detector_2)):
-        rho = fc.loss_channel(rho, mode, detector.efficiency)
-        scales.append(math.sqrt(detector.efficiency))
+    eta_1, eta_2 = config.detector_1.efficiency, config.detector_2.efficiency
+    detected = replace(
+        config.source,
+        signal_transmission_a=config.source.signal_transmission_a * eta_1,
+        signal_transmission_b=config.source.signal_transmission_b * eta_2,
+    )
+    heralded = simulate_heralded_state(detected, config.phases, config.herald_truncation)
+    rho, scales = heralded.rho, [math.sqrt(eta_1), math.sqrt(eta_2)]
     intervals = tuple(s.scaled(f) for s, f in zip((config.setting_1, config.setting_2), scales))
     amp_1, amp_2 = (s.alpha_mean * np.exp(1j * theta) for s, theta in zip(intervals, config.phases.displacement_phases))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases

@@ -18,7 +18,7 @@ from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities
 
 from conftest import FIXTURES, random_density_matrix, random_qubit_pure_state
-from reference import expectation_value, fock_ket, ideal_lossy_state, lossy_click_probabilities
+from reference import expectation_value, fock_ket, ideal_lossy_state, loss_kraus_sum, lossy_click_probabilities
 
 TR10 = fc.FockTruncation(10)
 
@@ -106,7 +106,8 @@ def test_criterion_4_efficiency_folding():
         # the detector side in the Heisenberg picture, Lambda_eta^dag on each POVM
         jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
         folded = alpha * np.sqrt(eta)
-        lossy = fc.loss_channel(fc.loss_channel(rho, 0, eta), 1, eta)
+        lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, eta), rho.mode_dims)
+        lossy = fc.DensityOperator(loss_kraus_sum(lossy, 1, eta), rho.mode_dims)
         jp_loss = meas.joint_click_probabilities(lossy, folded, folded)
         worst = max(worst, float(np.max(np.abs(jp_det - jp_loss.as_array()))))
     elapsed = time.monotonic() - start

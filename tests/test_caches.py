@@ -12,6 +12,7 @@ from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import simulate_heralded_state
 
 from conftest import FIXTURES
+from reference import loss_kraus_sum
 from test_config import valid_config_dict
 
 # the caches keyed by a FockTruncation: loss binomials at the herald truncation, where every
@@ -38,7 +39,7 @@ def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
     measurement.click_povm(np.array([0.0, 0.4, 0.7j]), cfg.truncation)[...] = np.nan
     fc.loss_channel_kraus(0.6, cfg.herald_truncation)[...] = np.nan
     rho = simulate_heralded_state(cfg.source, cfg.phases, cfg.herald_truncation).rho
-    lossy = fc.loss_channel(rho, 0, 0.6)
+    lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, 0.6), rho.mode_dims)
     rho.matrix[...] = np.nan
     lossy.matrix[...] = np.nan
     after = (pipeline.sweep_phase(cfg, -np.pi, np.pi, 5), pipeline.sweep_alpha(cfg, 0.2, 1.0, 3))

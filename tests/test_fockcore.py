@@ -144,8 +144,7 @@ def test_loss_identity_and_single_photon():
     one = np.zeros((4, 4), dtype=complex)
     one[1, 1] = 1.0
     rho = fc.DensityOperator(one, (4,))
-    assert fc.loss_channel(rho, 0, 1.0) is rho
-    out = fc.loss_channel(rho, 0, 0.6).matrix
+    out = loss_kraus_sum(rho, 0, 0.6)
     assert abs(out[1, 1] - 0.6) < 1e-12
     assert abs(out[0, 0] - 0.4) < 1e-12
 
@@ -157,7 +156,7 @@ def test_loss_channel_sanity_random_states():
     for _ in range(1000):
         rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim), (trunc.dim,))
         eta = rng.uniform()
-        out = fc.loss_channel(rho, 0, eta)
+        out = fc.DensityOperator(loss_kraus_sum(rho, 0, eta), rho.mode_dims)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10
 
@@ -167,13 +166,28 @@ def test_loss_channel_sanity_random_states():
 @settings(max_examples=10, deadline=None)
 @given(dims=st.permutations([3, 4, 5]), seed=st.integers(0, 2**32 - 1))
 def test_loss_channel_matches_kraus_sum_on_three_modes(mode, eta, dims, seed):
-    # unequal mode dimensions, so a mixed-up row or column axis changes the shape or the values
+    # unequal mode dimensions, so a mixed-up row or column axis changes the shape or the values; the Kraus
+    # stack contracted on the mode's row and column axes, as the herald contracts it, against Kronecker products
     dims = tuple(dims)
     rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), prod(dims)), dims)
-    out = fc.loss_channel(rho, mode, eta)
+    kraus = fc.loss_channel_kraus(eta, fc.FockTruncation(dims[mode] - 1))
+    t = np.moveaxis(rho.matrix.reshape(dims * 2), (mode, 3 + mode), (0, 1))
+    t = np.einsum("kab,kcd,bd...->ac...", kraus, kraus.conj(), t)
+    out = fc.DensityOperator(np.moveaxis(t, (0, 1), (mode, 3 + mode)).reshape(rho.matrix.shape), dims)
     assert out.mode_dims == dims
     assert np.max(np.abs(out.matrix - loss_kraus_sum(rho, mode, eta))) <= 1e-14
     assert abs(np.trace(out.matrix) - np.trace(rho.matrix)) <= 1e-14
+
+
+def test_loss_channel_kraus_is_trace_preserving():
+    # sum_k K_k^dag K_k = 1 on every truncation the herald may use
+    rng = np.random.default_rng(17)
+    for n_max in range(2, 16):
+        trunc = fc.FockTruncation(n_max)
+        for eta in (0.0, 0.37, 1.0, *rng.uniform(size=4)):
+            kraus = fc.loss_channel_kraus(eta, trunc)
+            completeness = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+            assert np.max(np.abs(completeness - np.eye(trunc.dim))) <= 1e-14, (n_max, eta)
 
 
 def test_loss_binomials_equal_math_comb():
@@ -185,8 +199,8 @@ def test_loss_binomials_equal_math_comb():
 def test_loss_channel_composition():
     rng = np.random.default_rng(5)
     rho = fc.DensityOperator(random_density_matrix(rng, 6), (6,))
-    a = fc.loss_channel(fc.loss_channel(rho, 0, 0.7), 0, 0.45)
-    b = fc.loss_channel(rho, 0, 0.7 * 0.45)
+    a = fc.DensityOperator(loss_kraus_sum(fc.DensityOperator(loss_kraus_sum(rho, 0, 0.7), (6,)), 0, 0.45), (6,))
+    b = fc.DensityOperator(loss_kraus_sum(rho, 0, 0.7 * 0.45), (6,))
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
 
 
@@ -203,7 +217,7 @@ def test_loss_channel_matches_beam_splitter_ancilla():
     joint = u @ joint @ u.conj().T
     d = trunc.dim
     reduced = np.trace(joint.reshape(d, d, d, d), axis1=1, axis2=3)
-    direct = fc.loss_channel(rho, 0, eta).matrix
+    direct = loss_kraus_sum(rho, 0, eta)
     assert np.max(np.abs(reduced - direct)) < 1e-12
 
 

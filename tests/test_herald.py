@@ -145,8 +145,8 @@ def test_relative_phase_covariance():
 
 
 def test_signal_loss_commutes_with_heralding():
-    # applying signal loss on the four-mode state before conditioning equals
-    # the pipeline's loss-after-conditioning result
+    # the four-mode oracle applies signal loss to the joint state, then the station's beam splitter;
+    # the herald contracts it into each source's purification, then applies the click POVM
     src = herald.SourceParams(pair_probability=2e-3, signal_transmission_a=0.35, signal_transmission_b=0.62)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     after = herald.simulate_heralded_state(src, phases, TR3).rho.matrix

@@ -13,6 +13,7 @@ from reference import (
     embed_state,
     expectation_value,
     ideal_lossy_state,
+    loss_kraus_sum,
     lossy_click_povm,
     lossy_click_probabilities,
     lossy_coincidence_probability,
@@ -69,7 +70,8 @@ def test_click_povm_coherent_state_closed_form():
 
 def lossy(rho: fc.DensityOperator, eta_1: float, eta_2: float) -> fc.DensityOperator:
     """The state at two detectors of efficiencies eta_1 and eta_2."""
-    return fc.loss_channel(fc.loss_channel(rho, 0, eta_1), 1, eta_2)
+    rho = fc.DensityOperator(loss_kraus_sum(rho, 0, eta_1), rho.mode_dims)
+    return fc.DensityOperator(loss_kraus_sum(rho, 1, eta_2), rho.mode_dims)
 
 
 def test_click_probability_grid_coherent_states_closed_form():
@@ -342,7 +344,7 @@ def test_multiphoton_coincidence_examples():
 @given(d=st.integers(3, 11), eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_multiphoton_closed_form_matches_dense_split(d, eta, seed):
     rho = random_density_matrix(np.random.default_rng(seed), d)
-    detected = fc.loss_channel(fc.DensityOperator(rho, (d,)), 0, eta)
+    detected = fc.DensityOperator(loss_kraus_sum(fc.DensityOperator(rho, (d,)), 0, eta), (d,))
     p = meas.multiphoton_coincidence_probability(np.diagonal(detected.matrix).real)
     assert abs(p - lossy_coincidence_probability(rho, eta)) <= 1e-13
 

@@ -18,7 +18,7 @@ from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_he
 from pathent.measurement import DisplacementSetting
 
 from conftest import FIXTURES
-from reference import embed_state, lossy_click_probabilities, lossy_coincidence_probability
+from reference import embed_state, loss_kraus_sum, lossy_click_probabilities, lossy_coincidence_probability
 
 QUADRUPLE = ("p_nc_nc", "p_nc_c", "p_c_nc", "p_c_c")
 transmission = st.floats(0.05, 1.0)
@@ -93,6 +93,25 @@ def test_run_builds_no_state_beyond_the_herald_support(monkeypatch):
     assert dims and max(dims) <= config.herald_truncation.dim ** 2
 
 
+@pytest.mark.parametrize("herald_n_max", (3, 6, 10))
+def test_detected_state_equals_loss_after_a_lossless_herald(herald_n_max):
+    # signal and detector loss contracted into the sources equal the herald at unit signal transmission
+    # followed by loss eta_signal * eta_detector on each mode
+    config = load_experiment_config(FIXTURES / "lossy_link.json")
+    config = replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85),
+                     numerics=replace(config.numerics, herald_truncation_n_max=herald_n_max))
+    rng = np.random.default_rng(herald_n_max)
+    drawn = SourceParams(rng.uniform(1e-3, 0.1), *rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, 0.5),
+                         rng.uniform(1e-3, 0.1))
+    for src in (config.source, drawn):
+        got = pipeline._simulate_probabilities(replace(config, source=src))["rho"].matrix
+        lossless = replace(src, signal_transmission_a=1.0, signal_transmission_b=1.0)
+        expected = simulate_heralded_state(lossless, config.phases, config.herald_truncation).rho
+        for mode, eta in enumerate((src.signal_transmission_a * 0.6, src.signal_transmission_b * 0.85)):
+            expected = fc.DensityOperator(loss_kraus_sum(expected, mode, eta), expected.mode_dims)
+        assert np.max(np.abs(got - expected.matrix)) <= 1e-14
+
+
 @pytest.mark.parametrize("fixture", ("ideal_link", "lossy_link"))
 def test_sampled_run_certifies_as_its_counts_file(fixture, tmp_path):
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
@@ -158,7 +177,15 @@ def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, ampl
         detector_2=DetectorModel(efficiencies[1]),
     )
     heralded = HeraldedState(embed_state(fc.DensityOperator(rho, (2, 2)), config.herald_truncation), 1e-6)
-    with mock.patch.object(pipeline, "simulate_heralded_state", lambda *args: heralded):
+
+    def lossy_herald(src, phases, trunc):
+        # the pipeline folds each detector's efficiency into the signal transmissions of src
+        lossy = heralded.rho
+        for mode, eta in enumerate((src.signal_transmission_a, src.signal_transmission_b)):
+            lossy = fc.DensityOperator(loss_kraus_sum(lossy, mode, eta), lossy.mode_dims)
+        return HeraldedState(lossy, heralded.herald_probability)
+
+    with mock.patch.object(pipeline, "simulate_heralded_state", lossy_herald):
         report = pipeline.run_experiment(config)
     padded = embed_state(heralded.rho, config.truncation).matrix
     p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(padded, *np.reshape(amplitudes, (2, 1)),

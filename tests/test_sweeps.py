@@ -204,23 +204,24 @@ def test_sweep_phase_eigendecompositions_do_not_grow_with_steps(monkeypatch):
     (pipeline.sweep_alpha, (0.1, 1.2, 4)),
 ])
 def test_detector_loss_applied_once_per_op(op, args, monkeypatch):
-    # two signal losses in the heralding simulation, two detector losses on the state the detectors see
+    # a signal and an idler Kraus stack per source, detector loss folded into the signal one, and one
+    # checked state: the one the detectors see
     built = Counter()
-    loss_channel, validate = fc.loss_channel, fc.DensityOperator.__post_init__
+    loss_channel_kraus, validate = fc.loss_channel_kraus, fc.DensityOperator.__post_init__
 
-    def counting_loss(*loss_args):
-        built["loss_channel"] += 1
-        return loss_channel(*loss_args)
+    def counting_kraus(*kraus_args):
+        built["loss_channel_kraus"] += 1
+        return loss_channel_kraus(*kraus_args)
 
     def counting_validate(self):
         built["DensityOperator"] += 1
         validate(self)
 
-    monkeypatch.setattr(fc, "loss_channel", counting_loss)
+    monkeypatch.setattr(fc, "loss_channel_kraus", counting_kraus)
     monkeypatch.setattr(fc.DensityOperator, "__post_init__", counting_validate)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     op(replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85)), *args)
-    assert built == {"loss_channel": 4, "DensityOperator": 5}
+    assert built == {"loss_channel_kraus": 4, "DensityOperator": 1}
 
 
 def test_sweep_alpha_warns_as_per_amplitude_displacements():

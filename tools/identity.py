@@ -12,7 +12,8 @@ variants of the two fixture configs, among them Monte Carlo runs with
 explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
 the totals from durations) and runs and sweeps with detector efficiencies
 below 1 (every pool entry and fixture uses 1), and runs and sweeps at herald
-truncations 6 and 10 (the fixtures use 3).  `compare` lists the cases that
+truncations 6 and 10 (the fixtures use 3), with ideal detectors and with
+efficiencies (0.6, 0.85).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
 a warning prints the path of the source line that raised it.  For a
 stderr difference it also prints the first differing line of each side.
@@ -90,11 +91,14 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
                 out[f"sweep-alpha/{fixture}/truncation-{trunc}/{fmt}"] = (
                     "sweep-alpha", "--config", config, "--truncation", trunc, "--format", fmt)
         for n_max in HERALD_N_MAX:
-            herald_config = work / f"{fixture}-herald-{n_max}.json"
-            herald_config.write_text(json.dumps({**raw, "numerics": {**raw["numerics"], "herald_truncation_n_max": n_max}}))
-            out[f"run/{fixture}/herald-{n_max}"] = ("run", "--config", str(herald_config), "--out", report)
-            for command in ("sweep-phase", "sweep-alpha"):
-                out[f"{command}/{fixture}/herald-{n_max}"] = (command, "--config", str(herald_config))
+            herald = {**raw, "numerics": {**raw["numerics"], "herald_truncation_n_max": n_max}}
+            detectors = {**herald, "detectors": {"efficiency_a": 0.6, "efficiency_b": 0.85}}
+            for suffix, doc in (("", herald), ("/detectors", detectors)):
+                herald_config = work / f"{fixture}-herald-{n_max}{suffix.replace('/', '-')}.json"
+                herald_config.write_text(json.dumps(doc))
+                out[f"run/{fixture}/herald-{n_max}{suffix}"] = ("run", "--config", str(herald_config), "--out", report)
+                for command in ("sweep-phase", "sweep-alpha"):
+                    out[f"{command}/{fixture}/herald-{n_max}{suffix}"] = (command, "--config", str(herald_config))
     return out
 
 
