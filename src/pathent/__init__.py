@@ -1,11 +1,7 @@
 """Heralded single-photon path entanglement: simulation and certification."""
 
 from .config import DetectorModel
-from .fockcore import (
-    DensityOperator,
-    FockTruncation,
-    displacement_operator,
-)
+from .fockcore import DensityOperator, FockTruncation
 from .herald import (
     HeraldedState,
     HeraldingError,
@@ -50,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityOperator",
     "FockTruncation",
-    "displacement_operator",
     "HeraldedState",
     "HeraldingError",
     "PhaseConfig",

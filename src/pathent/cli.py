@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="experiment configuration (JSON)")
     sub.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
-    sub.add_argument("--truncation", type=int, default=None, help="override the measurement truncation n_max")
+    sub.add_argument("--truncation", type=int, default=None, help="override numerics.truncation_n_max (inert)")
 
 
 def main(argv=None) -> int:

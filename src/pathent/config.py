@@ -23,8 +23,11 @@ class ConfigError(ValueError):
     """Configuration or input file failed to parse or validate."""
 
 
-# A run's largest arrays, the herald's 2 (n+1)^5 contraction intermediate and
-# 8 (n+1)^2 click POVM entries (complex), stay within 256 MiB at these caps.
+# The herald's 2 (n+1)^5 contraction intermediate (complex), a run's largest
+# array, stays within 256 MiB at its cap.  No array is sized by
+# truncation_n_max: the click POVMs are exact on the herald's levels.  Its
+# cap of 1447, the rule that it is at least the herald's and the phase
+# overflow check below are kept so that every input exits as before.
 _N_MAX_CAPS = {"herald_truncation_n_max": 15, "truncation_n_max": 1447}
 
 
@@ -94,10 +97,6 @@ class ExperimentConfig:
     monte_carlo: MonteCarloSettings = field(default_factory=MonteCarloSettings)
     numerics: Numerics = field(default_factory=Numerics)
     report_path: str | None = None
-
-    @property
-    def truncation(self) -> fc.FockTruncation:
-        return fc.FockTruncation(self.numerics.truncation_n_max)
 
     @property
     def herald_truncation(self) -> fc.FockTruncation:
@@ -214,7 +213,7 @@ def parse_experiment_config(
         raise ConfigError("pump_rep_rate_hz must be positive and duty_fraction in (0, 1]")
     if min(config.duration_alpha_s, config.duration_z_s, config.duration_multiphoton_s) <= 0:
         raise ConfigError("all durations must be positive")
-    # phases act as exp(i theta n), so theta * n must stay finite up to the final truncation
+    # phases act as exp(i theta n); theta * n must stay finite up to truncation_n_max
     n_max = config.numerics.truncation_n_max
     for name, theta in asdict(config.phases).items():
         if not math.isfinite(theta * n_max):

@@ -8,7 +8,6 @@ the basis index of |n_0, n_1, ...> is n_0*d^(m-1) + ... + n_{m-1}.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache
 from math import comb, prod
@@ -64,11 +63,6 @@ class DensityOperator:
         return len(self.mode_dims)
 
 
-def annihilation_matrix(trunc: FockTruncation) -> np.ndarray:
-    """Single-mode annihilation operator a with a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, trunc.dim, dtype=float)), 1).astype(complex)
-
-
 def expm(generator: np.ndarray) -> np.ndarray:
     """exp(G) of an anti-Hermitian generator G = iH, as V diag(e^{i lambda}) V^dag.
 
@@ -77,36 +71,6 @@ def expm(generator: np.ndarray) -> np.ndarray:
     """
     eigenvalues, vectors = np.linalg.eigh(-1j * generator)
     return (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
-
-
-def displacement_operator(alpha: complex, trunc: FockTruncation) -> np.ndarray:
-    """Displacement D(alpha) = exp(alpha a^dag - alpha^* a) on the truncated space.
-
-    The truncated generator is anti-Hermitian; its exponential comes from
-    the eigendecomposition of the Hermitian matrix -i(alpha a^dag - alpha^* a),
-    so the result is unitary within the truncation.  Matrix elements near
-    the cutoff deviate from their infinite-dimensional values; keep
-    |alpha|^2 well below n_max.
-    """
-    warn_large_displacements(alpha, trunc)
-    a = annihilation_matrix(trunc)
-    gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    return expm(gen)
-
-
-def warn_large_displacements(alpha, trunc: FockTruncation) -> None:
-    """Warn once per distinct amplitude with |alpha|^2 > n_max/4.
-
-    The warning points at the calling line inside this package, so the
-    default once-per-location filter shows each distinct text once.
-    """
-    abs2 = np.abs(np.asarray(alpha)) ** 2
-    for value in dict.fromkeys(abs2[abs2 > trunc.n_max / 4].tolist()):
-        warnings.warn(
-            f"|alpha|^2 = {value:.3f} is large for n_max = {trunc.n_max}; "
-            "displaced-state support may reach the truncation boundary",
-            stacklevel=2,
-        )
 
 
 def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:

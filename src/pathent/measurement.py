@@ -2,7 +2,9 @@
 
 A measurement on one mode is a non-photon-number-resolving detector
 preceded by a displacement D(alpha): outcome "no click" projects onto the
-displaced vacuum, "click" onto its complement.  The detectors are ideal:
+displaced vacuum, the coherent state |-alpha>, "click" onto its
+complement.  Its amplitudes are closed form, so the projector is exact on
+the levels of whatever state it measures.  The detectors are ideal:
 one of efficiency eta is loss eta on the state in front of an ideal
 detector displaced by alpha*sqrt(eta), and callers apply both.
 """
@@ -10,16 +12,15 @@ detector displaced by alpha*sqrt(eta), and callers apply both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import fockcore as fc
 
-# Extra photon-number headroom used only when assembling witness-operator
-# matrix elements; keeps low-lying elements accurate to ~1e-12 for
-# |alpha| <= 1.5 while the POVMs stay on the caller's truncation.
-_WITNESS_PADDING = 8
+# exp(-64**2) is exactly 0.0 in double precision, so every no-click
+# projector and every factor of the bounds has reached its limit there;
+# larger amplitudes are clipped to it before a**2 or a**4 can overflow.
+AMPLITUDE_CLIP = 64.0
 
 
 @dataclass(frozen=True)
@@ -81,51 +82,42 @@ class JointClickProbabilities:
 def click_povm(alpha, trunc: fc.FockTruncation) -> np.ndarray:
     """POVM pairs (E_noclick, E_click) of an ideal displaced click detector.
 
-    E_noclick = |w><w| with w = D^dag(alpha)|0>, and E_click = 1 - E_noclick.
-    alpha may be an array; the result has shape alpha.shape + (2, D, D).
-    Phase covariance, D(r e^{i phi}) = R D(r) R^dag with R = e^{i phi n}
-    and R|0> = |0>, gives w = e^{i phi n} D^dag(r)|0>, and one
-    eigendecomposition V diag(lambda) V^dag of -i(a^dag - a), built once per
-    truncation, gives D^dag(r)|0> = V e^{-i r lambda} V^dag e_0 for every r.
-    Written as e_0 plus a correction, alpha = 0 gives |0><0| exactly.
+    E_noclick = |w><w| with w = D^dag(alpha)|0> = |-alpha>, the coherent
+    state with amplitudes w_n = e^{-|alpha|^2/2} (-alpha)^n / sqrt(n!), and
+    E_click = 1 - E_noclick, on the trunc.dim lowest levels.  alpha may be
+    an array; the result has shape alpha.shape + (2, D, D).  |alpha| is
+    clipped at AMPLITUDE_CLIP.  Each w_n is the running product
+    w_{n-1} (-|alpha|) / sqrt(n), times the phase e^{i n arg alpha}, so no
+    intermediate exceeds 1, and alpha = 0 gives |0><0| exactly.
     """
     amp = np.asarray(alpha, dtype=complex)
-    eigenvalues, vectors = _displacement_eigenbasis(trunc)
-    shift = np.exp(-1j * np.abs(amp)[..., None] * eigenvalues) - 1.0
-    w = (shift * vectors[0].conj()) @ vectors.T
-    w[..., 0] += 1.0
-    w *= np.exp(1j * np.angle(amp)[..., None] * np.arange(trunc.dim))
+    r = np.minimum(np.abs(amp), AMPLITUDE_CLIP)[..., None]
+    n = np.arange(trunc.dim)
+    ratios = np.concatenate([np.exp(-0.5 * r**2), -r / np.sqrt(n[1:])], axis=-1)
+    w = np.cumprod(ratios, axis=-1) * np.exp(1j * np.angle(amp)[..., None] * n)
     e_nc = w[..., :, None] * w[..., None, :].conj()
     return np.stack([e_nc, np.eye(trunc.dim) - e_nc], axis=-3)
 
 
 def joint_click_probabilities(rho: fc.DensityOperator, alpha_1: complex, alpha_2: complex) -> JointClickProbabilities:
-    """The four joint click/no-click probabilities at one amplitude pair: click_probability_grid at one point.
-
-    The POVMs are built at the state's own truncation.
-    """
+    """The four joint click/no-click probabilities at one amplitude pair: click_probability_grid at one point."""
     if rho.n_modes != 2 or rho.mode_dims[0] != rho.mode_dims[1]:
         raise ValueError(f"expected a two-mode state with equal dimensions, got {rho.mode_dims}")
-    trunc = fc.FockTruncation(rho.mode_dims[0] - 1)
-    return JointClickProbabilities(*click_probability_grid(rho, [alpha_1], [alpha_2], trunc)[0, 0])
+    return JointClickProbabilities(*click_probability_grid(rho, [alpha_1], [alpha_2])[0, 0])
 
 
-def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2, trunc: fc.FockTruncation) -> np.ndarray:
+def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) -> np.ndarray:
     """Joint click probabilities of a two-mode state for every pair of displacement amplitudes.
 
-    The detectors are ideal.  Every POVM comes from one click_povm call at
-    the measurement truncation trunc, at least the state's per-mode
-    dimension d.  The state is zero outside its d lowest levels, so the
-    POVMs are compressed to their top-left d x d blocks, which is exact.
-    One contraction of rho reshaped to (d, d, d, d) gives
+    The detectors are ideal.  Every POVM comes from one click_povm call on
+    the state's own d levels per mode, which is exact: the state is zero
+    outside them.  One contraction of rho reshaped to (d, d, d, d) gives
     tr[rho (E1 x E2)] for all n_1 x n_2 pairs; the result has shape
     (n_1, n_2, 4) in JointClickProbabilities order, clipped to [0, 1].
     """
     amplitudes = [np.asarray(amps, dtype=complex) for amps in (amplitudes_1, amplitudes_2)]
-    for amps in amplitudes:
-        fc.warn_large_displacements(amps, trunc)
     d = rho.mode_dims[0]
-    povms = click_povm(np.concatenate(amplitudes), trunc)[..., :d, :d]
+    povms = click_povm(np.concatenate(amplitudes), fc.FockTruncation(d - 1))
     n_1 = len(amplitudes[0])
     t = rho.matrix.reshape(d, d, d, d)
     # the state meets the smaller POVM stack first: the path optimize=True finds, without its search
@@ -134,29 +126,9 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2, 
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 
-@cache
-def _displacement_eigenbasis(trunc: fc.FockTruncation) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of -i(a^dag - a) at trunc, the generator of every real displacement; read-only."""
-    a = fc.annihilation_matrix(trunc)
-    eigenvalues, vectors = np.linalg.eigh(-1j * (a.conj().T - a))
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return eigenvalues, vectors
-
-
 def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:
-    """Single-mode observable D^dag(alpha)(2|0><0| - 1)D(alpha): +1 no-click, -1 click.
-
-    Built with photon-number headroom and compressed back to the requested
-    truncation so the low-lying matrix elements are accurate.
-    """
-    padded = fc.FockTruncation(trunc.n_max + _WITNESS_PADDING)
-    disp = fc.displacement_operator(alpha, padded)
-    flip = -np.eye(padded.dim, dtype=complex)
-    flip[0, 0] = 1.0
-    sigma = disp.conj().T @ flip @ disp
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    return sigma[: trunc.dim, : trunc.dim]
+    """Single-mode observable D^dag(alpha)(2|0><0| - 1)D(alpha) = 2 E_noclick - 1: +1 no-click, -1 click."""
+    return 2.0 * click_povm(alpha, trunc)[0] - np.eye(trunc.dim)
 
 
 def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.FockTruncation) -> np.ndarray:

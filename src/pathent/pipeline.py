@@ -73,8 +73,8 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
     The run, both sweeps and the separable bound use that state, these
     intervals and their complex means as they are; the bound is sound
     there because loss keeps separable states separable.  rho stays at the
-    herald truncation: click_probability_grid compresses the POVMs to its
-    support, and the multiphoton coincidences read each mode's detected
+    herald truncation: click_probability_grid measures it on its own
+    levels, and the multiphoton coincidences read each mode's detected
     photon-number distribution from its diagonal.
     """
     eta_1, eta_2 = config.detector_1.efficiency, config.detector_2.efficiency
@@ -88,7 +88,7 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
     intervals = tuple(s.scaled(f) for s, f in zip((config.setting_1, config.setting_2), scales))
     amp_1, amp_2 = (s.alpha_mean * np.exp(1j * theta) for s, theta in zip(intervals, config.phases.displacement_phases))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
-    grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0], config.truncation)
+    grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0])
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
     d = rho.mode_dims[0]
@@ -273,7 +273,7 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
 
     offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
     amp_1, amp_2 = base["amplitudes"]
-    probs = click_probability_grid(base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets), config.truncation)[0]
+    probs = click_probability_grid(base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets))[0]
 
     phases = replace(config.phases, chi_b=config.phases.chi_b + offsets)
     w_exp = witness.w_exp(JointClickProbabilities(*probs.T))
@@ -306,7 +306,7 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
 
     a1, a2 = (grid * f for f in base["amplitude_scales"])
     theta_1, theta_2 = config.phases.displacement_phases
-    probs = click_probability_grid(base["rho"], a1 * np.exp(1j * theta_1), a2 * np.exp(1j * theta_2), config.truncation)
+    probs = click_probability_grid(base["rho"], a1 * np.exp(1j * theta_1), a2 * np.exp(1j * theta_2))
     a1, a2 = a1[:, None], a2[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
     violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds

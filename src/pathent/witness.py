@@ -15,12 +15,8 @@ from math import sqrt
 import numpy as np
 
 from . import stats
-from .measurement import PROB_SUM_ATOL, DisplacementSetting, JointClickProbabilities
+from .measurement import AMPLITUDE_CLIP, PROB_SUM_ATOL, DisplacementSetting, JointClickProbabilities
 
-# exp(-64**2) is exactly 0.0 in double precision, so every factor of the
-# bounds has reached its limit there; larger amplitudes are clipped to it
-# before a**2 or a**4 can overflow.
-AMPLITUDE_CLIP = 64.0
 BOX_GAP_TOL = 1e-13
 BOX_HALVINGS = 4  # per round of the box search: a live box becomes 16
 BOX_MAX_ROUNDS = 50

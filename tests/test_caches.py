@@ -1,4 +1,4 @@
-"""Objects that depend only on a truncation are built once per process: what those caches hold and what they keep apart."""
+"""The loss binomials depend only on a truncation and are built once per process: what that cache holds and keeps apart."""
 
 import json
 from dataclasses import replace
@@ -15,11 +15,6 @@ from conftest import FIXTURES
 from reference import loss_kraus_sum
 from test_config import valid_config_dict
 
-# the caches keyed by a FockTruncation: loss binomials at the herald truncation, where every
-# loss acts, and the displacement eigenbasis at the measurement truncation
-CACHES = (fc._loss_binomials, measurement._displacement_eigenbasis)
-
-
 def _lossy_config():
     cfg = load_experiment_config(FIXTURES / "lossy_link.json")
     return replace(cfg, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
@@ -28,7 +23,7 @@ def _lossy_config():
 @pytest.mark.parametrize("n_max", [3, 10])
 def test_cached_arrays_are_read_only(n_max):
     trunc = fc.FockTruncation(n_max)
-    for array in (*fc._loss_binomials(trunc), *measurement._displacement_eigenbasis(trunc)):
+    for array in fc._loss_binomials(trunc):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
 
@@ -36,7 +31,7 @@ def test_cached_arrays_are_read_only(n_max):
 def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
     cfg = _lossy_config()
     before = (pipeline.sweep_phase(cfg, -np.pi, np.pi, 5), pipeline.sweep_alpha(cfg, 0.2, 1.0, 3))
-    measurement.click_povm(np.array([0.0, 0.4, 0.7j]), cfg.truncation)[...] = np.nan
+    measurement.click_povm(np.array([0.0, 0.4, 0.7j]), cfg.herald_truncation)[...] = np.nan
     fc.loss_channel_kraus(0.6, cfg.herald_truncation)[...] = np.nan
     rho = simulate_heralded_state(cfg.source, cfg.phases, cfg.herald_truncation).rho
     lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, 0.6), rho.mode_dims)
@@ -46,7 +41,7 @@ def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
     assert after == before
 
 
-# (config changes, herald n_max, measurement n_max): three configs share both truncations
+# (config changes, herald n_max, --truncation): three configs share both truncations
 # and differ in detector and source transmissions, amplitudes and phases
 CACHE_CASES = (
     ({}, 3, 10),
@@ -63,9 +58,9 @@ CACHE_CASES = (
 
 
 def test_caches_hold_one_entry_per_truncation(tmp_path, capsys):
-    for cached in CACHES:
-        cached.cache_clear()
-    herald_truncations, measurement_truncations = set(), set()
+    # keyed by the herald truncation, where every loss acts
+    fc._loss_binomials.cache_clear()
+    herald_truncations = set()
     for k, (changes, herald_n_max, n_max) in enumerate(CACHE_CASES):
         raw = valid_config_dict()
         for section, values in changes.items():
@@ -75,9 +70,7 @@ def test_caches_hold_one_entry_per_truncation(tmp_path, capsys):
         for command in (["run"], ["sweep-phase", "--steps", "5"], ["sweep-alpha", "--steps", "3"]):
             assert cli.main([*command, "--config", str(path), "--truncation", str(n_max)]) == 0
         herald_truncations.add(herald_n_max)
-        measurement_truncations.add(n_max)
-        for cached, used in zip(CACHES, (herald_truncations, measurement_truncations)):
-            info = cached.cache_info()
-            assert (info.currsize, info.misses) == (len(used), len(used)), cached.__qualname__
+        info = fc._loss_binomials.cache_info()
+        assert (info.currsize, info.misses) == (len(herald_truncations),) * 2
     capsys.readouterr()
 

@@ -414,3 +414,52 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_large_mean_amplitudes_run_with_the_exact_no_click_projector(tmp_path, capsys):
+    # exp(-|alpha|^2 / 2) underflows to 0 above |alpha| = 38.6, and with it Alice's whole no-click projector
+    reports = {}
+    for alpha in (3.0, 40.0, 1e200):
+        config = json.loads((FIXTURES / "lossy_link.json").read_text())
+        config["displacement"].update(alpha1_mean=alpha, alpha1_max=alpha)
+        target, out = tmp_path / "config.json", tmp_path / "report.json"
+        target.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(target), "--out", str(out)]) == 0
+        reports[alpha] = json.loads(out.read_text())
+    assert capsys.readouterr().err == ""
+    assert reports[3.0]["probabilities"]["alpha_basis"]["p_nc_nc"] > 0.0
+    for alpha in (40.0, 1e200):
+        probs = reports[alpha]["probabilities"]["alpha_basis"]
+        assert probs["p_nc_nc"] == probs["p_nc_c"] == 0.0
+        for echo in ("config", "displacement_intervals", "timing"):
+            reports[alpha].pop(echo)
+        # the bound is flat in alpha_1 out there, and its coefficients are taken wherever the box search stopped
+        reports[alpha]["witness"].pop("coefficients")
+    assert reports[40.0] == reports[1e200]
+
+
+@pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
+@pytest.mark.parametrize("command", ["run", "sweep-phase", "sweep-alpha"])
+def test_truncation_flag_changes_only_its_echo(command, fixture, tmp_path, capsys):
+    # the click POVMs are exact on the heralded state's levels, so the measurement n_max is only validated and echoed
+    out = tmp_path / "out"
+
+    def outputs(*extra):
+        assert main([command, "--config", str(FIXTURES / f"{fixture}.json"), "--out", str(out), *extra]) == 0
+        text = out.read_text()
+        if command == "run":
+            doc = json.loads(text)
+            doc.pop("timing")
+            text = doc
+        return text, capsys.readouterr().out
+
+    plain = outputs()
+    for n_max in (3, 8, 1447):
+        got = outputs("--truncation", str(n_max))
+        if command == "run":
+            numerics = got[0]["config"]["numerics"]
+            assert numerics["truncation_n_max"] == n_max
+            numerics["truncation_n_max"] = plain[0]["config"]["numerics"]["truncation_n_max"]
+        assert got == plain

@@ -81,7 +81,7 @@ def test_click_probability_grid_coherent_states_closed_form():
         ket = np.kron(coherent_ket(g1, trunc), coherent_ket(g2, trunc))
         rho = lossy(fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim)), eta1, eta2)
         amp_1, amp_2 = a1 * np.sqrt(eta1), a2 * np.sqrt(eta2)
-        p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [amp_1], [amp_2], trunc)[0, 0]
+        p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [amp_1], [amp_2])[0, 0]
         q1, q2 = np.exp(-eta1 * abs(g1 + a1) ** 2), np.exp(-eta2 * abs(g2 + a2) ** 2)
         assert abs(p_nc_nc - q1 * q2) < 1e-8
         assert abs(p_nc_c - q1 * (1.0 - q2)) < 1e-8
@@ -106,12 +106,21 @@ def test_click_povm_completeness_and_positivity():
 )
 def test_click_povm_stack_matches_per_amplitude_reference(n_max, radii, angles):
     trunc = fc.FockTruncation(n_max)
-    # |alpha|^2 up to just below n_max / 4, the edge of the truncation warning
+    # |alpha|^2 up to just below n_max / 4
     amps = np.array([r * np.sqrt(n_max / 4) * np.exp(1j * phi) for r, phi in zip(radii, angles)])
     stack = meas.click_povm(amps.reshape(-1, 1), trunc)
     assert stack.shape == (len(amps), 1, 2, trunc.dim, trunc.dim)
     for alpha, povm in zip(amps, stack[:, 0]):
         assert np.max(np.abs(povm - lossy_click_povm(alpha, 1.0, trunc))) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(4, 16), radius=st.floats(0.0, 2.0), phase=st.floats(-np.pi, np.pi))
+def test_click_povm_matches_padded_displacement_oracle(d, radius, phase):
+    # the closed-form coherent-state projector against D(alpha) built far above the d levels and cut back
+    trunc = fc.FockTruncation(d - 1)
+    alpha = radius * np.exp(1j * phase)
+    assert np.max(np.abs(meas.click_povm(alpha, trunc) - lossy_click_povm(alpha, 1.0, trunc))) <= 1e-14
 
 
 def test_click_povm_at_zero_amplitude_is_exact():
@@ -125,7 +134,7 @@ def test_click_povm_at_zero_amplitude_is_exact():
         assert np.array_equal(e_nc, vacuum)
         # so a z-basis measurement of a state without |00> or |11> population gives exact zeros
         rho = ideal_lossy_state(1.0, 0.4, trunc)
-        p_nc_nc, _, _, p_c_c = meas.click_probability_grid(rho, [0.0], [0.0], TR10)[0, 0]
+        p_nc_nc, _, _, p_c_c = meas.click_probability_grid(rho, [0.0], [0.0])[0, 0]
         assert p_nc_nc == 0.0 and p_c_c == 0.0
 
 
@@ -159,10 +168,10 @@ def test_click_probability_grid_matches_heisenberg_reference(state_n_max, headro
     trunc = fc.FockTruncation(state_n_max + headroom)
     d = state_n_max + 1
     rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), d * d), (d, d))
-    # |alpha|^2 up to just below n_max / 4 of the measurement truncation
+    # |alpha|^2 up to just below n_max / 4 of the reference's truncation
     amps_1, amps_2 = ([r * np.sqrt(trunc.n_max / 4) * np.exp(1j * phi) for r, phi in stack] for stack in stacks)
     seen = [np.multiply(amps, np.sqrt(eta)) for amps, eta in zip((amps_1, amps_2), etas)]
-    grid = meas.click_probability_grid(lossy(rho, *etas), *seen, trunc)
+    grid = meas.click_probability_grid(lossy(rho, *etas), *seen)
     expected = lossy_click_probabilities(embed_state(rho, trunc).matrix, amps_1, amps_2, *etas, trunc)
     assert grid.shape == expected.shape == (len(amps_1), len(amps_2), 4)
     assert np.max(np.abs(grid - expected)) <= 1e-13
@@ -199,18 +208,18 @@ def test_joint_click_probabilities_vacuum():
 
 
 def test_click_probability_grid_matches_kron_traces():
-    # POVMs at the state's truncation, and at a larger one compressed to the state's support
+    # references at the state's truncation, and with the state zero-padded to a larger one
     rng = np.random.default_rng(23)
     trunc = fc.FockTruncation(4)
     rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
     amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
     amps_2 = [0.5 * np.exp(1.7j), 0.7]
     seen_1, seen_2 = np.multiply(amps_1, np.sqrt(0.8)), np.multiply(amps_2, np.sqrt(0.6))
-    for povm_trunc in (trunc, fc.FockTruncation(9)):
-        grid = meas.click_probability_grid(lossy(rho, 0.8, 0.6), seen_1, seen_2, povm_trunc)
-        padded = embed_state(rho, povm_trunc).matrix
-        assert grid.shape == (3, 2, 4)
-        assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, povm_trunc))) < 1e-12
+    grid = meas.click_probability_grid(lossy(rho, 0.8, 0.6), seen_1, seen_2)
+    assert grid.shape == (3, 2, 4)
+    for ref_trunc in (trunc, fc.FockTruncation(9)):
+        padded = embed_state(rho, ref_trunc).matrix
+        assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, ref_trunc))) < 1e-12
 
 
 def test_joint_click_probabilities_scalar_messages():

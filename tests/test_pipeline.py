@@ -187,9 +187,8 @@ def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, ampl
 
     with mock.patch.object(pipeline, "simulate_heralded_state", lossy_herald):
         report = pipeline.run_experiment(config)
-    padded = embed_state(heralded.rho, config.truncation).matrix
-    p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(padded, *np.reshape(amplitudes, (2, 1)),
-                                                                *efficiencies, config.truncation)[0, 0]
+    p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(heralded.rho.matrix, *np.reshape(amplitudes, (2, 1)),
+                                                                *efficiencies, config.herald_truncation)[0, 0]
     assert p_nc_nc + p_c_c - p_nc_c - p_c_nc <= report["witness"]["w_ppt_max"] + 1e-9
 
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -13,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathent import fockcore as fc
-from pathent import measurement, pipeline, witness
+from pathent import pipeline, witness
 from pathent.cli import main
 from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import DisplacementSetting, JointClickProbabilities
 
 from conftest import FIXTURES
-from reference import embed_state, lossy_click_probabilities
+from reference import lossy_click_probabilities
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TR3 = fc.FockTruncation(3)
@@ -84,7 +83,7 @@ def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, co
     """Click probabilities at the set amplitudes with the config's lossy detectors, in the Heisenberg picture."""
     t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, phases.displacement_phases))
     etas = (config.detector_1.efficiency, config.detector_2.efficiency)
-    return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.truncation)[0, 0])
+    return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.herald_truncation)[0, 0])
 
 
 @CONFIGS
@@ -97,8 +96,7 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
     assert len(rows) == steps
     for row, offset in zip(rows, offsets):
         phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
-        heralded = simulate_heralded_state(config.source, phases, config.herald_truncation)
-        rho = embed_state(heralded.rho, config.truncation)
+        rho = simulate_heralded_state(config.source, phases, config.herald_truncation).rho
         means = (config.setting_1.alpha_mean, config.setting_2.alpha_mean)
         jp = reference_probabilities(rho.matrix, means, phases, config)
         assert row["delta_theta_rad"] == phases.measured_relative_phase
@@ -115,8 +113,7 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     z = report["probabilities"]["z_basis"]
     jp_z = JointClickProbabilities(z["p_nc_nc"], z["p_nc_c"], z["p_c_nc"], z["p_c_c"])
     mb = witness.MultiphotonBounds(report["multiphoton"]["p1_star"], report["multiphoton"]["p2_star"])
-    heralded = simulate_heralded_state(config.source, config.phases, config.herald_truncation)
-    rho = embed_state(heralded.rho, config.truncation)
+    rho = simulate_heralded_state(config.source, config.phases, config.herald_truncation).rho
     grid = np.linspace(alpha_min, alpha_max, steps)
     scales = (np.sqrt(config.detector_1.efficiency), np.sqrt(config.detector_2.efficiency))
     expected = []
@@ -182,7 +179,6 @@ def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[int]:
     per_steps = []
     for n in steps:
         calls.clear()
-        measurement._displacement_eigenbasis.cache_clear()  # each count is one op from an empty cache
         sweep(config, *span, n)
         per_steps.append(len(calls))
     return per_steps
@@ -222,38 +218,6 @@ def test_detector_loss_applied_once_per_op(op, args, monkeypatch):
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     op(replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85)), *args)
     assert built == {"loss_channel_kraus": 4, "DensityOperator": 1}
-
-
-def test_sweep_alpha_warns_as_per_amplitude_displacements():
-    # measurement n_max 3 puts the warning edge at |alpha|^2 = 0.75: grid points 1.0 and 1.5 pass it
-    config = _config("ideal_link", "phased-sampled")
-    config = replace(config, numerics=replace(config.numerics, truncation_n_max=3))
-    grid = np.linspace(0.5, 1.5, 3)
-    sides = tuple(zip((config.setting_1, config.setting_2), (config.detector_1, config.detector_2),
-                      config.phases.displacement_phases))
-    # the base run's (alpha, z) pairs, then the grid, mode by mode
-    amplitudes = [
-        a * np.sqrt(det.efficiency)
-        for s, det, theta in sides
-        for a in (s.alpha_mean * np.exp(1j * theta), 0.0)
-    ] + [
-        a * np.exp(1j * theta) * np.sqrt(det.efficiency)
-        for s, det, theta in sides
-        for a in grid
-    ]
-    with warnings.catch_warnings(record=True) as expected:
-        warnings.simplefilter("always")
-        for alpha in amplitudes:
-            fc.displacement_operator(alpha, config.truncation)
-    texts = [str(w.message) for w in expected]
-    assert len(texts) == 4
-    for action, want in (("always", texts), ("default", list(dict.fromkeys(texts)))):
-        with warnings.catch_warnings(record=True) as got:
-            warnings.simplefilter(action)
-            pipeline.sweep_alpha(config, grid[0], grid[-1], len(grid))
-        assert [str(w.message) for w in got] == want
-        # one location inside click_probability_grid, so the once-per-location filter shows each text once
-        assert {Path(w.filename).name for w in got} == {"measurement.py"}
 
 
 def _fields(text: str) -> list[list[str]]:

@@ -391,7 +391,7 @@ def test_max_violation_optimum_is_the_truncated_maximum(eta, n_max, h):
         return np.trace(rho @ w).real - witness.w_ppt_qubit(a, a, qp)
 
     best = violation(sqrt(0.5))
-    # 4 eta alpha^2 exp(-2 alpha^2) at alpha^2 = 1/2, up to the displaced parity's padded truncation
+    # 4 eta alpha^2 exp(-2 alpha^2) at alpha^2 = 1/2, to rounding: the displaced parity is exact on its levels
     assert abs(best - 2.0 * eta / np.e) <= 1e-14
     # neighbours are lower by about 8 eta h^2 / e; allow rounding of the trace
     assert violation(sqrt(0.5) - h) <= best + 1e-15

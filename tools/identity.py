@@ -13,7 +13,8 @@ explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
 the totals from durations) and runs and sweeps with detector efficiencies
 below 1 (every pool entry and fixture uses 1), and runs and sweeps at herald
 truncations 6 and 10 (the fixtures use 3), with ideal detectors and with
-efficiencies (0.6, 0.85).  `compare` lists the cases that
+efficiencies (0.6, 0.85), and runs at alpha1_mean 3 and 40 (the fixtures
+use about 0.8).  `compare` lists the cases that
 differ; stderr is compared after each tree's own path is replaced, since
 a warning prints the path of the source line that raised it.  For a
 stderr difference it also prints the first differing line of each side.
@@ -51,6 +52,8 @@ MC_TOTALS = ({"n_alpha": 1, "n_z": 1, "n_multiphoton": 1},
 DETECTOR_EFFICIENCIES = ((0.6, 0.85), (0.1, 0.3), (0.0, 0.5), (1.0, 0.7))
 # herald truncations above the fixtures' 3, where the station projector has sectors the fixtures never reach
 HERALD_N_MAX = (6, 10)
+# Alice's amplitudes far above the fixtures' 0.8, where the no-click projector is small or exactly zero
+LARGE_ALPHA1 = (3.0, 40.0)
 
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
@@ -74,6 +77,11 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
             mc_config = work / f"{fixture}-mc-totals-{k}.json"
             mc_config.write_text(json.dumps({**raw, "monte_carlo": {"enabled": True, "seed": 11, **totals}}))
             out[f"run/{fixture}/mc-totals-{k}"] = ("run", "--config", str(mc_config), "--out", report)
+        for alpha in LARGE_ALPHA1:
+            large = {**raw, "displacement": {**raw["displacement"], "alpha1_mean": alpha, "alpha1_max": alpha}}
+            large_config = work / f"{fixture}-alpha1-{alpha:g}.json"
+            large_config.write_text(json.dumps(large))
+            out[f"run/{fixture}/alpha1-{alpha:g}"] = ("run", "--config", str(large_config), "--out", report)
         for k, (eta_a, eta_b) in enumerate(DETECTOR_EFFICIENCIES):
             lossy = {**raw, "detectors": {"efficiency_a": eta_a, "efficiency_b": eta_b}}
             det_config, mc_config = work / f"{fixture}-detectors-{k}.json", work / f"{fixture}-detectors-{k}-mc.json"
