@@ -23,7 +23,7 @@ class ConfigError(ValueError):
     """Configuration or input file failed to parse or validate."""
 
 
-# The herald's 2 (n+1)^5 contraction intermediate (complex), a run's largest
+# The herald's 2 (n+1)^5 contraction intermediate (float64), a run's largest
 # array, stays within 256 MiB at its cap.  No array is sized by
 # truncation_n_max: the click POVMs are exact on the herald's levels.  Its
 # cap of 1447, the rule that it is at least the herald's and the phase

@@ -83,7 +83,7 @@ def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
         raise ValueError(f"transmission must lie in [0, 1], got {eta}")
     d = trunc.dim
     k, n, binom = _loss_binomials(trunc)
-    kraus = np.zeros((d, d, d), dtype=complex)
+    kraus = np.zeros((d, d, d))
     kraus[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
     return kraus
 
@@ -98,15 +98,11 @@ def _loss_binomials(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray, np.n
     return k, n, binom
 
 
-def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation, pair_phase: float = 0.0) -> np.ndarray:
-    """State vector sum_n lambda^n |n,n> with lambda = sqrt(p) e^{i pair_phase}, renormalized after truncation."""
+def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation) -> np.ndarray:
+    """Real state vector sum_n lambda^n |n,n> with lambda = sqrt(p), renormalized after truncation."""
     if not 0.0 <= pair_probability < 0.5:
         raise ValueError(f"pair probability must lie in [0, 0.5), got {pair_probability}")
-    d = trunc.dim
-    lam = np.sqrt(pair_probability) * np.exp(1j * pair_phase)
-    amps = lam ** np.arange(d)
-    ket = np.zeros(d * d, dtype=complex)
-    ket[np.arange(d) * d + np.arange(d)] = amps
+    ket = np.diag(np.sqrt(pair_probability) ** np.arange(trunc.dim)).ravel()
     return ket / np.linalg.norm(ket)
 
 

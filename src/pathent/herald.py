@@ -61,8 +61,9 @@ class PhaseConfig:
     crystal; chi: crystal to central station; xi_long / xi_short: crystal
     to detector through the long / short arm of each measurement
     interferometer.  Phases act as propagation factors exp(i theta n).
-    A field may be an array, one entry per setting; the derived phases
-    then broadcast.
+    A side's displacement field shares the sources' pump, so its clicks see
+    only delta = zeta + chi + xi_long - xi_short.  A field may be an array,
+    one entry per setting; the derived phases then broadcast.
     """
 
     phi_a: float = 0.0
@@ -82,21 +83,16 @@ class PhaseConfig:
                 raise ValueError(f"phase {name} must be finite")
 
     @property
-    def delta(self) -> float:
-        """Locking invariant (zeta+chi+xi_l-xi_s)_A - (...)_B; pump phases drop out."""
-        delta_a = self.zeta_a + self.chi_a + self.xi_a_long - self.xi_a_short
-        delta_b = self.zeta_b + self.chi_b + self.xi_b_long - self.xi_b_short
-        return delta_a - delta_b
+    def deltas(self) -> tuple[float, float]:
+        """(delta_A, delta_B): each side's heralded-photon phase against its displacement field."""
+        return (self.zeta_a + self.chi_a + self.xi_a_long - self.xi_a_short,
+                self.zeta_b + self.chi_b + self.xi_b_long - self.xi_b_short)
 
     @property
     def measured_relative_phase(self) -> float:
         """The displacement-referenced relative phase whose cosine modulates the witness."""
-        return -self.delta
-
-    @property
-    def displacement_phases(self) -> tuple[float, float]:
-        """(Alice, Bob) phases of the displacement fields: pump, minus seed, plus short interferometer arm."""
-        return self.phi_a - self.zeta_a + self.xi_a_short, self.phi_b - self.zeta_b + self.xi_b_short
+        delta_a, delta_b = self.deltas
+        return -(delta_a - delta_b)
 
 
 @dataclass(frozen=True)
@@ -109,42 +105,47 @@ class HeraldedState:
             raise ValueError(f"herald probability must lie in [0, 1], got {self.herald_probability}")
 
 
-def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.FockTruncation) -> HeraldedState:
-    """Heralded signal-pair state from the two sources and the station's click POVM.
+def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float],
+                            trunc: fc.FockTruncation) -> HeraldedState:
+    """Heralded signal-pair state from the two sources and the station's click POVM; real and phase-free.
 
-    Each source ket (signal, idler) carries the configured phases; signal
-    and idler loss are Kraus stacks contracted into it, and tracing out the
-    lost photons leaves one (signal, idler) density matrix per source.
-    Signal loss acts on modes the herald keeps, so it commutes with the
-    heralding, and a detector's efficiency folds into it as a product of
-    transmissions.  The station's 50/50 beam splitter conserves the idler
-    number J = j_A + j_B and sends all J photons to the unmonitored port
-    with amplitude u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector
-    with J > n_max cannot leave the truncated port empty.  The click of the
-    monitored port is therefore Pi = 1 - sum_{J <= n_max} u_J u_J^dag on
-    the idlers, and the other port is traced out, not vetoed.  One
-    contraction with the stacked POVMs [1, Pi] gives the unconditioned
-    marginal, which false heralds mix in, and the conditioned state.
-    Returns the normalized state and the herald probability per pump
-    pulse.
+    Optical phases are left to the measurement: a pair source holds equal
+    photon numbers in signal and idler, so its phases phi + chi + xi_long
+    fold into one rotation U = e^{i theta n} of its signal.  U commutes with
+    loss and with the idler-only station, and for a click POVM displaced by
+    alpha, tr[U rho U^dag E(alpha)] = tr[rho E(alpha e^{-i theta})].  With the
+    field's own phase phi - zeta + xi_short, a side measures the phase-free
+    state at alpha e^{-i delta}, delta from PhaseConfig.deltas.  Signal and
+    idler loss are Kraus stacks contracted into each source's ket; tracing
+    out the lost photons leaves one (signal, idler) density matrix per
+    source.  Signal loss commutes with the heralding, and the detector
+    efficiencies (eta_A, eta_B) multiply the signal transmissions.  The
+    station's 50/50 beam splitter conserves the idler number J = j_A + j_B
+    and sends all J photons to the unmonitored port with amplitude
+    u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector with J > n_max
+    cannot leave the truncated port empty.  The click of the monitored port
+    is therefore Pi = 1 - sum_{J <= n_max} u_J u_J^dag on the idlers, and
+    the other port is traced out, not vetoed.  One contraction with the
+    stacked POVMs [1, Pi] gives the unconditioned marginal, which false
+    heralds mix in, and the conditioned state.
+    Returns the normalized state and the herald probability per pump pulse.
     """
     if trunc.n_max < 3:
         raise ValueError(f"heralding simulation needs n_max >= 3, got {trunc.n_max}")
+    if not all(0.0 <= eta <= 1.0 for eta in efficiencies):
+        raise ValueError(f"detector efficiencies must lie in [0, 1], got {efficiencies}")
+    eta_a, eta_b = efficiencies
     d = trunc.dim
-    n = np.arange(d)
 
-    def source(pair_probability, pair_phase, xi_long, chi, signal_transmission, idler_transmission):
+    def source(pair_probability, signal_transmission, idler_transmission):
         # (signal, idler) -> (signal, idler, lost_signal, lost_idler) -> rho[(signal, idler), (signal, idler)]
-        ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
-        ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
+        ket = fc.two_mode_squeezed_ket(pair_probability, trunc).reshape(d, d)
         kraus = [fc.loss_channel_kraus(eta, trunc) for eta in (signal_transmission, idler_transmission)]
         ket = np.einsum("atr,bji,ri->tjab", *kraus, ket, optimize=["einsum_path", (0, 2), (0, 1)]).reshape(d * d, -1)
-        return (ket @ ket.conj().T).reshape(d, d, d, d)
+        return (ket @ ket.T).reshape(d, d, d, d)
 
-    rho_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a,
-                   src.signal_transmission_a, src.idler_transmission_a)
-    rho_b = source(src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b,
-                   src.signal_transmission_b, src.idler_transmission_b)
+    rho_a = source(src.pair_probability_a, src.signal_transmission_a * eta_a, src.idler_transmission_a)
+    rho_b = source(src.effective_pair_probability_b, src.signal_transmission_b * eta_b, src.idler_transmission_b)
     # Pi over (idler_A, idler_B): 1 minus u_J u_J^dag on every sector J <= n_max.  The
     # monitored port is the one both idler inputs reach with +1/sqrt(2) amplitude.
     j_a, total, binom = fc._loss_binomials(trunc)  # C(J, j_A) for every j_A <= J <= n_max
@@ -156,7 +157,7 @@ def simulate_heralded_state(src: SourceParams, phases: PhaseConfig, trunc: fc.Fo
     marginal, conditioned = np.einsum(
         "aick,bjdl,sklij->sabcd", rho_a, rho_b, povms, optimize=["einsum_path", (0, 2), (0, 1)]
     ).reshape(2, d * d, d * d)
-    p_true = float(np.trace(conditioned).real)
+    p_true = float(np.trace(conditioned))
 
     f = src.false_herald_probability
     if p_true <= 0.0:

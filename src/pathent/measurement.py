@@ -38,10 +38,6 @@ class DisplacementSetting:
                 f"({self.alpha_min}, {self.alpha_mean}, {self.alpha_max})"
             )
 
-    @classmethod
-    def point(cls, alpha: float) -> "DisplacementSetting":
-        return cls(alpha, alpha, alpha)
-
     def scaled(self, factor: float) -> "DisplacementSetting":
         """The interval times a nonnegative factor, such as sqrt(eta) for what a detector of efficiency eta sees."""
         return DisplacementSetting(self.alpha_mean * factor, self.alpha_min * factor, self.alpha_max * factor)
@@ -126,32 +122,20 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) 
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 
-def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:
-    """Single-mode observable D^dag(alpha)(2|0><0| - 1)D(alpha) = 2 E_noclick - 1: +1 no-click, -1 click."""
-    return 2.0 * click_povm(alpha, trunc)[0] - np.eye(trunc.dim)
-
-
 def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.FockTruncation) -> np.ndarray:
     """Two-mode witness operator averaged over the global displacement phase.
 
-    The average over exp(i phi (n_1 + n_2)) conjugations removes every
-    matrix element connecting different total-photon-number sectors, so
-    it is applied structurally: elements between sectors are zeroed.
+    Each mode contributes its displaced parity 2 E_noclick - 1 (+1 no-click,
+    -1 click).  The average over exp(i phi (n_1 + n_2)) conjugations removes
+    every matrix element connecting different total-photon-number sectors,
+    so it is applied structurally: elements between sectors are zeroed.
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("displacement amplitudes must be real and nonnegative")
-    w = np.kron(
-        displaced_parity_observable(alpha1, trunc),
-        displaced_parity_observable(alpha2, trunc),
-    )
-    return w * _total_number_sector_mask(trunc)
-
-
-def _total_number_sector_mask(trunc: fc.FockTruncation) -> np.ndarray:
-    """1 where two two-mode basis states hold the same total photon number, else 0."""
+    parity_1, parity_2 = (2.0 * click_povm(a, trunc)[0] - np.eye(trunc.dim) for a in (alpha1, alpha2))
     n = np.arange(trunc.dim)
     totals = (n[:, None] + n[None, :]).ravel()
-    return (totals[:, None] == totals[None, :]).astype(float)
+    return np.kron(parity_1, parity_2) * (totals[:, None] == totals[None, :])
 
 
 def multiphoton_coincidence_probability(populations: np.ndarray) -> float:

@@ -67,26 +67,20 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
 
     What the detectors see is formed once: a detector of efficiency eta is
     loss eta on its mode in front of an ideal detector that sees the set
-    amplitudes times sqrt(eta).  Losses on one mode compose as the product
-    of their transmissions, so each efficiency multiplies its side's signal
-    transmission, and the herald contracts the product into its source.
-    The run, both sweeps and the separable bound use that state, these
-    intervals and their complex means as they are; the bound is sound
-    there because loss keeps separable states separable.  rho stays at the
-    herald truncation: click_probability_grid measures it on its own
-    levels, and the multiphoton coincidences read each mode's detected
-    photon-number distribution from its diagonal.
+    amplitudes times sqrt(eta); the herald folds the loss into its source.
+    Every optical phase acts once, as e^{-i delta} on each side's amplitude
+    (see simulate_heralded_state).  The run, both sweeps and the separable
+    bound use that state, these intervals and their complex means as they
+    are; the bound is sound there because loss keeps separable states
+    separable.  rho stays at the herald truncation: click_probability_grid
+    measures it on its own levels, and the multiphoton coincidences read
+    each mode's detected photon-number distribution from its diagonal.
     """
     eta_1, eta_2 = config.detector_1.efficiency, config.detector_2.efficiency
-    detected = replace(
-        config.source,
-        signal_transmission_a=config.source.signal_transmission_a * eta_1,
-        signal_transmission_b=config.source.signal_transmission_b * eta_2,
-    )
-    heralded = simulate_heralded_state(detected, config.phases, config.herald_truncation)
+    heralded = simulate_heralded_state(config.source, (eta_1, eta_2), config.herald_truncation)
     rho, scales = heralded.rho, [math.sqrt(eta_1), math.sqrt(eta_2)]
     intervals = tuple(s.scaled(f) for s, f in zip((config.setting_1, config.setting_2), scales))
-    amp_1, amp_2 = (s.alpha_mean * np.exp(1j * theta) for s, theta in zip(intervals, config.phases.displacement_phases))
+    amp_1, amp_2 = (s.alpha_mean * np.exp(-1j * delta) for s, delta in zip(intervals, config.phases.deltas))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
     grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0])
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
@@ -247,18 +241,12 @@ def _check_finite(node, path="report"):
 def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, steps: int) -> list[dict]:
     """Witness expectation versus the relative measurement phase.
 
-    The central-interferometer phase on Bob's side is offset so that the
+    Bob's central-interferometer phase chi_B is offset so that the
     displacement-referenced relative phase spans [phase_min, phase_max].
-    An offset delta of chi_B equals exp(i delta n) on Bob's signal mode:
-    the pair source puts equal photon numbers in signal and idler, and
-    idler loss, the station beam splitter, heralding and signal loss are
-    all phase covariant.  So the heralded state is simulated once, and the
-    rotation moves onto Bob's displacement amplitude b:
-    tr[U rho U^dag (E1 x E2(b))] = tr[rho (E1 x E2(b e^{-i delta}))], and
-    one probability grid of the base run's amplitude for Alice against
-    Bob's rotated ones gives every point.  The phases and probabilities of
-    all points are one PhaseConfig and one JointClickProbabilities with
-    array fields.
+    The offset moves delta_B, a phase on Bob's amplitude alone, so one
+    probability grid of the base run's amplitude for Alice against Bob's
+    rotated ones gives every point.  The phases and probabilities of all
+    points are one PhaseConfig and one JointClickProbabilities with arrays.
     The bound column is the run's own: witness.certify of the base record.
     """
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
@@ -305,8 +293,8 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     grid = np.linspace(alpha_min, alpha_max, steps)
 
     a1, a2 = (grid * f for f in base["amplitude_scales"])
-    theta_1, theta_2 = config.phases.displacement_phases
-    probs = click_probability_grid(base["rho"], a1 * np.exp(1j * theta_1), a2 * np.exp(1j * theta_2))
+    delta_1, delta_2 = config.phases.deltas
+    probs = click_probability_grid(base["rho"], a1 * np.exp(-1j * delta_1), a2 * np.exp(-1j * delta_2))
     a1, a2 = a1[:, None], a2[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
     violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds

@@ -6,6 +6,7 @@ import numpy as np
 
 from pathent import fockcore as fc
 from pathent.herald import PhaseConfig
+from pathent.measurement import DisplacementSetting, click_povm
 
 DENSE_GRID_POINTS = 101
 DENSE_REFINEMENT_TOL = 1e-9
@@ -67,10 +68,37 @@ def ideal_lossy_state(eta: float, relative_phase: float, trunc: fc.FockTruncatio
     return fc.DensityOperator(mat, (trunc.dim, trunc.dim))
 
 
+def signal_phases(phases: PhaseConfig) -> tuple[float, float]:
+    """(Alice, Bob) rotation angles theta of e^{i theta n} on each heralded signal: pump, station arm, long arm.
+
+    A pair source holds equal photon numbers in signal and idler, so the
+    pump phase on its pair amplitude and the chi phase on its idler act as
+    phases on its signal.
+    """
+    return phases.phi_a + phases.chi_a + phases.xi_a_long, phases.phi_b + phases.chi_b + phases.xi_b_long
+
+
+def displacement_phases(phases: PhaseConfig) -> tuple[float, float]:
+    """(Alice, Bob) phases of the displacement fields: pump, minus seed, plus short interferometer arm."""
+    return phases.phi_a - phases.zeta_a + phases.xi_a_short, phases.phi_b - phases.zeta_b + phases.xi_b_short
+
+
+def deltas(phases: PhaseConfig) -> tuple[float, float]:
+    """(delta_A, delta_B): each side's signal phase minus its displacement phase; the pump drops out."""
+    return tuple(s - t for s, t in zip(signal_phases(phases), displacement_phases(phases)))
+
+
+def rotate_signals(rho: np.ndarray, thetas) -> np.ndarray:
+    """U rho U^dag on a two-mode matrix, U = e^{i theta_A n} x e^{i theta_B n}."""
+    d = round(np.sqrt(len(rho)))
+    n = np.arange(d)
+    u = np.kron(np.exp(1j * thetas[0] * n), np.exp(1j * thetas[1] * n))
+    return u[:, None] * rho * u.conj()[None, :]
+
+
 def relative_state_phase(phases: PhaseConfig) -> float:
-    """Phase of the |01> component relative to |10> in the heralded state."""
-    theta_a = phases.phi_a + phases.chi_a + phases.xi_a_long
-    theta_b = phases.phi_b + phases.chi_b + phases.xi_b_long
+    """Phase of the |01> component relative to |10> in the phased heralded state."""
+    theta_a, theta_b = signal_phases(phases)
     return theta_b - theta_a
 
 
@@ -80,9 +108,20 @@ def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
     Valid for |alpha_1| = |alpha_2| = alpha_abs with the displacement
     phases derived from the same phase configuration as the state; the
     pump phases cancel, and the two single-photon paths interfere with
-    the locking invariant delta as their phase difference.
+    the locking invariant delta_A - delta_B as their phase difference.
     """
-    return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(phases.delta))
+    delta_a, delta_b = deltas(phases)
+    return alpha_abs**2 * exp(-2.0 * alpha_abs**2) * (1.0 + cos(delta_a - delta_b))
+
+
+def point_setting(alpha: float) -> DisplacementSetting:
+    """A displacement setting without fluctuation: alpha_min = alpha_mean = alpha_max."""
+    return DisplacementSetting(alpha, alpha, alpha)
+
+
+def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """Single-mode observable D^dag(alpha)(2|0><0| - 1)D(alpha) = 2 E_noclick - 1: +1 no-click, -1 click."""
+    return 2.0 * click_povm(alpha, trunc)[0] - np.eye(trunc.dim)
 
 
 # Photon-number headroom at which a truncated D(alpha) is converged on the

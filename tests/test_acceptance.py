@@ -14,7 +14,7 @@ from pathent import fockcore as fc
 from pathent import measurement as meas
 from pathent import pipeline, stats, witness
 from pathent.config import load_experiment_config
-from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.herald import SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities
 
 from conftest import FIXTURES, random_density_matrix, random_qubit_pure_state
@@ -214,12 +214,12 @@ def test_criterion_8_monte_carlo_calibration():
 def test_criterion_9_heralded_state_limit():
     start = time.monotonic()
     trunc = fc.FockTruncation(3)
-    low = simulate_heralded_state(SourceParams(pair_probability=1e-6), PhaseConfig(), trunc)
+    low = simulate_heralded_state(SourceParams(pair_probability=1e-6), (1.0, 1.0), trunc)
     psi = (fock_ket((1, 0), trunc) + fock_ket((0, 1), trunc)) / np.sqrt(2.0)
     fidelity = float((psi.conj() @ low.rho.matrix @ psi).real)
 
     p = 3e-3
-    operating = simulate_heralded_state(SourceParams(pair_probability=p), PhaseConfig(), trunc)
+    operating = simulate_heralded_state(SourceParams(pair_probability=p), (1.0, 1.0), trunc)
     diag = np.diag(operating.rho.matrix).real.reshape(trunc.dim, trunc.dim)
     ratio = diag[1, 1] / (diag[1, 0] + diag[0, 1])
     elapsed = time.monotonic() - start

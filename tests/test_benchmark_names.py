@@ -1,10 +1,15 @@
-"""The benchmark's tracer wraps pathent functions by name; a renamed or deleted one would break `--trace 1`."""
+"""The benchmark's tracer wraps pathent functions by name and reads their arguments by position; a renamed
+or deleted one, or a changed call shape, would break `--trace 1`."""
 
 import importlib
 import importlib.util
 import sys
 
-from conftest import REPO_ROOT
+import pytest
+
+from pathent import cli
+
+from conftest import FIXTURES, REPO_ROOT
 
 
 def load_tracer():
@@ -30,3 +35,23 @@ def test_every_traced_layer_name_resolves():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload, argv, herald_calls", [
+    ("run", ["run", "--config", str(FIXTURES / "lossy_link.json")], 1),
+    ("sweep-phase", ["sweep-phase", "--config", str(FIXTURES / "lossy_link.json")], 1),
+    ("sweep-alpha", ["sweep-alpha", "--config", str(FIXTURES / "ideal_link.json")], 1),
+    ("certify", ["certify", "--counts", str(FIXTURES / "published_42m_set1.counts.csv"),
+                 "--settings", str(FIXTURES / "published_42m_set1.settings.csv")], 0),
+])
+def test_traced_op_runs_with_one_herald_per_simulation(workload, argv, herald_calls, tmp_path, capsys):
+    spans = load_tracer()
+    tracer = spans.Tracer()
+    tracer.install(workload)
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert spans.layer_metrics(tracer.spans, 1)["herald.simulate.calls"] == herald_calls

@@ -33,7 +33,7 @@ def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
     before = (pipeline.sweep_phase(cfg, -np.pi, np.pi, 5), pipeline.sweep_alpha(cfg, 0.2, 1.0, 3))
     measurement.click_povm(np.array([0.0, 0.4, 0.7j]), cfg.herald_truncation)[...] = np.nan
     fc.loss_channel_kraus(0.6, cfg.herald_truncation)[...] = np.nan
-    rho = simulate_heralded_state(cfg.source, cfg.phases, cfg.herald_truncation).rho
+    rho = simulate_heralded_state(cfg.source, (0.6, 0.85), cfg.herald_truncation).rho
     lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, 0.6), rho.mode_dims)
     rho.matrix[...] = np.nan
     lossy.matrix[...] = np.nan

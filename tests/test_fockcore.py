@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import measurement as meas
-from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.herald import SourceParams, simulate_heralded_state
 
 from conftest import random_density_matrix
 from reference import (
     annihilation_matrix,
     beam_splitter_unitary,
+    displaced_parity_observable,
     displacement_operator,
     embed_state,
     expectation_value,
@@ -246,7 +247,7 @@ def test_expectation_value_examples():
     rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim), (trunc.dim,))
     assert abs(expectation_value(rho, np.eye(trunc.dim)) - 1.0) < 1e-12
 
-    sigma0 = meas.displaced_parity_observable(0.0, trunc)
+    sigma0 = displaced_parity_observable(0.0, trunc)
     vac = np.zeros(trunc.dim, dtype=complex)
     vac[0] = 1.0
     assert abs(expectation_value(fc.DensityOperator(np.outer(vac, vac.conj()), (trunc.dim,)), sigma0) - 1.0) < 1e-12
@@ -276,9 +277,7 @@ def test_density_operator_validation():
 def test_truncation_convergence_of_downstream_probabilities():
     # joint click probabilities at the operating point move by < 1e-6
     # between n_max = 8 and n_max = 12
-    heralded = simulate_heralded_state(
-        SourceParams(pair_probability=3e-3), PhaseConfig(), fc.FockTruncation(3)
-    )
+    heralded = simulate_heralded_state(SourceParams(pair_probability=3e-3), (1.0, 1.0), fc.FockTruncation(3))
     results = []
     for n_max in (8, 12):
         rho = embed_state(heralded.rho, fc.FockTruncation(n_max))

@@ -12,15 +12,33 @@ from pathent import measurement as meas
 from pathent.config import load_experiment_config
 
 from conftest import FIXTURES
-from reference import beam_splitter_unitary, embed_state, fock_ket, ideal_lossy_state
+from reference import (
+    beam_splitter_unitary,
+    deltas,
+    displacement_phases,
+    fock_ket,
+    ideal_lossy_state,
+    rotate_signals,
+    signal_phases,
+)
 
 TR3 = fc.FockTruncation(3)
-TR10 = fc.FockTruncation(10)
 
 PHASE_FIELDS = dict(
     phi_a=0.3, phi_b=-0.8, zeta_a=0.1, zeta_b=0.55, chi_a=1.2, chi_b=-0.4,
     xi_a_long=0.7, xi_a_short=0.2, xi_b_long=-0.3, xi_b_short=0.9,
 )
+IDEAL = (1.0, 1.0)
+AMPLITUDES = np.array([0.0, 0.83, 1.7])
+
+
+def measured_as_configured(herald_rho: fc.DensityOperator, oracle_rho: np.ndarray, phases: herald.PhaseConfig):
+    """Click grids over AMPLITUDES on each side: the phase-free herald at alpha e^{-i delta}, and the
+    phased oracle state at alpha times its displacement field's phase e^{i (phi - zeta + xi_short)}."""
+    oracle = fc.DensityOperator(oracle_rho, herald_rho.mode_dims)
+    got = meas.click_probability_grid(herald_rho, *(AMPLITUDES * np.exp(-1j * delta) for delta in deltas(phases)))
+    want = meas.click_probability_grid(oracle, *(AMPLITUDES * np.exp(1j * t) for t in displacement_phases(phases)))
+    return got, want
 
 
 def _embed(op: np.ndarray, modes: tuple[int, ...], d: int, n_modes: int = 4) -> np.ndarray:
@@ -32,9 +50,11 @@ def _embed(op: np.ndarray, modes: tuple[int, ...], d: int, n_modes: int = 4) -> 
 
 
 def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
-    """Dense four-mode density-matrix reference of the heralding model.
+    """Dense four-mode density-matrix reference of the heralding model, with every phase on the state.
 
-    Modes (signal_A, idler_A, signal_B, idler_B).  All four losses act on
+    Modes (signal_A, idler_A, signal_B, idler_B).  The pump phase multiplies
+    each source's pair amplitude, lambda^n -> (lambda e^{i phi})^n; chi and
+    xi_long propagate the idler and the signal.  All four losses act on
     the four-mode state before the station, signal loss included; the
     monitored port is mode 3 after the beam splitter on modes (1, 3).
     Returns the heralded two-mode matrix and the herald probability.
@@ -42,10 +62,10 @@ def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc
     d = trunc.dim
     n = np.arange(d)
     ket = np.kron(
-        fc.two_mode_squeezed_ket(src.pair_probability_a, trunc, pair_phase=phases.phi_a),
-        fc.two_mode_squeezed_ket(src.effective_pair_probability_b, trunc, pair_phase=phases.phi_b),
+        fc.two_mode_squeezed_ket(src.pair_probability_a, trunc),
+        fc.two_mode_squeezed_ket(src.effective_pair_probability_b, trunc),
     )
-    thetas = (phases.xi_a_long, phases.chi_a, phases.xi_b_long, phases.chi_b)
+    thetas = (phases.phi_a + phases.xi_a_long, phases.chi_a, phases.phi_b + phases.xi_b_long, phases.chi_b)
     ket = ket * reduce(np.kron, [np.exp(1j * theta * n) for theta in thetas])
     mat = np.outer(ket, ket.conj())
     etas = (src.signal_transmission_a, src.idler_transmission_a, src.signal_transmission_b, src.idler_transmission_b)
@@ -69,7 +89,7 @@ def _tail_weight(rho: np.ndarray, d: int) -> float:
 
 
 def test_heralded_state_ideal_limit():
-    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-6), herald.PhaseConfig(), TR3)
+    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-6), IDEAL, TR3)
     psi = (fock_ket((1, 0), TR3) + fock_ket((0, 1), TR3)) / np.sqrt(2)
     fidelity = (psi.conj() @ hs.rho.matrix @ psi).real
     assert fidelity >= 0.999
@@ -79,7 +99,7 @@ def test_heralded_state_ideal_limit():
 
 def test_heralded_state_double_pair_admixture():
     p = 3e-3
-    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=p), herald.PhaseConfig(), TR3)
+    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=p), IDEAL, TR3)
     diag = np.diag(hs.rho.matrix).real.reshape(TR3.dim, TR3.dim)
     ratio = diag[1, 1] / (diag[1, 0] + diag[0, 1])
     assert p / 4 <= ratio <= 4 * p
@@ -88,7 +108,7 @@ def test_heralded_state_double_pair_admixture():
 def test_heralded_state_false_heralds_only():
     hs = herald.simulate_heralded_state(
         herald.SourceParams(pair_probability=0.0, false_herald_probability=1.0),
-        herald.PhaseConfig(),
+        IDEAL,
         TR3,
     )
     assert abs(hs.rho.matrix[0, 0] - 1.0) < 1e-12
@@ -97,62 +117,76 @@ def test_heralded_state_false_heralds_only():
 
 def test_heralded_state_no_heralds_raises():
     with pytest.raises(herald.HeraldingError):
-        herald.simulate_heralded_state(herald.SourceParams(pair_probability=0.0), herald.PhaseConfig(), TR3)
+        herald.simulate_heralded_state(herald.SourceParams(pair_probability=0.0), IDEAL, TR3)
 
 
 def test_heralded_state_requires_three_photons():
     with pytest.raises(ValueError):
         herald.simulate_heralded_state(
-            herald.SourceParams(pair_probability=1e-3), herald.PhaseConfig(), fc.FockTruncation(2)
+            herald.SourceParams(pair_probability=1e-3), IDEAL, fc.FockTruncation(2)
         )
 
 
+@pytest.mark.parametrize("efficiencies", [(-0.1, 1.0), (1.0, 1.5), (0.5, np.nan)])
+def test_heralded_state_rejects_efficiencies_outside_the_unit_interval(efficiencies):
+    with pytest.raises(ValueError, match="detector efficiencies must lie in"):
+        herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-3), efficiencies, TR3)
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 10])
+@pytest.mark.parametrize("efficiencies", [IDEAL, (0.6, 0.85)])
+def test_heralded_state_is_real(n_max, efficiencies):
+    src = herald.SourceParams(3e-3, 0.0395, 0.0376, 0.007, 0.007, 0.1667)
+    rho = herald.simulate_heralded_state(src, efficiencies, fc.FockTruncation(n_max)).rho
+    assert rho.matrix.dtype == np.float64
+
+
 def test_pump_phase_invariance():
-    # joint click probabilities do not move when the pump phase shifts,
-    # provided the displacement phases are derived from the same pump
+    # joint click probabilities do not move when the pump phase shifts, provided the
+    # displacement phases are derived from the same pump; the herald never sees it
     src = herald.SourceParams(pair_probability=1e-4)
     rng = np.random.default_rng(41)
+    hs = herald.simulate_heralded_state(src, IDEAL, TR3)
 
-    def click_probs(fields):
-        phases = herald.PhaseConfig(**fields)
-        hs = herald.simulate_heralded_state(src, phases, TR3)
-        rho = embed_state(hs.rho, TR10)
-        theta_1, theta_2 = phases.displacement_phases
-        return meas.joint_click_probabilities(rho, 0.83 * np.exp(1j * theta_1), 0.83 * np.exp(1j * theta_2)).as_array()
-
-    reference = click_probs(PHASE_FIELDS)
-    for delta in rng.uniform(-np.pi, np.pi, 20):
-        shifted = dict(PHASE_FIELDS)
-        shifted["phi_a"] = shifted["phi_a"] + delta
-        assert np.max(np.abs(click_probs(shifted) - reference)) < 1e-10
+    reference = None
+    for delta in (0.0, *rng.uniform(-np.pi, np.pi, 20)):
+        phases = herald.PhaseConfig(**{**PHASE_FIELDS, "phi_a": PHASE_FIELDS["phi_a"] + delta})
+        got, want = measured_as_configured(hs.rho, four_mode_oracle(src, phases, TR3)[0], phases)
+        assert np.max(np.abs(got - want)) < 1e-10
+        reference = want if reference is None else reference
+        assert np.max(np.abs(want - reference)) < 1e-10
 
 
 def test_relative_phase_covariance():
-    # chi_a -> chi_a + delta multiplies the <01|rho|10> coherence by e^{-i delta}
+    # chi_a -> chi_a + delta multiplies the oracle's <01|rho|10> coherence by e^{-i delta}, which
+    # the herald's measurement gets as Alice's amplitude times e^{-i delta}
     src = herald.SourceParams(pair_probability=1e-4)
-
-    def coherence(fields) -> complex:
-        hs = herald.simulate_heralded_state(src, herald.PhaseConfig(**fields), TR3)
-        d = TR3.dim
-        return hs.rho.matrix[1, d]  # <01| rho |10>
-
-    base = coherence(PHASE_FIELDS)
+    hs = herald.simulate_heralded_state(src, IDEAL, TR3)
+    base = four_mode_oracle(src, herald.PhaseConfig(**PHASE_FIELDS), TR3)[0]
     for delta in (0.77, -1.3, 2.9):
-        shifted = dict(PHASE_FIELDS)
-        shifted["chi_a"] = shifted["chi_a"] + delta
-        ratio = coherence(shifted) / base
-        assert abs(ratio - np.exp(-1j * delta)) < 1e-12
+        phases = herald.PhaseConfig(**{**PHASE_FIELDS, "chi_a": PHASE_FIELDS["chi_a"] + delta})
+        shifted = four_mode_oracle(src, phases, TR3)[0]
+        d = TR3.dim
+        assert abs(shifted[1, d] / base[1, d] - np.exp(-1j * delta)) < 1e-12  # <01| rho |10>
+        got, want = measured_as_configured(hs.rho, shifted, phases)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_signal_loss_commutes_with_heralding():
     # the four-mode oracle applies signal loss to the joint state, then the station's beam splitter;
-    # the herald contracts it into each source's purification, then applies the click POVM
+    # the herald contracts it into each source's purification, detector efficiencies included,
+    # then applies the click POVM
     src = herald.SourceParams(pair_probability=2e-3, signal_transmission_a=0.35, signal_transmission_b=0.62)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
-    after = herald.simulate_heralded_state(src, phases, TR3).rho.matrix
-    before, _ = four_mode_oracle(src, phases, TR3)
+    for efficiencies in (IDEAL, (0.6, 0.85)):
+        after = herald.simulate_heralded_state(src, efficiencies, TR3).rho
+        detected = replace(src, signal_transmission_a=0.35 * efficiencies[0],
+                           signal_transmission_b=0.62 * efficiencies[1])
+        before, _ = four_mode_oracle(detected, phases, TR3)
 
-    assert np.max(np.abs(before - after)) < 1e-10
+        assert np.max(np.abs(before - rotate_signals(after.matrix, signal_phases(phases)))) < 1e-10
+        got, want = measured_as_configured(after, before, phases)
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
 transmission = st.floats(0.05, 1.0)
@@ -168,31 +202,39 @@ transmission = st.floats(0.05, 1.0)
     idler_b=transmission,
     false_herald=st.floats(0.0, 0.5),
     phases=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi), min_size=10, max_size=10),
+    efficiencies=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
 def test_ket_heralding_matches_four_mode_oracle(
-    pair_a, pair_b, signal_a, signal_b, idler_a, idler_b, false_herald, phases
+    pair_a, pair_b, signal_a, signal_b, idler_a, idler_b, false_herald, phases, efficiencies
 ):
+    # the phase-free herald, rotated by each source's phases, is the phased oracle's state, and
+    # measured at alpha e^{-i delta} it gives the oracle's click probabilities
     src = herald.SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
     config = herald.PhaseConfig(*phases)
-    hs = herald.simulate_heralded_state(src, config, TR3)
-    rho, herald_probability = four_mode_oracle(src, config, TR3)
-    assert np.max(np.abs(hs.rho.matrix - rho)) <= 1e-13
+    hs = herald.simulate_heralded_state(src, efficiencies, TR3)
+    detected = replace(src, signal_transmission_a=signal_a * efficiencies[0],
+                       signal_transmission_b=signal_b * efficiencies[1])
+    rho, herald_probability = four_mode_oracle(detected, config, TR3)
+    assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(config)) - rho)) <= 1e-13
     assert abs(hs.herald_probability - herald_probability) <= 1e-13
+    got, want = measured_as_configured(hs.rho, rho, config)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
     """Heralded state before signal loss and false heralds, from the truncated 50/50 unitary on the idler kets.
 
     Each source is a purified ket (signal, idler, environment of idler
-    loss); the unitary acts on both idlers and the click keeps the
-    monitored-port photon numbers >= 1.  Cost d^8, against the herald's d^6.
+    loss) that carries its phases, the pump's on the pair amplitude; the
+    unitary acts on both idlers and the click keeps the monitored-port
+    photon numbers >= 1.  Cost d^8, against the herald's d^6.
     """
     d = trunc.dim
     n = np.arange(d)
 
     def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
-        ket = fc.two_mode_squeezed_ket(pair_probability, trunc, pair_phase=pair_phase).reshape(d, d)
-        ket = ket * np.exp(1j * xi_long * n)[:, None] * np.exp(1j * chi * n)[None, :]
+        ket = fc.two_mode_squeezed_ket(pair_probability, trunc).reshape(d, d)
+        ket = ket * np.exp(1j * (pair_phase + xi_long) * n)[:, None] * np.exp(1j * chi * n)[None, :]
         return np.einsum("kji,si->sjk", fc.loss_channel_kraus(idler_transmission, trunc), ket)
 
     ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
@@ -214,9 +256,9 @@ def test_station_click_povm_matches_truncated_beam_splitter(n_max):
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     for src in (herald.SourceParams(0.2, pair_probability_b=0.05, idler_transmission_a=0.3, idler_transmission_b=0.8),
                 herald.SourceParams(3e-3, idler_transmission_a=0.007, idler_transmission_b=0.007)):
-        hs = herald.simulate_heralded_state(src, phases, trunc)
+        hs = herald.simulate_heralded_state(src, IDEAL, trunc)
         rho, herald_probability = station_unitary_oracle(src, phases, trunc)
-        assert np.max(np.abs(hs.rho.matrix - rho)) <= 1e-13
+        assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(phases)) - rho)) <= 1e-13
         assert abs(hs.herald_probability - herald_probability) <= 1e-13 * herald_probability
 
 
@@ -233,12 +275,13 @@ def test_heralded_state_converges_in_truncation(fixture):
     # heralded weight of n_max pairs, read off the state before signal loss
     # (photons per signal mode = pairs), plus a few ulps of rounding.
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    efficiencies = (config.detector_1.efficiency, config.detector_2.efficiency)
     lossless = replace(config.source, signal_transmission_a=1.0, signal_transmission_b=1.0)
     previous = None
     for n_max in HERALD_N_MAX:
         trunc = fc.FockTruncation(n_max)
         d = trunc.dim
-        rho = herald.simulate_heralded_state(config.source, config.phases, trunc).rho.matrix
+        rho = herald.simulate_heralded_state(config.source, efficiencies, trunc).rho.matrix
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         block = rho.reshape(d, d, d, d)[:2, :2, :2, :2]
         populations = np.diagonal(rho).real.reshape(d, d)
@@ -247,13 +290,13 @@ def test_heralded_state_converges_in_truncation(fixture):
             previous_block, previous_pstar, tail = previous
             assert np.max(np.abs(block - previous_block)) <= tail + 4 * np.finfo(float).eps
             assert np.max(np.abs(pstar - previous_pstar)) <= tail + 4 * np.finfo(float).eps
-        pairs = herald.simulate_heralded_state(lossless, config.phases, trunc).rho.matrix
+        pairs = herald.simulate_heralded_state(lossless, efficiencies, trunc).rho.matrix
         previous = (block, pstar, _tail_weight(pairs, d))
 
 
 @FIXTURE_SOURCES
 def test_heralded_state_swap_symmetry(fixture):
-    # symmetric sources and phases: swapping Alice and Bob leaves the state unchanged
+    # symmetric sources and detectors: swapping Alice and Bob leaves the state unchanged
     src = load_experiment_config(FIXTURES / f"{fixture}.json").source
     src = replace(
         src,
@@ -261,11 +304,9 @@ def test_heralded_state_swap_symmetry(fixture):
         idler_transmission_b=src.idler_transmission_a,
         pair_probability_b=None,
     )
-    mirrored = {key: PHASE_FIELDS[key.replace("_b", "_a")] for key in PHASE_FIELDS}
-    phases = herald.PhaseConfig(**mirrored)
     for n_max in HERALD_N_MAX:
         d = n_max + 1
-        rho = herald.simulate_heralded_state(src, phases, fc.FockTruncation(n_max)).rho.matrix
+        rho = herald.simulate_heralded_state(src, (0.7, 0.7), fc.FockTruncation(n_max)).rho.matrix
         swapped = rho.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
         assert np.max(np.abs(rho - swapped)) <= 1e-14
 

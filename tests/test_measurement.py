@@ -10,6 +10,7 @@ from pathent.witness import b_max, bound_coefficients
 
 from conftest import random_density_matrix
 from reference import (
+    displacement_phases,
     embed_state,
     expectation_value,
     ideal_lossy_state,
@@ -269,7 +270,7 @@ def test_model_agreement_random_phases():
         phases = herald.PhaseConfig(**dict(zip(names, rng.uniform(-np.pi, np.pi, len(names)))))
         rho = ideal_lossy_state(1.0, relative_state_phase(phases), TR10)
         alpha = rng.uniform(0.3, 1.0)
-        theta_1, theta_2 = phases.displacement_phases
+        theta_1, theta_2 = displacement_phases(phases)
         jp = meas.joint_click_probabilities(rho, alpha * np.exp(1j * theta_1), alpha * np.exp(1j * theta_2))
         assert abs(jp.p_nc_nc - p00_phase_model(alpha, phases)) < 1e-9
 

@@ -15,10 +15,18 @@ from pathent import fockcore as fc
 from pathent import pipeline
 from pathent.config import DetectorModel, load_experiment_config, parse_experiment_config
 from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_heralded_state
-from pathent.measurement import DisplacementSetting
 
 from conftest import FIXTURES
-from reference import embed_state, loss_kraus_sum, lossy_click_probabilities, lossy_coincidence_probability
+from reference import (
+    displacement_phases,
+    embed_state,
+    loss_kraus_sum,
+    lossy_click_probabilities,
+    lossy_coincidence_probability,
+    point_setting,
+    rotate_signals,
+    signal_phases,
+)
 
 QUADRUPLE = ("p_nc_nc", "p_nc_c", "p_c_nc", "p_c_c")
 transmission = st.floats(0.05, 1.0)
@@ -53,17 +61,20 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
         config,
         source=src,
         phases=phase_config,
-        setting_1=DisplacementSetting.point(amplitudes[0]),
-        setting_2=DisplacementSetting.point(amplitudes[1]),
+        setting_1=point_setting(amplitudes[0]),
+        setting_2=point_setting(amplitudes[1]),
         detector_1=det_1,
         detector_2=det_2,
         numerics=replace(config.numerics, herald_truncation_n_max=herald_n_max, truncation_n_max=trunc_n_max),
     )
     report = pipeline.run_experiment(config)
 
+    # the reference puts every phase on the state and measures at the displacement fields' own phases
     trunc = fc.FockTruncation(trunc_n_max)
-    padded = embed_state(simulate_heralded_state(src, phase_config, config.herald_truncation).rho, trunc)
-    s1, s2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, phase_config.displacement_phases))
+    phase_free = simulate_heralded_state(src, (1.0, 1.0), config.herald_truncation).rho
+    phased = rotate_signals(phase_free.matrix, signal_phases(phase_config))
+    padded = embed_state(fc.DensityOperator(phased, phase_free.mode_dims), trunc)
+    s1, s2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, displacement_phases(phase_config)))
     for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (0.0, 0.0))):
         expected = lossy_click_probabilities(padded.matrix, [t1], [t2], *efficiencies, trunc)[0, 0]
         got = [report["probabilities"][basis][key] for key in QUADRUPLE]
@@ -93,6 +104,22 @@ def test_run_builds_no_state_beyond_the_herald_support(monkeypatch):
     assert dims and max(dims) <= config.herald_truncation.dim ** 2
 
 
+@pytest.mark.parametrize("fixture", ("ideal_link", "lossy_link"))
+def test_pump_phases_leave_the_simulated_quadruples_bitwise_equal(fixture):
+    # the displacement fields share the sources' pump, so no pump phase reaches a click
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    phases = PhaseConfig(0.3, -0.8, 0.1, 0.55, 1.2, -0.4, 0.7, 0.2, -0.3, 0.9)
+    config = replace(config, phases=phases, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
+
+    def quadruples(pump_a, pump_b):
+        sim = pipeline._simulate_probabilities(replace(config, phases=replace(phases, phi_a=pump_a, phi_b=pump_b)))
+        return [sim[basis].probabilities.as_array().tobytes() for basis in ("alpha", "z")]
+
+    base = quadruples(phases.phi_a, phases.phi_b)
+    for pump_a, pump_b in ((1.9, -0.8), (0.3, 2.4), (-3.1, 7.7), (1e3, -1e3)):
+        assert quadruples(pump_a, pump_b) == base
+
+
 @pytest.mark.parametrize("herald_n_max", (3, 6, 10))
 def test_detected_state_equals_loss_after_a_lossless_herald(herald_n_max):
     # signal and detector loss contracted into the sources equal the herald at unit signal transmission
@@ -106,7 +133,7 @@ def test_detected_state_equals_loss_after_a_lossless_herald(herald_n_max):
     for src in (config.source, drawn):
         got = pipeline._simulate_probabilities(replace(config, source=src))["rho"].matrix
         lossless = replace(src, signal_transmission_a=1.0, signal_transmission_b=1.0)
-        expected = simulate_heralded_state(lossless, config.phases, config.herald_truncation).rho
+        expected = simulate_heralded_state(lossless, (1.0, 1.0), config.herald_truncation).rho
         for mode, eta in enumerate((src.signal_transmission_a * 0.6, src.signal_transmission_b * 0.85)):
             expected = fc.DensityOperator(loss_kraus_sum(expected, mode, eta), expected.mode_dims)
         assert np.max(np.abs(got - expected.matrix)) <= 1e-14
@@ -171,17 +198,18 @@ def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, ampl
     config = load_experiment_config(FIXTURES / "ideal_link.json")
     config = replace(
         config,
-        setting_1=DisplacementSetting.point(amplitudes[0]),
-        setting_2=DisplacementSetting.point(amplitudes[1]),
+        setting_1=point_setting(amplitudes[0]),
+        setting_2=point_setting(amplitudes[1]),
         detector_1=DetectorModel(efficiencies[0]),
         detector_2=DetectorModel(efficiencies[1]),
     )
     heralded = HeraldedState(embed_state(fc.DensityOperator(rho, (2, 2)), config.herald_truncation), 1e-6)
 
-    def lossy_herald(src, phases, trunc):
-        # the pipeline folds each detector's efficiency into the signal transmissions of src
+    def lossy_herald(src, efficiencies, trunc):
+        # the herald folds each detector's efficiency into the signal transmissions of src
         lossy = heralded.rho
-        for mode, eta in enumerate((src.signal_transmission_a, src.signal_transmission_b)):
+        for mode, eta in enumerate((src.signal_transmission_a * efficiencies[0],
+                                    src.signal_transmission_b * efficiencies[1])):
             lossy = fc.DensityOperator(loss_kraus_sum(lossy, mode, eta), lossy.mode_dims)
         return HeraldedState(lossy, heralded.herald_probability)
 
@@ -198,7 +226,7 @@ def test_pstar_at_lossy_detectors_to_rounding(fixture):
     mp.mp.dps = 50
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
     d = config.herald_truncation.dim
-    rho = simulate_heralded_state(config.source, config.phases, config.herald_truncation).rho
+    rho = simulate_heralded_state(config.source, (1.0, 1.0), config.herald_truncation).rho
     populations = [[mp.mpf(float(x)) for x in row] for row in np.diagonal(rho.matrix).real.reshape(d, d)]
     marginals = {"p1_star": [mp.fsum(row) for row in populations],
                  "p2_star": [mp.fsum(column) for column in zip(*populations)]}

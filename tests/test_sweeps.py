@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathent import fockcore as fc
-from pathent import pipeline, witness
+from pathent import measurement, pipeline, witness
 from pathent.cli import main
 from pathent.config import DetectorModel, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
-from pathent.measurement import DisplacementSetting, JointClickProbabilities
+from pathent.measurement import JointClickProbabilities, click_probability_grid
 
 from conftest import FIXTURES
-from reference import lossy_click_probabilities
+from reference import displacement_phases, lossy_click_probabilities, point_setting, rotate_signals, signal_phases
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TR3 = fc.FockTruncation(3)
@@ -30,12 +30,6 @@ PHASES = PhaseConfig(
 
 angle = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
 transmission = st.floats(0.05, 1.0)
-
-
-def rotate_bob(rho: np.ndarray, delta: float, d: int) -> np.ndarray:
-    """exp(i delta n_B) rho exp(-i delta n_B) on a two-mode (Alice, Bob) matrix."""
-    u = np.kron(np.eye(d), np.diag(np.exp(1j * delta * np.arange(d))))
-    return u @ rho @ u.conj().T
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,14 +47,19 @@ def rotate_bob(rho: np.ndarray, delta: float, d: int) -> np.ndarray:
 def test_chi_b_offset_is_phase_rotation_of_bob(
     pair_a, pair_b, signal_a, signal_b, idler_a, idler_b, false_herald, phases, delta
 ):
+    # the reference state carries chi_B + delta and is measured at the displacement fields' phases;
+    # sweep-phase measures the phase-free herald with Bob's base amplitude times e^{-i delta}
     src = SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
     base = PhaseConfig(*phases)
     shifted = replace(base, chi_b=base.chi_b + delta)
-    plain = simulate_heralded_state(src, base, TR3)
-    moved = simulate_heralded_state(src, shifted, TR3)
-    expected = rotate_bob(plain.rho.matrix, delta, TR3.dim)
-    assert np.max(np.abs(moved.rho.matrix - expected)) <= 1e-12
-    assert abs(moved.herald_probability - plain.herald_probability) <= 1e-12
+    rho = simulate_heralded_state(src, (1.0, 1.0), TR3).rho
+    phased = fc.DensityOperator(rotate_signals(rho.matrix, signal_phases(shifted)), rho.mode_dims)
+    amplitudes = np.array([0.0, 0.83, 1.7])
+    expected = click_probability_grid(phased, *(amplitudes * np.exp(1j * t) for t in displacement_phases(shifted)))
+    delta_a, delta_b = base.deltas
+    got = click_probability_grid(rho, amplitudes * np.exp(-1j * delta_a),
+                                 amplitudes * np.exp(-1j * delta_b) * np.exp(-1j * delta))
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def _config(fixture: str, variant: str):
@@ -79,9 +78,16 @@ CONFIGS = pytest.mark.parametrize(
 )
 
 
+def phased_state(config, phases: PhaseConfig) -> np.ndarray:
+    """The heralded state before detector loss with every phase on it, as the reference builds it."""
+    return rotate_signals(simulate_heralded_state(config.source, (1.0, 1.0), config.herald_truncation).rho.matrix,
+                          signal_phases(phases))
+
+
 def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, config) -> JointClickProbabilities:
-    """Click probabilities at the set amplitudes with the config's lossy detectors, in the Heisenberg picture."""
-    t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, phases.displacement_phases))
+    """Click probabilities of a phased state at the set amplitudes and the displacement fields' phases, with
+    the config's lossy detectors, in the Heisenberg picture."""
+    t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, displacement_phases(phases)))
     etas = (config.detector_1.efficiency, config.detector_2.efficiency)
     return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.herald_truncation)[0, 0])
 
@@ -96,9 +102,8 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
     assert len(rows) == steps
     for row, offset in zip(rows, offsets):
         phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
-        rho = simulate_heralded_state(config.source, phases, config.herald_truncation).rho
         means = (config.setting_1.alpha_mean, config.setting_2.alpha_mean)
-        jp = reference_probabilities(rho.matrix, means, phases, config)
+        jp = reference_probabilities(phased_state(config, phases), means, phases, config)
         assert row["delta_theta_rad"] == phases.measured_relative_phase
         assert abs(row["w_exp"] - witness.w_exp(jp)) <= 1e-12
         assert row["w_ppt_max"] == bound
@@ -113,15 +118,15 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     z = report["probabilities"]["z_basis"]
     jp_z = JointClickProbabilities(z["p_nc_nc"], z["p_nc_c"], z["p_c_nc"], z["p_c_c"])
     mb = witness.MultiphotonBounds(report["multiphoton"]["p1_star"], report["multiphoton"]["p2_star"])
-    rho = simulate_heralded_state(config.source, config.phases, config.herald_truncation).rho
+    rho = phased_state(config, config.phases)
     grid = np.linspace(alpha_min, alpha_max, steps)
     scales = (np.sqrt(config.detector_1.efficiency), np.sqrt(config.detector_2.efficiency))
     expected = []
     for a1 in grid:
         for a2 in grid:
-            jp = reference_probabilities(rho.matrix, (a1, a2), config.phases, config)
+            jp = reference_probabilities(rho, (a1, a2), config.phases, config)
             # the bound at the amplitudes the detectors see
-            i1, i2 = DisplacementSetting.point(a1 * scales[0]), DisplacementSetting.point(a2 * scales[1])
+            i1, i2 = point_setting(a1 * scales[0]), point_setting(a2 * scales[1])
             w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
             bound = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
             expected.append((a1, a2, witness.w_exp(jp) - bound))
@@ -165,33 +170,36 @@ def test_sweeps_build_records_per_grid_not_per_point(sweep, span, steps, monkeyp
     assert per_steps[0] == per_steps[1]
 
 
-def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[int]:
-    """np.linalg.eigh calls of one sweep of the lossy_link fixture at each step count."""
-    eigh = np.linalg.eigh
-    calls = []
+def count_eigendecompositions(monkeypatch, sweep, span, steps) -> list[dict]:
+    """click_povm and np.linalg.eigvalsh calls of one sweep of the lossy_link fixture at each step count."""
+    calls = Counter()
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(measurement, "click_povm", counting("click_povm", measurement.click_povm))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     per_steps = []
     for n in steps:
         calls.clear()
         sweep(config, *span, n)
-        per_steps.append(len(calls))
+        per_steps.append(dict(calls))
     return per_steps
 
 
 def test_sweep_alpha_eigendecompositions_do_not_grow_with_steps(monkeypatch):
+    # one POVM stack for the run's two bases, one for the grid; one check of the heralded state
     per_steps = count_eigendecompositions(monkeypatch, pipeline.sweep_alpha, (0.1, 1.2), (3, 12))
-    assert per_steps[0] == per_steps[1]
+    assert per_steps == [{"click_povm": 2, "eigvalsh": 1}] * 2
 
 
 def test_sweep_phase_eigendecompositions_do_not_grow_with_steps(monkeypatch):
     per_steps = count_eigendecompositions(monkeypatch, pipeline.sweep_phase, (-np.pi, np.pi), (3, 25))
-    assert per_steps[0] == per_steps[1]
+    assert per_steps == [{"click_povm": 2, "eigvalsh": 1}] * 2
 
 
 @pytest.mark.parametrize("op, args", [

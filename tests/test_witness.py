@@ -13,7 +13,7 @@ from pathent import pipeline, stats, witness
 from pathent.config import load_experiment_config
 
 from conftest import FIXTURES, random_qubit_pure_state
-from reference import expectation_value, ideal_lossy_state, maximize_over_box_dense
+from reference import expectation_value, ideal_lossy_state, maximize_over_box_dense, point_setting
 
 TR10 = fc.FockTruncation(10)
 
@@ -88,8 +88,8 @@ def test_w_ppt_qubit_published_rows(row):
 def test_fluctuation_bound_point_interval_matches_qubit_bound():
     jp_z = ROW_1P0KM["jp_z"]
     mb0 = witness.MultiphotonBounds(0.0, 0.0)
-    i1 = meas.DisplacementSetting.point(0.819)
-    i2 = meas.DisplacementSetting.point(0.837)
+    i1 = point_setting(0.819)
+    i2 = point_setting(0.837)
     w_tilde, coeffs = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb0)
     qp = witness.QubitProbs.from_joint_clicks(jp_z)
     assert abs(w_tilde - witness.w_ppt_qubit(0.819, 0.837, qp)) < 1e-12
@@ -103,9 +103,9 @@ def test_fluctuation_bound_published_rows(row):
 
 
 def test_beta_bound_examples():
-    point = meas.DisplacementSetting.point(0.83)
+    point = point_setting(0.83)
     assert abs(witness.beta_bound(point, point) - 0.4786) < 1e-4
-    zero = meas.DisplacementSetting.point(0.0)
+    zero = point_setting(0.0)
     assert witness.beta_bound(zero, zero) == 0.0
     i1 = meas.DisplacementSetting(0.819, 0.812, 0.824)
     i2 = meas.DisplacementSetting(0.837, 0.830, 0.843)
@@ -195,7 +195,7 @@ def test_box_bounds_swap_symmetry(i1, i2, p, p1, p2):
     assert abs(witness.beta_bound(i1, i2) - witness.beta_bound(i2, i1)) <= 1e-12
 
 
-points = amplitudes.map(meas.DisplacementSetting.point)
+points = amplitudes.map(point_setting)
 
 
 def certified_searches(box_pair, jp_z, mb):
@@ -303,7 +303,7 @@ def test_corner_maxima_equal_the_dense_box_search_bitwise(row):
 def test_zero_displacement_cannot_witness():
     # at alpha = 0 the z-basis value never exceeds the dimension-free bound
     rng = np.random.default_rng(63)
-    zero = meas.DisplacementSetting.point(0.0)
+    zero = point_setting(0.0)
     for _ in range(25):
         singles = rng.uniform(0.0, 0.4, 2)
         p_cc = rng.uniform(0.0, 0.1)

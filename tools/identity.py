@@ -13,11 +13,15 @@ explicit n_alpha/n_z/n_multiphoton totals (the pool entries only derive
 the totals from durations) and runs and sweeps with detector efficiencies
 below 1 (every pool entry and fixture uses 1), and runs and sweeps at herald
 truncations 6 and 10 (the fixtures use 3), with ideal detectors and with
-efficiencies (0.6, 0.85), and runs at alpha1_mean 3 and 40 (the fixtures
-use about 0.8).  `compare` lists the cases that
-differ; stderr is compared after each tree's own path is replaced, since
-a warning prints the path of the source line that raised it.  For a
-stderr difference it also prints the first differing line of each side.
+efficiencies (0.6, 0.85), runs at alpha1_mean 3 and 40 (the fixtures
+use about 0.8), and runs and sweeps at phases of about 1, 7, 1e3 and 1e6
+rad and with the pump phases alone shifted, with Monte Carlo on and off
+and with efficiencies (0.6, 0.85) (the fixtures hold every phase at 0
+and the pool entries jitter them by 0.5 rad at most).  `compare` lists
+the cases that differ; stderr is compared after each tree's own path is
+replaced, since a warning prints the path of the source line that raised
+it.  For a stderr difference it also prints the first differing line of
+each side.
 """
 
 from __future__ import annotations
@@ -54,6 +58,15 @@ DETECTOR_EFFICIENCIES = ((0.6, 0.85), (0.1, 0.3), (0.0, 0.5), (1.0, 0.7))
 HERALD_N_MAX = (6, 10)
 # Alice's amplitudes far above the fixtures' 0.8, where the no-click projector is small or exactly zero
 LARGE_ALPHA1 = (3.0, 40.0)
+# phases_rad sections far from the fixtures' zeros and the pools' 0.5 rad jitter
+_PHASE_NAMES = ("phi_a", "phi_b", "zeta_a", "zeta_b", "chi_a", "chi_b",
+                "xi_a_long", "xi_a_short", "xi_b_long", "xi_b_short")
+_PHASE_PATTERN = (0.31, -0.83, 0.12, 0.57, 1.23, -0.41, 0.72, 0.19, -0.33, 0.94)
+PHASES = {
+    **{f"phases-{scale:g}": {name: scale * value for name, value in zip(_PHASE_NAMES, _PHASE_PATTERN)}
+       for scale in (1.0, 7.0, 1e3, 1e6)},
+    "phases-pump": {name: {"phi_a": 1.7, "phi_b": -2.9}.get(name, 0.0) for name in _PHASE_NAMES},
+}
 
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
@@ -91,6 +104,17 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
             out[f"run/{fixture}/detectors-{k}/mc"] = ("run", "--config", str(mc_config), "--out", report)
             for command in ("sweep-phase", "sweep-alpha"):
                 out[f"{command}/{fixture}/detectors-{k}"] = (command, "--config", str(det_config))
+        for label, phases in PHASES.items():
+            phased = {**raw, "phases_rad": phases}
+            variants = (("", phased), ("/mc", {**phased, "monte_carlo": {"enabled": True, "seed": 11}}),
+                        ("/detectors", {**phased, "detectors": {"efficiency_a": 0.6, "efficiency_b": 0.85}}))
+            for suffix, doc in variants:
+                phase_config = work / f"{fixture}-{label}{suffix.replace('/', '-')}.json"
+                phase_config.write_text(json.dumps(doc))
+                out[f"run/{fixture}/{label}{suffix}"] = ("run", "--config", str(phase_config), "--out", report)
+                if suffix != "/mc":
+                    for command in ("sweep-phase", "sweep-alpha"):
+                        out[f"{command}/{fixture}/{label}{suffix}"] = (command, "--config", str(phase_config))
         for k, extra in enumerate(SWEEP_PHASE_RANGES):
             for fmt in ("csv", "json"):
                 out[f"sweep-phase/{fixture}/range-{k}/{fmt}"] = ("sweep-phase", "--config", config, "--format", fmt, *extra)
