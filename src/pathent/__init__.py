@@ -30,7 +30,6 @@ from .stats import (
 )
 from .witness import (
     MultiphotonBounds,
-    QubitProbs,
     WitnessReport,
     beta_bound,
     certify,
@@ -68,7 +67,6 @@ __all__ = [
     "sigma_w_exp",
     "violation_k",
     "MultiphotonBounds",
-    "QubitProbs",
     "WitnessReport",
     "beta_bound",
     "certify",

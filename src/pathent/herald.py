@@ -163,8 +163,9 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     if p_true <= 0.0:
         if f < 1.0:
             raise HeraldingError(
-                "herald probability is zero; no conditional state exists "
-                "(pair probability 0 and no false heralds)"
+                f"herald probability is zero; no conditional state exists (pair probabilities {src.pair_probability_a} "
+                f"and {src.effective_pair_probability_b}, idler transmissions {src.idler_transmission_a} and "
+                f"{src.idler_transmission_b}, false-herald probability {f})"
             )
         cond = marginal  # pure noise heralds carry the unconditioned marginal
         herald_probability = 0.0  # noise rate is not derivable from the SNR model alone

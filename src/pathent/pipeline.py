@@ -304,11 +304,10 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
         for i, j in np.ndindex(steps, steps)
     ]
 
-    qp = witness.QubitProbs.from_joint_clicks(jp_z)
     optima = {}
     for mode in ("robust", "max_violation"):  # the CLI prints the optima in this order
         try:
-            alpha1, alpha2 = witness.optimal_alpha(qp, mode)
+            alpha1, alpha2 = witness.optimal_alpha(jp_z, mode)
             optima[mode] = {"alpha1": alpha1, "alpha2": alpha2}
         except witness.AlphaSearchError as exc:
             optima[mode] = {"error": str(exc)}

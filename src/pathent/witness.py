@@ -2,9 +2,11 @@
 
 The qubit bound is the maximum witness expectation a positive-partial-
 transpose two-qubit state can reach given its photon-number diagonal,
-with the coherence relaxed to sqrt(P00 P11).  The fluctuation bound
-maximizes it over the displacement-amplitude box observed in the
-experiment, and the dimension-free bound adds multiphoton corrections.
+read from the z-basis quadruple (no-click/click at zero displacement
+stands for 0/1 photons), with the coherence relaxed to sqrt(P00 P11).
+The fluctuation bound maximizes it over the displacement-amplitude box
+observed in the experiment, and the dimension-free bound adds
+multiphoton corrections.
 """
 
 from __future__ import annotations
@@ -15,55 +17,21 @@ from math import sqrt
 import numpy as np
 
 from . import stats
-from .measurement import AMPLITUDE_CLIP, PROB_SUM_ATOL, DisplacementSetting, JointClickProbabilities
+from .measurement import AMPLITUDE_CLIP, DisplacementSetting, JointClickProbabilities
 
 BOX_GAP_TOL = 1e-13
 BOX_HALVINGS = 4  # per round of the box search: a live box becomes 16
 BOX_MAX_ROUNDS = 50
 BOX_MAX_LIVE = 1024  # an objective flat over a region keeps every box there alive
 
-# The box search's per-axis factors, with e = exp(-a^2): f = 2e - 1,
-# g = 2 a^2 e - 1, A = a e and the slopes A', f', g'.  Each is a cubic in
-# a times e, plus an offset.
+# the per-axis factors of the qubit bound, in the order _factors returns them
 _F, _G, _A, _DA, _DF, _DG = range(6)
-_FACTOR_CUBICS = np.array([  # coefficients of 1, a, a^2, a^3
-    [2.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 2.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [1.0, 0.0, -2.0, 0.0],
-    [0.0, -4.0, 0.0, 0.0],
-    [0.0, 4.0, 0.0, -4.0],
-])
-_FACTOR_OFFSETS = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])[:, None, None, None]
-_POWERS = np.arange(4.0)[:, None, None, None]
 # where A, A' and g, g' have their interior extrema (f is monotone)
 _CRITICAL_AMPLITUDES = np.sqrt([0.5, 1.5, 1.0, (5.0 - sqrt(17.0)) / 4.0, (5.0 + sqrt(17.0)) / 4.0])[:, None, None]
 
 
 class AlphaSearchError(RuntimeError):
     """The requested displacement-amplitude optimum does not exist in (0, 2]."""
-
-
-@dataclass(frozen=True)
-class QubitProbs:
-    """Probabilities of i photons on mode 1 and j photons on mode 2."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        values = (self.p00, self.p01, self.p10, self.p11)
-        if any(p < 0 for p in values):
-            raise ValueError(f"probabilities must be nonnegative, got {values}")
-        if sum(values) > 1.0 + PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {sum(values)} > 1")
-
-    @classmethod
-    def from_joint_clicks(cls, jp: JointClickProbabilities) -> "QubitProbs":
-        """Identify no-click/click without displacement with 0/1 photons."""
-        return cls(p00=jp.p_nc_nc, p01=jp.p_nc_c, p10=jp.p_c_nc, p11=jp.p_c_c)
 
 
 @dataclass(frozen=True)
@@ -112,8 +80,19 @@ def w_exp(jp: JointClickProbabilities) -> float:
 
 
 def _clip(alpha):
-    """alpha capped at AMPLITUDE_CLIP; a Python float stays one, as its square may differ from an array's by an ulp."""
+    """alpha capped at AMPLITUDE_CLIP; a Python float stays one, so a scalar call keeps scalar arithmetic."""
     return np.minimum(alpha, AMPLITUDE_CLIP) if isinstance(alpha, np.ndarray) else min(alpha, AMPLITUDE_CLIP)
+
+
+def _factors(alpha):
+    """The qubit bound's per-axis factors (f, g, A, A', f', g') at a scalar or array amplitude.
+
+    With e = exp(-a^2): f = 2e - 1, g = 2 a^2 e - 1, A = a e and their slopes.
+    The bound coefficients, b_max, the diagonal slope and the box enclosures are built from them.
+    """
+    a = _clip(alpha)
+    e = np.exp(-(a * a))
+    return 2.0 * e - 1.0, 2.0 * a * a * e - 1.0, a * e, (1.0 - 2.0 * a * a) * e, -4.0 * a * e, 4.0 * a * (1.0 - a * a) * e
 
 
 def bound_coefficients(alpha1, alpha2):
@@ -122,29 +101,24 @@ def bound_coefficients(alpha1, alpha2):
     Order: (C1, C2, C3, C4, C5) multiplying P00, sqrt(P00 P11), P11, P10, P01.
     Accepts scalars or broadcastable numpy arrays.
     """
-    alpha1, alpha2 = _clip(alpha1), _clip(alpha2)
-    f1 = 2.0 * np.exp(-(alpha1**2)) - 1.0
-    f2 = 2.0 * np.exp(-(alpha2**2)) - 1.0
-    g1 = 2.0 * alpha1**2 * np.exp(-(alpha1**2)) - 1.0
-    g2 = 2.0 * alpha2**2 * np.exp(-(alpha2**2)) - 1.0
-    c2 = 8.0 * alpha1 * alpha2 * np.exp(-(alpha1**2) - alpha2**2)
-    return (f1 * f2, c2, g1 * g2, g1 * f2, f1 * g2)
+    (f1, g1, a1), (f2, g2, a2) = _factors(alpha1)[:3], _factors(alpha2)[:3]
+    return (f1 * f2, 8.0 * a1 * a2, g1 * g2, g1 * f2, f1 * g2)
 
 
-def w_ppt_qubit(alpha1: float, alpha2: float, qp: QubitProbs) -> float:
-    """Maximum witness expectation of a PPT two-qubit state with the given diagonal."""
+def w_ppt_qubit(alpha1: float, alpha2: float, jp_z: JointClickProbabilities) -> float:
+    """Maximum witness expectation of a PPT two-qubit state whose diagonal is the z-basis quadruple.
+
+    It is the fluctuation-bound objective at a point box without multiphoton events.
+    """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("displacement amplitudes must be real and nonnegative")
-    c1, c2, c3, c4, c5 = bound_coefficients(alpha1, alpha2)
-    return c1 * qp.p00 + c2 * sqrt(qp.p00 * qp.p11) + c3 * qp.p11 + c4 * qp.p10 + c5 * qp.p01
+    return float(w_tilde_point(alpha1, alpha2, jp_z, MultiphotonBounds(0.0, 0.0)))
 
 
 def b_max(alpha1, alpha2):
-    """Largest singular value of the qubit-to-multiphoton block of the witness."""
+    """Largest singular value of the qubit-to-multiphoton block of the witness: 2 A1 A2 sqrt(2 (a1^4 + a2^4))."""
     alpha1, alpha2 = _clip(alpha1), _clip(alpha2)
-    return (
-        2.0 * alpha1 * alpha2 * np.exp(-(alpha1**2) - alpha2**2) * np.sqrt(2.0 * (alpha1**4 + alpha2**4))
-    )
+    return 2.0 * _factors(alpha1)[_A] * _factors(alpha2)[_A] * np.sqrt(2.0 * (alpha1**4 + alpha2**4))
 
 
 def w_tilde_point(a1, a2, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
@@ -181,8 +155,7 @@ def _axis_factors(lo, hi):
     points of any of them.
     """
     a = np.concatenate((lo[None], hi[None], np.minimum(np.maximum(_CRITICAL_AMPLITUDES, lo), hi)))
-    cubics = (_FACTOR_CUBICS @ (a**_POWERS).reshape(4, -1)).reshape(6, *a.shape)
-    values = cubics * np.exp(-a * a) + _FACTOR_OFFSETS
+    values = np.array(_factors(a))
     return np.array((values.min(axis=1), values.max(axis=1)))
 
 
@@ -332,17 +305,16 @@ def beta_bound(i1: DisplacementSetting, i2: DisplacementSetting) -> float:
 
 
 def w_ppt_max(w_tilde: float, mb: MultiphotonBounds, beta: float) -> float:
-    """Dimension-free separable bound with multiphoton corrections; w_tilde and beta may be arrays."""
+    """Dimension-free separable bound with multiphoton corrections; mb keeps p1* + p2* < 1/2, w_tilde and beta may be arrays."""
     p = mb.total
-    stats.check_pstar_domain(p)
     return w_tilde + p + 2.0 * beta * sqrt(p * (1.0 - p))
 
 
-def optimal_alpha(qp: QubitProbs, mode: str = "robust"):
-    """Displacement amplitudes optimizing the witness for a state with the given diagonal.
+def optimal_alpha(jp_z: JointClickProbabilities, mode: str = "robust"):
+    """Displacement amplitudes optimizing the witness for a state with the given z-basis quadruple.
 
     "max_violation" returns alpha = 1/sqrt(2) on both sides: on the ideal
-    lossy state matching qp, with diagonal (1 - eta, eta/2, eta/2, 0), the
+    lossy state matching jp_z, with diagonal (1 - eta, eta/2, eta/2, 0), the
     witness exceeds the qubit bound by 4 eta alpha^2 exp(-2 alpha^2), which
     peaks there for every eta > 0.  "robust" returns the amplitude at which
     the qubit bound is stationary along the symmetric diagonal
@@ -353,37 +325,32 @@ def optimal_alpha(qp: QubitProbs, mode: str = "robust"):
     so the stationary point is the operational robustness criterion.
     """
     if mode == "max_violation":
-        if qp.p01 + qp.p10 <= 0.0:
+        if jp_z.p_nc_c + jp_z.p_c_nc <= 0.0:
             raise AlphaSearchError("no single-photon population; violation is not positive anywhere")
         return sqrt(0.5), sqrt(0.5)
     if mode == "robust":
-        return _robust_alpha(qp)
+        return _robust_alpha(jp_z)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def w_ppt_qubit_slope(alpha, qp: QubitProbs):
-    """d/dalpha of w_ppt_qubit(alpha, alpha, qp); accepts scalars or numpy arrays.
+def w_ppt_qubit_slope(alpha, jp_z: JointClickProbabilities):
+    """d/dalpha of w_ppt_qubit(alpha, alpha, jp_z); accepts scalars or numpy arrays.
 
-    With e = exp(-alpha^2) the bound is f^2 P00 + c2 sqrt(P00 P11) + g^2 P11
-    + f g (P10 + P01), where f = 2e - 1, g = 2 alpha^2 e - 1 and c2 = 8 alpha^2 e^2.
+    Along the diagonal the bound is f^2 P00 + 8 A^2 sqrt(P00 P11) + g^2 P11
+    + f g (P10 + P01), in the factors of _factors.
     """
-    e = np.exp(-(alpha**2))
-    f = 2.0 * e - 1.0
-    g = 2.0 * alpha**2 * e - 1.0
-    df = -4.0 * alpha * e
-    dg = 4.0 * alpha * (1.0 - alpha**2) * e
-    dc2 = 16.0 * alpha * (1.0 - 2.0 * alpha**2) * e**2
+    f, g, a, da, df, dg = _factors(alpha)
     return (
-        2.0 * f * df * qp.p00
-        + dc2 * sqrt(qp.p00 * qp.p11)
-        + 2.0 * g * dg * qp.p11
-        + (df * g + f * dg) * (qp.p10 + qp.p01)
+        2.0 * f * df * jp_z.p_nc_nc
+        + 16.0 * a * da * sqrt(jp_z.p_nc_nc * jp_z.p_c_c)
+        + 2.0 * g * dg * jp_z.p_c_c
+        + (df * g + f * dg) * (jp_z.p_c_nc + jp_z.p_nc_c)
     )
 
 
-def _robust_alpha(qp: QubitProbs):
+def _robust_alpha(jp_z: JointClickProbabilities):
     alphas = np.linspace(0.05, 2.0, 200)
-    slopes = w_ppt_qubit_slope(alphas, qp)
+    slopes = w_ppt_qubit_slope(alphas, jp_z)
     a, b = slopes[:-1], slopes[1:]
     crossings = np.flatnonzero((((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))) & (a != b))
     if len(crossings) == 0:
@@ -392,7 +359,7 @@ def _robust_alpha(qp: QubitProbs):
     flo = slopes[crossings[0]]
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        fmid = w_ppt_qubit_slope(mid, qp)
+        fmid = w_ppt_qubit_slope(mid, jp_z)
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid
         else:
@@ -422,8 +389,7 @@ def certify(
     jp_z = z.probabilities
     value_w_exp = w_exp(alpha.probabilities)
     sigma_exp = stats.sigma_w_exp(alpha.estimates)
-    qp = QubitProbs.from_joint_clicks(jp_z)
-    value_w_ppt = w_ppt_qubit(i1.alpha_mean, i2.alpha_mean, qp)
+    value_w_ppt = w_ppt_qubit(i1.alpha_mean, i2.alpha_mean, jp_z)
     w_tilde, coeffs = w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
     beta = beta_bound(i1, i2)
     value_w_ppt_max = w_ppt_max(w_tilde, mb, beta)

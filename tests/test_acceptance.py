@@ -82,7 +82,7 @@ def test_criterion_3_robustness_identity():
     worst = 0.0
     for eta in (0.01, 0.1, 0.5, 1.0):
         rho = ideal_lossy_state(eta, 0.0, TR10)
-        diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+        diag = JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         for alpha in (0.3, 0.7, 0.83, 1.2):
             w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
             violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
@@ -153,12 +153,12 @@ def test_criterion_5_separable_soundness():
 
 def test_criterion_6_optimal_amplitudes():
     start = time.monotonic()
-    ideal = witness.QubitProbs(0.0, 0.5, 0.5, 0.0)
+    ideal = JointClickProbabilities(0.0, 0.5, 0.5, 0.0)
     a_max, _ = witness.optimal_alpha(ideal, "max_violation")
-    qp_km = witness.QubitProbs(0.96142, 0.01881, 0.01977, 0.0000059)
-    a_rob_km, _ = witness.optimal_alpha(qp_km, "robust")
-    qp_42 = witness.QubitProbs(0.96834, 0.01431, 0.01735, 0.0000044)
-    a_rob_42, _ = witness.optimal_alpha(qp_42, "robust")
+    jp_km = JointClickProbabilities(0.96142, 0.01881, 0.01977, 0.0000059)
+    a_rob_km, _ = witness.optimal_alpha(jp_km, "robust")
+    jp_42 = JointClickProbabilities(0.96834, 0.01431, 0.01735, 0.0000044)
+    a_rob_42, _ = witness.optimal_alpha(jp_42, "robust")
     elapsed = time.monotonic() - start
     ok = (
         abs(a_max - 0.7071) <= 0.005

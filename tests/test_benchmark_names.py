@@ -37,6 +37,11 @@ def test_every_traced_layer_name_resolves():
     assert missing == []
 
 
+# (witness.box_bound, witness.optimal_alpha) calls per op: the certifying paths run both box searches once,
+# sweep-alpha bounds its grid pointwise and runs both amplitude optimizers
+WITNESS_CALLS = {"run": (2, 0), "sweep-phase": (2, 0), "sweep-alpha": (0, 2), "certify": (2, 0)}
+
+
 @pytest.mark.parametrize("workload, argv, herald_calls", [
     ("run", ["run", "--config", str(FIXTURES / "lossy_link.json")], 1),
     ("sweep-phase", ["sweep-phase", "--config", str(FIXTURES / "lossy_link.json")], 1),
@@ -54,4 +59,6 @@ def test_traced_op_runs_with_one_herald_per_simulation(workload, argv, herald_ca
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    assert spans.layer_metrics(tracer.spans, 1)["herald.simulate.calls"] == herald_calls
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert metrics["herald.simulate.calls"] == herald_calls
+    assert (metrics["witness.box_bound.calls"], metrics["witness.optimal_alpha.calls"]) == WITNESS_CALLS[workload]

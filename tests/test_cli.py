@@ -104,6 +104,21 @@ def test_exit_code_numerical_error(tmp_path):
     assert main(["run", "--config", str(dead)]) == 3
 
 
+@pytest.mark.parametrize("source, expected", [
+    ({"idler_transmission_a": 0.0, "idler_transmission_b": 0.0},
+     "(pair probabilities 0.003 and 0.003, idler transmissions 0.0 and 0.0, false-herald probability 0.1667)"),
+    ({"pair_probability": 0.0, "false_herald_probability": 0.5},
+     "(pair probabilities 0.0 and 0.0, idler transmissions 0.007 and 0.007, false-herald probability 0.5)"),
+], ids=("dark-idlers", "no-pairs"))
+def test_zero_herald_error_states_the_configured_source(source, expected, tmp_path, capsys):
+    raw = json.loads((FIXTURES / "lossy_link.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**raw, "source": {**raw["source"], **source}}))
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: herald probability is zero") and expected in err, err
+
+
 @pytest.mark.parametrize("command", ["sweep-phase", "sweep-alpha"])
 def test_unallocatable_sweep_exits_3_with_one_line(command, capsys):
     # 10**17 float64 steps need 8e17 bytes, beyond any 64-bit address space, so the allocation fails at once

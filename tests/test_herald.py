@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from functools import reduce
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from pathent import fockcore as fc
 from pathent import herald
 from pathent import measurement as meas
-from pathent.config import load_experiment_config
+from pathent import pipeline
+from pathent.config import load_experiment_config, parse_experiment_config
 
 from conftest import FIXTURES
 from reference import (
@@ -292,6 +294,24 @@ def test_heralded_state_converges_in_truncation(fixture):
             assert np.max(np.abs(pstar - previous_pstar)) <= tail + 4 * np.finfo(float).eps
         pairs = herald.simulate_heralded_state(lossless, efficiencies, trunc).rho.matrix
         previous = (block, pstar, _tail_weight(pairs, d))
+
+
+def test_fixture_herald_truncation_is_1e4_from_converged_on_lossy_link():
+    # The fixtures pin herald n_max 3.  On lossy_link that leaves p1* and p2* about 1e-4 (relative) from their
+    # n_max -> infinity limit, which n_max 12 stands for here; the consecutive-truncation test above cannot see
+    # this.  This records the fixture as it is; the click POVM truncation must be at least the herald's.
+    raw = json.loads((FIXTURES / "lossy_link.json").read_text())
+
+    def pstar(n_max):
+        numerics = {"truncation_n_max": max(n_max, raw["numerics"]["truncation_n_max"]), "herald_truncation_n_max": n_max}
+        sim = pipeline._simulate_probabilities(parse_experiment_config({**raw, "numerics": numerics}))
+        return np.array([sim["p1_star"].value, sim["p2_star"].value])
+
+    limit = pstar(12)
+    errors = {n_max: np.max(np.abs(pstar(n_max) / limit - 1.0)) for n_max in (3, 4, 8)}
+    assert 0.9e-4 <= errors[3] <= 1.2e-4
+    assert errors[4] <= 1e-6
+    assert errors[8] <= 1e-14
 
 
 @FIXTURE_SOURCES

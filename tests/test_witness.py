@@ -1,5 +1,4 @@
 from math import sqrt
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -74,14 +73,13 @@ def test_w_exp_examples():
 
 
 def test_w_ppt_qubit_z_basis_limit():
-    qp = witness.QubitProbs(0.7, 0.1, 0.15, 0.05)
-    assert abs(witness.w_ppt_qubit(0.0, 0.0, qp) - (0.7 + 0.05 - 0.15 - 0.1)) < 1e-12
+    jp_z = meas.JointClickProbabilities(0.7, 0.1, 0.15, 0.05)
+    assert abs(witness.w_ppt_qubit(0.0, 0.0, jp_z) - (0.7 + 0.05 - 0.15 - 0.1)) < 1e-12
 
 
 @pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))
 def test_w_ppt_qubit_published_rows(row):
-    qp = witness.QubitProbs.from_joint_clicks(row["jp_z"])
-    value = witness.w_ppt_qubit(row["i1"].alpha_mean, row["i2"].alpha_mean, qp)
+    value = witness.w_ppt_qubit(row["i1"].alpha_mean, row["i2"].alpha_mean, row["jp_z"])
     assert abs(value - row["w_ppt"]) < 2e-4
 
 
@@ -91,8 +89,7 @@ def test_fluctuation_bound_point_interval_matches_qubit_bound():
     i1 = point_setting(0.819)
     i2 = point_setting(0.837)
     w_tilde, coeffs = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb0)
-    qp = witness.QubitProbs.from_joint_clicks(jp_z)
-    assert abs(w_tilde - witness.w_ppt_qubit(0.819, 0.837, qp)) < 1e-12
+    assert abs(w_tilde - witness.w_ppt_qubit(0.819, 0.837, jp_z)) < 1e-12
     assert np.allclose(coeffs, witness.bound_coefficients(0.819, 0.837))
 
 
@@ -131,13 +128,11 @@ def test_multiphoton_bounds_domain():
 
 
 def test_pstar_domain_edge_is_exactly_one_half():
-    # MultiphotonBounds, w_ppt_max and sigma_ppt_max share one edge: 1/2 itself is outside
+    # MultiphotonBounds, which w_ppt_max takes, and sigma_ppt_max share one edge: 1/2 itself is outside
     with pytest.raises(stats.PStarDomainError):
         stats.check_pstar_domain(0.5)
     with pytest.raises(stats.PStarDomainError):
         witness.MultiphotonBounds(0.25, 0.25)
-    with pytest.raises(stats.PStarDomainError):
-        witness.w_ppt_max(0.0, SimpleNamespace(total=0.5), 0.4)
     estimates = tuple(stats.ProbEstimate(p, 0.01) for p in (0.97, 0.01, 0.01, 0.01))
     pstar = (stats.ProbEstimate(0.25, 0.01), stats.ProbEstimate(0.25, 0.01))
     with pytest.raises(stats.PStarDomainError):
@@ -159,8 +154,7 @@ def test_bound_ordering_random_inputs():
         i1 = meas.DisplacementSetting(mean1, mean1 - width1, mean1 + width1)
         i2 = meas.DisplacementSetting(mean2, mean2 - width2, mean2 + width2)
         mb = witness.MultiphotonBounds(rng.uniform(0, 1e-4), rng.uniform(0, 1e-4))
-        qp = witness.QubitProbs.from_joint_clicks(jp_z)
-        w_ppt = witness.w_ppt_qubit(mean1, mean2, qp)
+        w_ppt = witness.w_ppt_qubit(mean1, mean2, jp_z)
         w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
         w_max = witness.w_ppt_max(w_tilde, mb, witness.beta_bound(i1, i2))
         assert w_ppt <= w_tilde + 1e-12
@@ -180,9 +174,8 @@ def swap_clicks(jp: meas.JointClickProbabilities) -> meas.JointClickProbabilitie
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(a1=amplitudes, a2=amplitudes, p=quadruples)
 def test_w_ppt_qubit_swap_symmetry(a1, a2, p):
-    qp = witness.QubitProbs(*p)
-    swapped = witness.QubitProbs(qp.p00, qp.p10, qp.p01, qp.p11)
-    assert abs(witness.w_ppt_qubit(a1, a2, qp) - witness.w_ppt_qubit(a2, a1, swapped)) <= 1e-12
+    jp_z = meas.JointClickProbabilities(*p)
+    assert abs(witness.w_ppt_qubit(a1, a2, jp_z) - witness.w_ppt_qubit(a2, a1, swap_clicks(jp_z))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -319,7 +312,7 @@ def test_robustness_identity_quick():
         for alpha in (0.3, 0.83):
             rho = ideal_lossy_state(eta, 0.0, TR10)
             w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
-            diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+            diag = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
             violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
             expected = 8.0 * alpha**2 * np.exp(-2.0 * alpha**2) * eta / 2.0
             assert abs(violation - expected) < 1e-9
@@ -330,7 +323,7 @@ def test_detection_for_arbitrary_loss():
     w_ops = {a: meas.phase_averaged_witness_operator(a, a, TR10) for a in (0.4, 0.7071, 1.0)}
     for eta in np.arange(0.01, 1.001, 0.0999):
         rho = ideal_lossy_state(eta, 0.0, TR10)
-        diag = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+        diag = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         best = max(
             expectation_value(rho, w_op) - witness.w_ppt_qubit(a, a, diag)
             for a, w_op in w_ops.items()
@@ -352,11 +345,11 @@ def test_separable_soundness_sample():
             psi = np.kron(psi_a, psi_b)
             rho += w * np.outer(psi, psi.conj())
         diag = np.diag(rho).real
-        qp = witness.QubitProbs(diag[0], diag[1], diag[2], diag[3])
+        jp_z = meas.JointClickProbabilities(*diag)
         for a1, a2 in settings:
             w_block = _qubit_block(a1, a2)
             value = np.trace(rho @ w_block).real
-            assert value <= witness.w_ppt_qubit(a1, a2, qp) + 1e-9
+            assert value <= witness.w_ppt_qubit(a1, a2, jp_z) + 1e-9
 
 
 def _qubit_block(a1: float, a2: float) -> np.ndarray:
@@ -367,8 +360,7 @@ def _qubit_block(a1: float, a2: float) -> np.ndarray:
 
 
 def test_optimal_alpha_max_violation_ideal():
-    qp = witness.QubitProbs(0.0, 0.5, 0.5, 0.0)
-    a1, a2 = witness.optimal_alpha(qp, "max_violation")
+    a1, a2 = witness.optimal_alpha(meas.JointClickProbabilities(0.0, 0.5, 0.5, 0.0), "max_violation")
     assert abs(a1 - 1.0 / np.sqrt(2.0)) < 1e-15
     assert a1 == a2
 
@@ -381,14 +373,14 @@ def test_optimal_alpha_max_violation_ideal():
 )
 def test_max_violation_optimum_is_the_truncated_maximum(eta, n_max, h):
     # the truncated objective: witness on the ideal lossy state minus the qubit bound of its diagonal
-    qp = witness.QubitProbs(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
-    assert witness.optimal_alpha(qp, "max_violation") == (sqrt(0.5), sqrt(0.5))
+    jp_z = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
+    assert witness.optimal_alpha(jp_z, "max_violation") == (sqrt(0.5), sqrt(0.5))
     trunc = fc.FockTruncation(n_max)
     rho = ideal_lossy_state(eta, 0.0, trunc).matrix
 
     def violation(a: float) -> float:
         w = meas.phase_averaged_witness_operator(a, a, trunc)
-        return np.trace(rho @ w).real - witness.w_ppt_qubit(a, a, qp)
+        return np.trace(rho @ w).real - witness.w_ppt_qubit(a, a, jp_z)
 
     best = violation(sqrt(0.5))
     # 4 eta alpha^2 exp(-2 alpha^2) at alpha^2 = 1/2, to rounding: the displaced parity is exact on its levels
@@ -398,27 +390,27 @@ def test_max_violation_optimum_is_the_truncated_maximum(eta, n_max, h):
     assert violation(sqrt(0.5) + h) <= best + 1e-15
 
 
-def _w_diagonal_mp(alpha, qp: witness.QubitProbs):
-    """w_ppt_qubit(alpha, alpha, qp) in mpmath arithmetic, from the coefficient definitions."""
+def _w_diagonal_mp(alpha, jp_z: meas.JointClickProbabilities):
+    """w_ppt_qubit(alpha, alpha, jp_z) in mpmath arithmetic, from the coefficient definitions."""
     e = mp.exp(-(alpha**2))
     f = 2 * e - 1
     g = 2 * alpha**2 * e - 1
     c2 = 8 * alpha**2 * e**2
-    p00, p01, p10, p11 = (mp.mpf(p) for p in (qp.p00, qp.p01, qp.p10, qp.p11))
+    p00, p01, p10, p11 = (mp.mpf(p) for p in (jp_z.p_nc_nc, jp_z.p_nc_c, jp_z.p_c_nc, jp_z.p_c_c))
     return f * f * p00 + c2 * mp.sqrt(p00 * p11) + g * g * p11 + g * f * p10 + f * g * p01
 
 
-def _slope_mp(alpha, qp: witness.QubitProbs):
-    return mp.diff(lambda x: _w_diagonal_mp(x, qp), alpha)
+def _slope_mp(alpha, jp_z: meas.JointClickProbabilities):
+    return mp.diff(lambda x: _w_diagonal_mp(x, jp_z), alpha)
 
 
-def _robust_root_mp(qp: witness.QubitProbs):
+def _robust_root_mp(jp_z: meas.JointClickProbabilities):
     """First stationary amplitude of the bound on the optimizer's grid, found by mpmath; None if none."""
     grid = [mp.mpf(a) for a in np.linspace(0.05, 2.0, 200)]
-    slopes = [_slope_mp(a, qp) for a in grid]
+    slopes = [_slope_mp(a, jp_z) for a in grid]
     for lo, hi, s_lo, s_hi in zip(grid, grid[1:], slopes, slopes[1:]):
         if s_lo * s_hi <= 0 and s_lo != s_hi:
-            return mp.findroot(lambda x: _slope_mp(x, qp), (lo, hi), solver="anderson")
+            return mp.findroot(lambda x: _slope_mp(x, jp_z), (lo, hi), solver="anderson")
     return None
 
 
@@ -428,61 +420,58 @@ qubit_diagonals = st.one_of(
     st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1), st.floats(0.0, 1e-3)).map(
         lambda p: np.array([1.0 - sum(p), *p])
     ),
-).map(lambda p: witness.QubitProbs(*p))
+).map(lambda p: meas.JointClickProbabilities(*p))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(qp=qubit_diagonals, alpha=st.floats(0.05, 2.0))
-def test_bound_slope_matches_mpmath_derivative(qp, alpha):
+@given(jp_z=qubit_diagonals, alpha=st.floats(0.05, 2.0))
+def test_bound_slope_matches_mpmath_derivative(jp_z, alpha):
     with mp.workdps(40):
-        assert abs(witness.w_ppt_qubit(alpha, alpha, qp) - float(_w_diagonal_mp(mp.mpf(alpha), qp))) <= 1e-15
-        assert abs(witness.w_ppt_qubit_slope(alpha, qp) - float(_slope_mp(mp.mpf(alpha), qp))) <= 1e-14
+        assert abs(witness.w_ppt_qubit(alpha, alpha, jp_z) - float(_w_diagonal_mp(mp.mpf(alpha), jp_z))) <= 1e-15
+        assert abs(witness.w_ppt_qubit_slope(alpha, jp_z) - float(_slope_mp(mp.mpf(alpha), jp_z))) <= 1e-14
 
 
-def _check_robust_root(qp: witness.QubitProbs):
+def _check_robust_root(jp_z: meas.JointClickProbabilities):
     with mp.workdps(40):
-        root = _robust_root_mp(qp)
+        root = _robust_root_mp(jp_z)
     if root is None:
         with pytest.raises(witness.AlphaSearchError):
-            witness.optimal_alpha(qp, "robust")
+            witness.optimal_alpha(jp_z, "robust")
         return
-    a1, a2 = witness.optimal_alpha(qp, "robust")
+    a1, a2 = witness.optimal_alpha(jp_z, "robust")
     assert a1 == a2
     assert abs(a1 - float(root)) <= 1e-12
 
 
 @pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))
 def test_robust_optimum_matches_mpmath_root_published(row):
-    _check_robust_root(witness.QubitProbs.from_joint_clicks(row["jp_z"]))
+    _check_robust_root(row["jp_z"])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(qp=qubit_diagonals)
-def test_robust_optimum_matches_mpmath_root_random(qp):
-    _check_robust_root(qp)
+@given(jp_z=qubit_diagonals)
+def test_robust_optimum_matches_mpmath_root_random(jp_z):
+    _check_robust_root(jp_z)
 
 
 def test_optimal_alpha_robust_published_diagonals():
-    qp = witness.QubitProbs.from_joint_clicks(ROW_1P0KM["jp_z"])
-    a1, a2 = witness.optimal_alpha(qp, "robust")
+    a1, a2 = witness.optimal_alpha(ROW_1P0KM["jp_z"], "robust")
     assert abs(a1 - 0.83) < 0.01
     assert a1 == a2
-    qp = witness.QubitProbs.from_joint_clicks(ROW_42M_SET1["jp_z"])
-    a1, _ = witness.optimal_alpha(qp, "robust")
+    a1, _ = witness.optimal_alpha(ROW_42M_SET1["jp_z"], "robust")
     assert abs(a1 - 0.83) < 0.01
 
 
 def test_optimal_alpha_symmetric_diagonal():
-    qp = witness.QubitProbs(0.9, 0.04, 0.04, 0.0)
-    a1, a2 = witness.optimal_alpha(qp, "robust")
+    a1, a2 = witness.optimal_alpha(meas.JointClickProbabilities(0.92, 0.04, 0.04, 0.0), "robust")
     assert a1 == a2
 
 
 def test_optimal_alpha_failure_cases():
     with pytest.raises(witness.AlphaSearchError):
-        witness.optimal_alpha(witness.QubitProbs(1.0, 0.0, 0.0, 0.0), "max_violation")
+        witness.optimal_alpha(meas.JointClickProbabilities(1.0, 0.0, 0.0, 0.0), "max_violation")
     with pytest.raises(ValueError):
-        witness.optimal_alpha(witness.QubitProbs(1.0, 0.0, 0.0, 0.0), "nonsense")
+        witness.optimal_alpha(meas.JointClickProbabilities(1.0, 0.0, 0.0, 0.0), "nonsense")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))

@@ -17,7 +17,11 @@ efficiencies (0.6, 0.85), runs at alpha1_mean 3 and 40 (the fixtures
 use about 0.8), and runs and sweeps at phases of about 1, 7, 1e3 and 1e6
 rad and with the pump phases alone shifted, with Monte Carlo on and off
 and with efficiencies (0.6, 0.85) (the fixtures hold every phase at 0
-and the pool entries jitter them by 0.5 rad at most).  `compare` lists
+and the pool entries jitter them by 0.5 rad at most), and certify runs
+whose fluctuation-box maximum is not at a corner: three synthetic count
+files with wide boxes, the published runs with both boxes widened to
+[0.3, 1.5], and published_1p0km with 0 or 1 multiphoton coincidences
+(the published runs' maxima are corners).  `compare` lists
 the cases that differ; stderr is compared after each tree's own path is
 replaced, since a warning prints the path of the source line that raised
 it.  For a stderr difference it also prints the first differing line of
@@ -68,6 +72,46 @@ PHASES = {
     "phases-pump": {name: {"phi_a": 1.7, "phi_b": -2.9}.get(name, 0.0) for name in _PHASE_NAMES},
 }
 
+# synthetic certify inputs: z quadruple (nc,nc / nc,c / c,nc / c,c), (p1*, p2*), alpha1 and alpha2 (min, mean, max);
+# the first two fluctuation-box maxima are interior, the third lies on an edge
+SYNTHETIC = (
+    ((0.4532, 0.1467, 0.1282, 0.2719), (0.043, 0.0124), (0.325, 0.518, 1.357), (0.376, 0.514, 1.444)),
+    ((0.4622, 0.2696, 0.0542, 0.2140), (0.0489, 0.0295), (0.416, 0.542, 0.673), (0.43, 0.519, 1.361)),
+    ((0.1667, 0.2615, 0.4678, 0.1040), (0.0438, 0.0029), (0.343, 0.5, 0.705), (0.928, 1.1, 1.603)),
+)
+SYNTHETIC_HERALDS = 10**6
+# a box around b_max's diagonal maximum at (1, 1)
+WIDE_BOX = (0.3, 1.5)
+# (pstar1, pstar2) coincidences in place of published_1p0km's, where the Wald sigma of a row is 0
+PSTAR_COINCIDENCES = ((0, 0), (1, 0), (1, 1))
+_SETTINGS_HEADER = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max"
+
+
+def _synthetic_files(z, pstar, box1, box2) -> dict[str, str]:
+    n = SYNTHETIC_HERALDS
+    nc_nc, nc_c, c_nc, c_c = (round(p * n) for p in z)
+    p1, p2 = (round(p * n) for p in pstar)
+    # a fixed alpha-basis row: it moves w_exp only, not the bounds
+    counts = (f"basis,n_total,n_a,n_b,n_d,n_none\nalpha,{n},{n // 5},{n // 5},{3 * n // 10},{3 * n // 10}\n"
+              f"z,{n},{c_nc},{nc_c},{c_c},{nc_nc}\npstar1,{n},0,0,{p1},\npstar2,{n},0,0,{p2},\n")
+    return {"counts.csv": counts, "settings.csv": f"{_SETTINGS_HEADER}\n{','.join(map(str, (*box1, *box2)))}\n"}
+
+
+def _widened(files: dict[str, str]) -> dict[str, str]:
+    header, row = files["settings.csv"].splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    record.update({f"alpha{side}_{end}": str(a) for side in (1, 2) for end, a in zip(("min", "max"), WIDE_BOX)})
+    return {**files, "settings.csv": f"{header}\n{','.join(record.values())}\n"}
+
+
+def _with_pstar_coincidences(files: dict[str, str], coincidences) -> dict[str, str]:
+    lines = files["counts.csv"].splitlines()
+    for i, line in enumerate(lines):
+        basis, n_total, n_a, n_b, _, n_none = line.split(",")
+        if basis in ("pstar1", "pstar2"):
+            lines[i] = ",".join((basis, n_total, n_a, n_b, str(coincidences[basis == "pstar2"]), n_none))
+    return {**files, "counts.csv": "\n".join(lines) + "\n"}
+
 
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
     """Case name -> CLI argv; input files are written under work."""
@@ -79,6 +123,14 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
     for stem in workloads.PUBLISHED:
         files = workloads.published_files(stem, FIXTURES)
         out[f"certify/{stem}"] = _argv("certify", files, work, stem, work / "certify.out")
+        out[f"certify/{stem}/wide-box"] = _argv("certify", _widened(files), work, f"{stem}-wide", work / "certify.out")
+    for k, inputs in enumerate(SYNTHETIC):
+        out[f"certify/synthetic-{k}"] = _argv("certify", _synthetic_files(*inputs), work, f"synthetic-{k}",
+                                              work / "certify.out")
+    for n1, n2 in PSTAR_COINCIDENCES:
+        files = _with_pstar_coincidences(workloads.published_files("published_1p0km", FIXTURES), (n1, n2))
+        out[f"certify/published_1p0km/pstar-{n1}-{n2}"] = _argv("certify", files, work, f"pstar-{n1}-{n2}",
+                                                                 work / "certify.out")
     for fixture in ("ideal_link", "lossy_link"):
         config = str(FIXTURES / f"{fixture}.json")
         report = str(work / "run.out")
