@@ -1,6 +1,6 @@
 """Heralded single-photon path entanglement: simulation and certification."""
 
-from .config import DetectorModel
+from .config import Detectors
 from .fockcore import DensityOperator, FockTruncation
 from .herald import (
     HeraldedState,
@@ -51,7 +51,7 @@ __all__ = [
     "SourceParams",
     "heralding_rate",
     "simulate_heralded_state",
-    "DetectorModel",
+    "Detectors",
     "DisplacementSetting",
     "JointClickProbabilities",
     "click_povm",

@@ -84,7 +84,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         config = load_experiment_config(args.config, args.truncation, args.seed)
         report = pipeline.run_experiment(config)
-        if (out := args.out or config.report_path) is not None:
+        if (out := args.out or config.output.report_path) is not None:
             pipeline.write_report(report, out)
         _print_summary(report)
         return EXIT_OK

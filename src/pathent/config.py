@@ -1,15 +1,16 @@
 """Experiment configuration and measurement-file ingestion.
 
-The configuration is a single JSON document.  Physics parameters have no
-defaults and must be spelled out (field names carry units); only
-numerical settings (truncations, Monte Carlo seed) may be omitted.
+The configuration is a single JSON document laid out as the
+ExperimentConfig dataclass tree.  Physics parameters have no defaults and
+must be spelled out (field names carry units); only numerical settings
+(truncations, Monte Carlo seed) and the output path may be omitted.
 """
 
 import csv
 import json
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args
 
@@ -64,61 +65,70 @@ class MonteCarloSettings:
 
 
 @dataclass(frozen=True)
-class DetectorModel:
-    efficiency: float = 1.0
+class Displacement:
+    """Each side's mean displacement amplitude and its fluctuation interval."""
+
+    alpha1_mean: float
+    alpha1_min: float
+    alpha1_max: float
+    alpha2_mean: float
+    alpha2_min: float
+    alpha2_max: float
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+        self.settings  # raises unless both intervals are ordered
+
+    @property
+    def settings(self) -> tuple[DisplacementSetting, DisplacementSetting]:
+        return (
+            DisplacementSetting(self.alpha1_mean, self.alpha1_min, self.alpha1_max),
+            DisplacementSetting(self.alpha2_mean, self.alpha2_min, self.alpha2_max),
+        )
 
 
-# File keys of the config blocks whose names differ from the ExperimentConfig
-# fields; the reader and echo() both walk these tables.
-_SIDES = {"alpha1": "setting_1", "alpha2": "setting_2"}
-_PARTS = ("mean", "min", "max")
-_DETECTORS = {"efficiency_a": "detector_1", "efficiency_b": "detector_2"}
-_DURATIONS = {"alpha_basis": "duration_alpha_s", "z_basis": "duration_z_s", "multiphoton": "duration_multiphoton_s"}
-_RATES = ("pump_rep_rate_hz", "duty_fraction")
+@dataclass(frozen=True)
+class Detectors:
+    efficiency_a: float
+    efficiency_b: float
+
+    def __post_init__(self):
+        for efficiency in (self.efficiency_a, self.efficiency_b):
+            if not 0.0 <= efficiency <= 1.0:
+                raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+
+
+@dataclass(frozen=True)
+class Durations:
+    """Counting time of each run, in seconds."""
+
+    alpha_basis: float
+    z_basis: float
+    multiphoton: float
+
+
+@dataclass(frozen=True)
+class Output:
+    report_path: str | None = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config file: each field is a top-level key, each dataclass-typed field a section."""
+
     source: SourceParams
-    phases: PhaseConfig
-    setting_1: DisplacementSetting
-    setting_2: DisplacementSetting
-    detector_1: DetectorModel
-    detector_2: DetectorModel
+    phases_rad: PhaseConfig
+    displacement: Displacement
+    detectors: Detectors
     pump_rep_rate_hz: float
     duty_fraction: float
-    duration_alpha_s: float
-    duration_z_s: float
-    duration_multiphoton_s: float
+    durations_s: Durations
     monte_carlo: MonteCarloSettings = field(default_factory=MonteCarloSettings)
     numerics: Numerics = field(default_factory=Numerics)
-    report_path: str | None = None
+    output: Output = field(default_factory=Output)
 
     @property
     def herald_truncation(self) -> fc.FockTruncation:
         return fc.FockTruncation(self.numerics.herald_truncation_n_max)
-
-    def echo(self) -> dict:
-        """Canonical dictionary form of the parsed configuration, in the config file's layout."""
-        return {
-            "source": asdict(self.source),
-            "phases_rad": asdict(self.phases),
-            "displacement": {
-                f"{side}_{part}": getattr(getattr(self, name), f"alpha_{part}")
-                for side, name in _SIDES.items()
-                for part in _PARTS
-            },
-            "detectors": {key: getattr(self, name).efficiency for key, name in _DETECTORS.items()},
-            **{key: getattr(self, key) for key in _RATES},
-            "durations_s": {key: getattr(self, name) for key, name in _DURATIONS.items()},
-            "monte_carlo": asdict(self.monte_carlo),
-            "numerics": asdict(self.numerics),
-            "output": {"report_path": self.report_path},
-        }
 
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
@@ -146,28 +156,29 @@ def _get(record: dict, key: str, context: str, hint=float):
     return _convert(record[key], hint, f"{context}.{key}")
 
 
-def _section(raw: dict, key: str, optional: bool = False) -> dict:
-    return {} if optional and key not in raw else _get(raw, key, "config", dict)
-
-
-def _fields(cls, record: dict, context: str, optional: bool = False, **overrides):
+def _fields(cls, record: dict, context: str, optional: bool = False, overrides: dict | None = None):
     """Build cls from the keys named after its fields, converted by their annotations.
 
-    Fields of a required section must all be given, except those that
-    default to None; an optional section falls back to the dataclass
-    defaults.  Overrides that are not None take precedence.  The field
-    annotations are types, not strings: this module, herald and stats do
-    not postpone the evaluation of annotations.
+    A dataclass-typed field is the section of that name, read by the same
+    rule; a section with a default may be left out.  Fields of a required
+    section must all be given, except those that default to None; an
+    optional section falls back to the dataclass defaults.  Overrides that
+    are not None take precedence, a section's nested under its name.  The
+    field annotations are types, not strings: this module, herald and stats
+    do not postpone the evaluation of annotations.
     """
-    values = {name: value for name, value in overrides.items() if value is not None}
+    overrides = overrides or {}
+    values = {}
     for f in fields(cls):
-        if f.name not in values and (f.name in record or (not optional and f.default is not None)):
+        if is_dataclass(f.type):
+            has_default = f.default_factory is not MISSING
+            section = {} if has_default and f.name not in record else _get(record, f.name, context, dict)
+            values[f.name] = _fields(f.type, section, f.name, has_default, overrides.get(f.name))
+        elif overrides.get(f.name) is not None:
+            values[f.name] = overrides[f.name]
+        elif f.name in record or (not optional and f.default is not None):
             values[f.name] = _get(record, f.name, context, f.type)
     return cls(**values)
-
-
-def _displacement(record: dict, side: str, context: str) -> DisplacementSetting:
-    return DisplacementSetting(**{f"alpha_{part}": _get(record, f"{side}_{part}", context) for part in _PARTS})
 
 
 def load_experiment_config(
@@ -184,38 +195,20 @@ def parse_experiment_config(
     raw: dict, truncation_override: int | None = None, seed_override: int | None = None
 ) -> ExperimentConfig:
     raw = _convert(raw, dict, "config root")
+    overrides = {"monte_carlo": {"seed": seed_override}, "numerics": {"truncation_n_max": truncation_override}}
     try:
-        disp, det, durations = (_section(raw, key) for key in ("displacement", "detectors", "durations_s"))
-        config = ExperimentConfig(
-            source=_fields(SourceParams, _section(raw, "source"), "source"),
-            phases=_fields(PhaseConfig, _section(raw, "phases_rad"), "phases_rad"),
-            **{name: _displacement(disp, side, "displacement") for side, name in _SIDES.items()},
-            **{name: DetectorModel(_get(det, key, "detectors")) for key, name in _DETECTORS.items()},
-            **{key: _get(raw, key, "config") for key in _RATES},
-            **{name: _get(durations, key, "durations_s") for key, name in _DURATIONS.items()},
-            monte_carlo=_fields(
-                MonteCarloSettings, _section(raw, "monte_carlo", optional=True), "monte_carlo",
-                optional=True, seed=seed_override,
-            ),
-            numerics=_fields(
-                Numerics, _section(raw, "numerics", optional=True), "numerics",
-                optional=True, truncation_n_max=truncation_override,
-            ),
-            report_path=_convert(
-                _section(raw, "output", optional=True).get("report_path"), str | None, "output.report_path"
-            ),
-        )
+        config = _fields(ExperimentConfig, raw, "config", overrides=overrides)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     if config.pump_rep_rate_hz <= 0 or not 0.0 < config.duty_fraction <= 1.0:
         raise ConfigError("pump_rep_rate_hz must be positive and duty_fraction in (0, 1]")
-    if min(config.duration_alpha_s, config.duration_z_s, config.duration_multiphoton_s) <= 0:
+    if min(astuple(config.durations_s)) <= 0:
         raise ConfigError("all durations must be positive")
     # phases act as exp(i theta n); theta * n must stay finite up to truncation_n_max
     n_max = config.numerics.truncation_n_max
-    for name, theta in asdict(config.phases).items():
+    for name, theta in asdict(config.phases_rad).items():
         if not math.isfinite(theta * n_max):
             raise ConfigError(f"phases_rad.{name} = {theta!r} overflows exp(i theta n) at truncation n_max {n_max}")
     # squeezed-source parameterization breaks down at pair probability 1/2
@@ -264,9 +257,11 @@ def load_counts_file(path) -> CountsFile:
         for basis in ("alpha", "z"):
             if basis not in rows:
                 raise ConfigError(f"counts file {path} is missing the {basis!r} basis row")
-        alpha, z = (BasisMeasurement(estimate_probabilities(*rows[b]), rows[b][0]) for b in ("alpha", "z"))
+        alpha, z = (estimate_probabilities(*rows[b]) for b in ("alpha", "z"))
         # a multiphoton run's coincidence fraction is the (c,c) estimate of its row
-        pstar1, pstar2 = (estimate_probabilities(rows[b][0])[3] if b in rows else None for b in ("pstar1", "pstar2"))
+        pstar1, pstar2 = (
+            estimate_probabilities(rows[b][0]).estimates[3] if b in rows else None for b in ("pstar1", "pstar2")
+        )
     except ConfigError:
         raise
     except OSError as exc:
@@ -277,13 +272,12 @@ def load_counts_file(path) -> CountsFile:
 
 
 @dataclass(frozen=True)
-class AnalysisSettings:
-    setting_1: DisplacementSetting
-    setting_2: DisplacementSetting
-    p1_star: float | None
-    p2_star: float | None
+class AnalysisSettings(Displacement):
+    p1_star: float | None = None
+    p2_star: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for value in (self.p1_star, self.p2_star):
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"multiphoton bound {value} outside [0, 1]")
@@ -303,10 +297,7 @@ def load_settings_file(path) -> AnalysisSettings:
             record = _convert(json.loads(text), dict, f"settings file {path}")
         else:
             record = _cells(next(csv.DictReader(text.splitlines())))
-        return AnalysisSettings(
-            *(_displacement(record, side, "settings") for side in _SIDES),
-            *(_convert(record.get(key), float | None, f"settings.{key}") for key in ("p1_star", "p2_star")),
-        )
+        return _fields(AnalysisSettings, record, "settings")
     except ConfigError:
         raise
     except StopIteration:

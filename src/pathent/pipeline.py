@@ -49,7 +49,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     sim = _simulate_probabilities(config)
     return _certification_report(
         mode="simulation",
-        config_echo=config.echo(),
+        config_echo=asdict(config),
         alpha=sim["alpha"],
         z=sim["z"],
         pstar=(sim["p1_star"], sim["p2_star"]),
@@ -76,11 +76,11 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
     measures it on its own levels, and the multiphoton coincidences read
     each mode's detected photon-number distribution from its diagonal.
     """
-    eta_1, eta_2 = config.detector_1.efficiency, config.detector_2.efficiency
+    eta_1, eta_2 = config.detectors.efficiency_a, config.detectors.efficiency_b
     heralded = simulate_heralded_state(config.source, (eta_1, eta_2), config.herald_truncation)
     rho, scales = heralded.rho, [math.sqrt(eta_1), math.sqrt(eta_2)]
-    intervals = tuple(s.scaled(f) for s, f in zip((config.setting_1, config.setting_2), scales))
-    amp_1, amp_2 = (s.alpha_mean * np.exp(-1j * delta) for s, delta in zip(intervals, config.phases.deltas))
+    intervals = tuple(s.scaled(f) for s, f in zip(config.displacement.settings, scales))
+    amp_1, amp_2 = (s.alpha_mean * np.exp(-1j * delta) for s, delta in zip(intervals, config.phases_rad.deltas))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
     grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0])
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
@@ -97,20 +97,21 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         """One counting run of n_total heralds, logged as a counts-file row would be."""
         if not mc.enabled:
             return _ideal_basis(jp, n_total)
-        c = stats.sample_counts(jp, n_total, stats.derive_seed(mc.seed, stream))
-        return BasisMeasurement(stats.estimate_probabilities(c), c)
+        return stats.estimate_probabilities(stats.sample_counts(jp, n_total, stats.derive_seed(mc.seed, stream)))
 
     def n_heralds(explicit: int | None, key: str, duration: float) -> int:
         """The explicit total, else the heralds counted over the configured duration."""
         n = explicit or rate * duration
         if not math.isfinite(n) or (mc.enabled and n >= stats.MAX_TOTAL):
             raise ConfigError(f"durations_s.{key} = {duration!r} s gives {n!r} heralds at {rate!r} Hz: too many")
-        return explicit or max(1, round(n))
+        if round(n) == 0:
+            raise ConfigError(f"durations_s.{key} = {duration!r} s gives {n!r} heralds at {rate!r} Hz: too few")
+        return round(n)
 
-    alpha = measure(jp_alpha, n_heralds(mc.n_alpha, "alpha_basis", config.duration_alpha_s), _STREAM_ALPHA)
-    z = measure(jp_z, n_heralds(mc.n_z, "z_basis", config.duration_z_s), _STREAM_Z)
+    alpha = measure(jp_alpha, n_heralds(mc.n_alpha, "alpha_basis", config.durations_s.alpha_basis), _STREAM_ALPHA)
+    z = measure(jp_z, n_heralds(mc.n_z, "z_basis", config.durations_s.z_basis), _STREAM_Z)
     # an HBT run is a pstar row: its coincidences sit in the (c,c) slot, as in a counts file
-    n_pstar = n_heralds(mc.n_multiphoton, "multiphoton", config.duration_multiphoton_s)
+    n_pstar = n_heralds(mc.n_multiphoton, "multiphoton", config.durations_s.multiphoton)
     p1, p2 = (
         measure(JointClickProbabilities(1.0 - p, 0.0, 0.0, p), n_pstar, stream).estimates[3]
         for p, stream in ((p1_value, _STREAM_P1), (p2_value, _STREAM_P2))
@@ -135,8 +136,7 @@ def _ideal_basis(jp: JointClickProbabilities, n_total: int) -> BasisMeasurement:
     n_a = round(jp.p_c_nc * n_total)
     n_b = min(round(jp.p_nc_c * n_total), n_total - n_a)
     n_d = min(round(jp.p_c_c * n_total), n_total - n_a - n_b)
-    counts = CountRecord(n_total, n_a, n_b, n_d)
-    return BasisMeasurement(stats.estimates_from_probabilities(jp, n_total), counts)
+    return BasisMeasurement(jp, CountRecord(n_total, n_a, n_b, n_d))
 
 
 def certify_from_counts(counts_path, settings_path) -> dict:
@@ -150,7 +150,7 @@ def certify_from_counts(counts_path, settings_path) -> dict:
         alpha=counts.alpha,
         z=counts.z,
         pstar=_resolve_pstar(counts, settings),
-        settings=(settings.setting_1, settings.setting_2),
+        settings=settings.settings,
         heralding=None,
         started=started,
     )
@@ -252,18 +252,18 @@ def sweep_phase(config: ExperimentConfig, phase_min: float, phase_max: float, st
     if steps < 2 or not np.isfinite([phase_min, phase_max]).all():
         raise ConfigError("sweep needs at least 2 steps and a finite phase range")
     # offsets and shifted chi_B between finite ends stay finite
-    ends = [phase - config.phases.measured_relative_phase for phase in (phase_min, phase_max)]
-    if not all(map(math.isfinite, [phase_max - phase_min, *ends, *(config.phases.chi_b + end for end in ends)])):
+    ends = [phase - config.phases_rad.measured_relative_phase for phase in (phase_min, phase_max)]
+    if not all(map(math.isfinite, [phase_max - phase_min, *ends, *(config.phases_rad.chi_b + end for end in ends)])):
         raise ConfigError("phase range too wide: the sweep's phase offsets overflow")
     base = _simulate_probabilities(config)
     pstar = (base["p1_star"], base["p2_star"])
     bound = witness.certify(base["alpha"], base["z"], *base["intervals"], pstar).w_ppt_max
 
-    offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
+    offsets = np.linspace(phase_min, phase_max, steps) - config.phases_rad.measured_relative_phase
     amp_1, amp_2 = base["amplitudes"]
     probs = click_probability_grid(base["rho"], [amp_1], amp_2 * np.exp(-1j * offsets))[0]
 
-    phases = replace(config.phases, chi_b=config.phases.chi_b + offsets)
+    phases = replace(config.phases_rad, chi_b=config.phases_rad.chi_b + offsets)
     w_exp = witness.w_exp(JointClickProbabilities(*probs.T))
     return [
         {"delta_theta_rad": delta, "w_exp": w, "w_ppt_max": bound}
@@ -293,7 +293,7 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     grid = np.linspace(alpha_min, alpha_max, steps)
 
     a1, a2 = (grid * f for f in base["amplitude_scales"])
-    delta_1, delta_2 = config.phases.deltas
+    delta_1, delta_2 = config.phases_rad.deltas
     probs = click_probability_grid(base["rho"], a1 * np.exp(-1j * delta_1), a2 * np.exp(-1j * delta_2))
     a1, a2 = a1[:, None], a2[None, :]
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))

@@ -60,49 +60,35 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class BasisMeasurement:
-    """One measured basis: the four probability estimates plus the raw record."""
+    """One measured basis: its probability quadruple and the record it was counted in."""
 
-    estimates: tuple[ProbEstimate, ProbEstimate, ProbEstimate, ProbEstimate]
+    probabilities: JointClickProbabilities
     counts: CountRecord
 
     def __post_init__(self):
-        self.probabilities  # raises unless the estimates form a valid quadruple
+        self.estimates  # raises unless every estimate lies in [0, 1]
 
     @property
-    def probabilities(self) -> JointClickProbabilities:
-        e = self.estimates
-        return JointClickProbabilities(e[0].value, e[1].value, e[2].value, e[3].value)
+    def estimates(self) -> tuple[ProbEstimate, ProbEstimate, ProbEstimate, ProbEstimate]:
+        """Each probability with its binomial standard deviation at the record's N."""
+        jp, n = self.probabilities, self.counts.n_total
+        return tuple(ProbEstimate(p, binomial_sigma(p, n)) for p in (jp.p_nc_nc, jp.p_nc_c, jp.p_c_nc, jp.p_c_c))
 
 
 def binomial_sigma(p: float, n_total: int) -> float:
     return sqrt(max(p * (1.0 - p), 0.0) / n_total)
 
 
-def estimate_probabilities(c: CountRecord, n_none: int | None = None):
-    """Frequency estimates (nc,nc / nc,c / c,nc / c,c) with binomial standard deviations.
+def estimate_probabilities(c: CountRecord, n_none: int | None = None) -> BasisMeasurement:
+    """The basis measured by a counting run: its frequencies (nc,nc / nc,c / c,nc / c,c).
 
     A given n_none pins the joint no-click count; otherwise it is the complement.
     """
     if c.n_total <= 0:
         raise ValueError("n_total must be positive")
     n = c.n_total
-    p_c_nc = c.n_a / n
-    p_nc_c = c.n_b / n
-    p_c_c = c.n_d / n
     p_nc_nc = 1.0 - (c.n_a + c.n_b + c.n_d) / n if n_none is None else n_none / n
-    return tuple(
-        ProbEstimate(p, binomial_sigma(p, n)) for p in (p_nc_nc, p_nc_c, p_c_nc, p_c_c)
-    )
-
-
-def estimates_from_probabilities(jp: JointClickProbabilities, n_total: int):
-    """Estimates for externally supplied probabilities measured over n_total heralds."""
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    return tuple(
-        ProbEstimate(p, binomial_sigma(p, n_total))
-        for p in (jp.p_nc_nc, jp.p_nc_c, jp.p_c_nc, jp.p_c_c)
-    )
+    return BasisMeasurement(JointClickProbabilities(p_nc_nc, c.n_b / n, c.n_a / n, c.n_d / n), c)
 
 
 def sigma_w_exp(estimates) -> float:

@@ -79,9 +79,13 @@ def w_exp(jp: JointClickProbabilities) -> float:
     return jp.p_nc_nc + jp.p_c_c - jp.p_c_nc - jp.p_nc_c
 
 
-def _clip(alpha):
-    """alpha capped at AMPLITUDE_CLIP; a Python float stays one, so a scalar call keeps scalar arithmetic."""
-    return np.minimum(alpha, AMPLITUDE_CLIP) if isinstance(alpha, np.ndarray) else min(alpha, AMPLITUDE_CLIP)
+def _clipped_gaussian(alpha):
+    """The amplitude capped at AMPLITUDE_CLIP, a, and e = exp(-a^2), from which every per-axis factor is built.
+
+    A Python float stays one, so a scalar call keeps scalar arithmetic.
+    """
+    a = np.minimum(alpha, AMPLITUDE_CLIP) if isinstance(alpha, np.ndarray) else min(alpha, AMPLITUDE_CLIP)
+    return a, np.exp(-(a * a))
 
 
 def _factors(alpha):
@@ -90,8 +94,7 @@ def _factors(alpha):
     With e = exp(-a^2): f = 2e - 1, g = 2 a^2 e - 1, A = a e and their slopes.
     The bound coefficients, b_max, the diagonal slope and the box enclosures are built from them.
     """
-    a = _clip(alpha)
-    e = np.exp(-(a * a))
+    a, e = _clipped_gaussian(alpha)
     return 2.0 * e - 1.0, 2.0 * a * a * e - 1.0, a * e, (1.0 - 2.0 * a * a) * e, -4.0 * a * e, 4.0 * a * (1.0 - a * a) * e
 
 
@@ -117,8 +120,8 @@ def w_ppt_qubit(alpha1: float, alpha2: float, jp_z: JointClickProbabilities) -> 
 
 def b_max(alpha1, alpha2):
     """Largest singular value of the qubit-to-multiphoton block of the witness: 2 A1 A2 sqrt(2 (a1^4 + a2^4))."""
-    alpha1, alpha2 = _clip(alpha1), _clip(alpha2)
-    return 2.0 * _factors(alpha1)[_A] * _factors(alpha2)[_A] * np.sqrt(2.0 * (alpha1**4 + alpha2**4))
+    (a1, e1), (a2, e2) = _clipped_gaussian(alpha1), _clipped_gaussian(alpha2)
+    return 2.0 * (a1 * e1) * (a2 * e2) * np.sqrt(2.0 * (a1**4 + a2**4))
 
 
 def w_tilde_point(a1, a2, jp_z: JointClickProbabilities, mb: MultiphotonBounds):

@@ -5,6 +5,7 @@ from math import cos, exp, prod
 import numpy as np
 
 from pathent import fockcore as fc
+from pathent.config import Displacement
 from pathent.herald import PhaseConfig
 from pathent.measurement import DisplacementSetting, click_povm
 
@@ -117,6 +118,11 @@ def p00_phase_model(alpha_abs: float, phases: PhaseConfig) -> float:
 def point_setting(alpha: float) -> DisplacementSetting:
     """A displacement setting without fluctuation: alpha_min = alpha_mean = alpha_max."""
     return DisplacementSetting(alpha, alpha, alpha)
+
+
+def point_displacement(alpha1: float, alpha2: float) -> Displacement:
+    """A config's displacement section made of two point settings."""
+    return Displacement(alpha1, alpha1, alpha1, alpha2, alpha2, alpha2)
 
 
 def displaced_parity_observable(alpha: float, trunc: fc.FockTruncation) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_criterion_8_monte_carlo_calibration():
     values = np.empty((trials, 4))
     for t in range(trials):
         record = stats.sample_counts(jp, n, seed=stats.derive_seed(99, t))
-        values[t] = [e.value for e in stats.estimate_probabilities(record)]
+        values[t] = [e.value for e in stats.estimate_probabilities(record).estimates]
     empirical = values.std(axis=0, ddof=1)
     expected = np.sqrt(jp.as_array() * (1.0 - jp.as_array()) / n)
     ratios = empirical / expected

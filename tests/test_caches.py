@@ -8,7 +8,7 @@ import pytest
 
 from pathent import cli, measurement, pipeline
 from pathent import fockcore as fc
-from pathent.config import DetectorModel, load_experiment_config
+from pathent.config import Detectors, load_experiment_config
 from pathent.herald import simulate_heralded_state
 
 from conftest import FIXTURES
@@ -17,7 +17,7 @@ from test_config import valid_config_dict
 
 def _lossy_config():
     cfg = load_experiment_config(FIXTURES / "lossy_link.json")
-    return replace(cfg, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
+    return replace(cfg, detectors=Detectors(0.6, 0.85))
 
 
 @pytest.mark.parametrize("n_max", [3, 10])

@@ -310,6 +310,9 @@ COUNTS = "basis,n_total,n_a,n_b,n_d,n_none\nalpha,1000,250,250,250,\nz,1000,10,1
 SETTINGS = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max,p1_star,p2_star\n"
 UNWRITABLE = str(FIXTURES / "ideal_link.json" / "report.json")  # below a regular file
 NAN, INF = float("nan"), float("inf")
+# no pair reaches an idler detector: every herald is noise, at a herald rate of 0
+PURE_NOISE = {"source.false_herald_probability": 1.0, "source.idler_transmission_a": 0.0,
+              "source.idler_transmission_b": 0.0}
 
 MALFORMED_INPUTS = [
     pytest.param("run", {"monte_carlo": []}, [], id="monte_carlo is a list"),
@@ -345,6 +348,8 @@ MALFORMED_INPUTS = [
                          "durations_s.multiphoton": 1e10}, [], id="sampled derived total overflowing to inf"),
     pytest.param("sweep-alpha", {"monte_carlo": {"enabled": True}, "durations_s.z_basis": 1e300}, [],
                  id="sweep with a sampled derived total beyond int64"),
+    pytest.param("run", PURE_NOISE, [], id="pure-noise herald with derived totals"),
+    pytest.param("run", {"durations_s.alpha_basis": 1e-9}, [], id="derived total rounding to 0"),
     pytest.param("sweep-phase", {}, ["--phase-min", "nan"], id="NaN --phase-min"),
     pytest.param("sweep-phase", {}, ["--phase-max", "inf"], id="infinite --phase-max"),
     pytest.param("sweep-phase", {}, ["--phase-min=-1e308", "--phase-max", "1e308", "--steps", "3"],
@@ -396,6 +401,15 @@ def test_largest_herald_totals_run(overrides, tmp_path, schema_path):
     out = tmp_path / "report.json"
     assert main(["run", "--config", str(write_config(tmp_path, overrides)), "--out", str(out)]) == 0
     jsonschema.validate(json.loads(out.read_text()), json.loads(schema_path.read_text()))
+
+
+def test_pure_noise_herald_with_explicit_totals_runs(tmp_path):
+    out = tmp_path / "report.json"
+    totals = {"monte_carlo": {"n_alpha": 1000, "n_z": 2000, "n_multiphoton": 3000}}
+    assert main(["run", "--config", str(write_config(tmp_path, {**PURE_NOISE, **totals})), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["heralding"]["herald_rate_hz"] == 0.0
+    assert [report["counts"][basis]["n_total"] for basis in ("alpha_basis", "z_basis")] == [1000, 2000]
 
 
 def test_certify_with_valid_sidecar_pstar(tmp_path):

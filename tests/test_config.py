@@ -1,15 +1,20 @@
+import csv
 import json
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 
 from pathent.config import (
     ConfigError,
+    ExperimentConfig,
     Numerics,
     load_counts_file,
     load_experiment_config,
     load_settings_file,
     parse_experiment_config,
 )
+
+from conftest import FIXTURES
 
 
 def valid_config_dict() -> dict:
@@ -41,7 +46,7 @@ def test_load_fixture_config(fixtures_dir):
     config = load_experiment_config(fixtures_dir / "ideal_link.json")
     assert config.source.pair_probability == 1e-6
     assert config.numerics.truncation_n_max == 10
-    assert config.setting_1.alpha_mean == 0.83
+    assert config.displacement.alpha1_mean == 0.83
     assert config.monte_carlo.enabled is False
 
 
@@ -83,7 +88,7 @@ def test_out_of_range_values_rejected():
 def test_phase_overflow_checked_at_the_final_truncation():
     raw = valid_config_dict()
     raw["phases_rad"]["xi_b_long"] = 1e307
-    assert parse_experiment_config(raw).phases.xi_b_long == 1e307
+    assert parse_experiment_config(raw).phases_rad.xi_b_long == 1e307
     with pytest.raises(ConfigError, match=r"phases_rad\.xi_b_long"):
         parse_experiment_config(raw, truncation_override=20)
 
@@ -110,7 +115,7 @@ def test_unreadable_or_malformed_file(tmp_path):
 
 def test_config_echo_round_trip():
     config = parse_experiment_config(valid_config_dict())
-    echo = config.echo()
+    echo = asdict(config)
     assert echo["source"]["pair_probability"] == 1e-4
     assert json.dumps(echo)  # serializable
 
@@ -162,8 +167,8 @@ def test_counts_bad_header(tmp_path):
 
 def test_load_settings_csv(fixtures_dir):
     settings = load_settings_file(fixtures_dir / "published_1p0km.settings.csv")
-    assert settings.setting_1.alpha_mean == 0.819
-    assert settings.setting_2.alpha_max == 0.843
+    assert settings.alpha1_mean == 0.819
+    assert settings.alpha2_max == 0.843
     assert settings.p1_star == 3.2e-6
 
 
@@ -174,7 +179,7 @@ def test_load_settings_json(tmp_path):
         "alpha2_min": 0.8, "alpha2_mean": 0.81, "alpha2_max": 0.82,
     }))
     settings = load_settings_file(path)
-    assert settings.setting_1.alpha_mean == 0.81
+    assert settings.alpha1_mean == 0.81
     assert settings.p1_star is None
 
 
@@ -191,7 +196,54 @@ def test_echo_parses_back_to_the_same_config():
     raw["monte_carlo"] = {"enabled": True, "seed": 5, "n_alpha": 1000}
     raw["output"] = {"report_path": "report.json"}
     config = parse_experiment_config(raw)
-    assert parse_experiment_config(config.echo()) == config
+    assert parse_experiment_config(asdict(config)) == config
+
+
+def _leaves(node, path=()):
+    """(key path, value) of every non-object value in a JSON-like tree."""
+    if not isinstance(node, dict):
+        yield path, node
+        return
+    for key, value in node.items():
+        yield from _leaves(value, (*path, key))
+
+
+def _default(cls, path):
+    """The dataclass default at a key path of cls's field tree."""
+    f = next(f for f in fields(cls) if f.name == path[0])
+    return _default(f.type, path[1:]) if is_dataclass(f.type) else f.default
+
+
+def _every_section_filled() -> dict:
+    raw = valid_config_dict()
+    raw["source"]["pair_probability_b"] = 2e-4
+    raw["monte_carlo"] = {"enabled": True, "seed": 5, "n_alpha": 1000, "n_z": 2000, "n_multiphoton": 3000}
+    raw["numerics"] = {"truncation_n_max": 12, "herald_truncation_n_max": 4}
+    raw["output"] = {"report_path": "report.json"}
+    return raw
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(json.loads((FIXTURES / "ideal_link.json").read_text()), id="ideal_link"),
+    pytest.param(json.loads((FIXTURES / "lossy_link.json").read_text()), id="lossy_link"),
+    pytest.param(_every_section_filled(), id="every-section-filled"),
+])
+def test_parsed_config_is_the_file(raw):
+    # the dataclass tree is the file layout: each key path of the file holds its value there,
+    # and every other leaf is the default of its field
+    given, parsed = dict(_leaves(raw)), dict(_leaves(asdict(parse_experiment_config(raw))))
+    for path, value in given.items():
+        assert parsed[path] == value, path
+    for path in parsed.keys() - given.keys():
+        assert parsed[path] == _default(ExperimentConfig, path), path
+
+
+@pytest.mark.parametrize("stem", ["published_1p0km", "published_42m_set1", "published_42m_set2"])
+def test_parsed_settings_are_the_file(stem):
+    path = FIXTURES / f"{stem}.settings.csv"
+    with open(path, newline="") as handle:
+        row = {key: float(text) for key, text in next(csv.DictReader(handle)).items()}
+    assert asdict(load_settings_file(path)) == row
 
 
 def test_integral_numbers_and_nulls_accepted():

@@ -277,7 +277,7 @@ def test_heralded_state_converges_in_truncation(fixture):
     # heralded weight of n_max pairs, read off the state before signal loss
     # (photons per signal mode = pairs), plus a few ulps of rounding.
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
-    efficiencies = (config.detector_1.efficiency, config.detector_2.efficiency)
+    efficiencies = (config.detectors.efficiency_a, config.detectors.efficiency_b)
     lossless = replace(config.source, signal_transmission_a=1.0, signal_transmission_b=1.0)
     previous = None
     for n_max in HERALD_N_MAX:

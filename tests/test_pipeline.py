@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pathent import fockcore as fc
 from pathent import pipeline
-from pathent.config import DetectorModel, load_experiment_config, parse_experiment_config
+from pathent.config import Detectors, load_experiment_config, parse_experiment_config
 from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_heralded_state
 
 from conftest import FIXTURES
@@ -23,7 +23,7 @@ from reference import (
     loss_kraus_sum,
     lossy_click_probabilities,
     lossy_coincidence_probability,
-    point_setting,
+    point_displacement,
     rotate_signals,
     signal_phases,
 )
@@ -54,17 +54,14 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
                                       amplitudes, n_max):
     src = SourceParams(pair_a, *signal, *idler, false_herald, pair_b)
     phase_config = PhaseConfig(*phases)
-    det_1, det_2 = (DetectorModel(eta) for eta in efficiencies)
     herald_n_max, trunc_n_max = n_max
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     config = replace(
         config,
         source=src,
-        phases=phase_config,
-        setting_1=point_setting(amplitudes[0]),
-        setting_2=point_setting(amplitudes[1]),
-        detector_1=det_1,
-        detector_2=det_2,
+        phases_rad=phase_config,
+        displacement=point_displacement(*amplitudes),
+        detectors=Detectors(*efficiencies),
         numerics=replace(config.numerics, herald_truncation_n_max=herald_n_max, truncation_n_max=trunc_n_max),
     )
     report = pipeline.run_experiment(config)
@@ -82,11 +79,11 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
 
     d = trunc.dim
     t = padded.matrix.reshape(d, d, d, d)
-    for key, marginal, det in (
-        ("p1_star", np.trace(t, axis1=1, axis2=3), det_1),
-        ("p2_star", np.trace(t, axis1=0, axis2=2), det_2),
+    for key, marginal, eta in (
+        ("p1_star", np.trace(t, axis1=1, axis2=3), efficiencies[0]),
+        ("p2_star", np.trace(t, axis1=0, axis2=2), efficiencies[1]),
     ):
-        expected = lossy_coincidence_probability(marginal, det.efficiency)
+        expected = lossy_coincidence_probability(marginal, eta)
         assert abs(report["multiphoton"][key] - expected) <= 1e-13
 
 
@@ -109,10 +106,10 @@ def test_pump_phases_leave_the_simulated_quadruples_bitwise_equal(fixture):
     # the displacement fields share the sources' pump, so no pump phase reaches a click
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
     phases = PhaseConfig(0.3, -0.8, 0.1, 0.55, 1.2, -0.4, 0.7, 0.2, -0.3, 0.9)
-    config = replace(config, phases=phases, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
+    config = replace(config, phases_rad=phases, detectors=Detectors(0.6, 0.85))
 
     def quadruples(pump_a, pump_b):
-        sim = pipeline._simulate_probabilities(replace(config, phases=replace(phases, phi_a=pump_a, phi_b=pump_b)))
+        sim = pipeline._simulate_probabilities(replace(config, phases_rad=replace(phases, phi_a=pump_a, phi_b=pump_b)))
         return [sim[basis].probabilities.as_array().tobytes() for basis in ("alpha", "z")]
 
     base = quadruples(phases.phi_a, phases.phi_b)
@@ -125,7 +122,7 @@ def test_detected_state_equals_loss_after_a_lossless_herald(herald_n_max):
     # signal and detector loss contracted into the sources equal the herald at unit signal transmission
     # followed by loss eta_signal * eta_detector on each mode
     config = load_experiment_config(FIXTURES / "lossy_link.json")
-    config = replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85),
+    config = replace(config, detectors=Detectors(0.6, 0.85),
                      numerics=replace(config.numerics, herald_truncation_n_max=herald_n_max))
     rng = np.random.default_rng(herald_n_max)
     drawn = SourceParams(rng.uniform(1e-3, 0.1), *rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, 0.5),
@@ -156,7 +153,7 @@ def test_sampled_run_certifies_as_its_counts_file(fixture, tmp_path):
     counts_path.write_text("\n".join(rows) + "\n")
     intervals = {
         f"alpha{side}_{bound}": getattr(setting, f"alpha_{bound}")
-        for side, setting in ((1, config.setting_1), (2, config.setting_2))
+        for side, setting in enumerate(config.displacement.settings, start=1)
         for bound in ("min", "mean", "max")
     }
     settings_path = tmp_path / "settings.csv"
@@ -198,10 +195,8 @@ def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, ampl
     config = load_experiment_config(FIXTURES / "ideal_link.json")
     config = replace(
         config,
-        setting_1=point_setting(amplitudes[0]),
-        setting_2=point_setting(amplitudes[1]),
-        detector_1=DetectorModel(efficiencies[0]),
-        detector_2=DetectorModel(efficiencies[1]),
+        displacement=point_displacement(*amplitudes),
+        detectors=Detectors(*efficiencies),
     )
     heralded = HeraldedState(embed_state(fc.DensityOperator(rho, (2, 2)), config.herald_truncation), 1e-6)
 
@@ -231,7 +226,7 @@ def test_pstar_at_lossy_detectors_to_rounding(fixture):
     marginals = {"p1_star": [mp.fsum(row) for row in populations],
                  "p2_star": [mp.fsum(column) for column in zip(*populations)]}
     for eta in (0.1, 0.3, 0.6, 0.9):
-        report = pipeline.run_experiment(replace(config, detector_1=DetectorModel(eta), detector_2=DetectorModel(eta)))
+        report = pipeline.run_experiment(replace(config, detectors=Detectors(eta, eta)))
         e = mp.mpf(eta)
         for key, marginal in marginals.items():
             exact = mp.fsum(p * (1 - 2 * (1 - e / 2) ** n + (1 - e) ** n) for n, p in enumerate(marginal))

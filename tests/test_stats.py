@@ -14,7 +14,7 @@ def test_count_record_validation():
 
 
 def test_estimate_probabilities_small_example():
-    est = stats.estimate_probabilities(stats.CountRecord(4, 1, 1, 1))
+    est = stats.estimate_probabilities(stats.CountRecord(4, 1, 1, 1)).estimates
     p_nc_nc, p_nc_c, p_c_nc, p_c_c = est
     for e in (p_nc_c, p_c_nc, p_c_c, p_nc_nc):
         assert abs(e.value - 0.25) < 1e-12
@@ -24,14 +24,14 @@ def test_estimate_probabilities_small_example():
 def test_estimate_probabilities_reconstructed_run():
     # one hour at 1.6 kHz with probabilities near 1/4
     n = 5_760_000
-    est = stats.estimate_probabilities(stats.CountRecord(n, n // 4, n // 4, n // 4))
+    est = stats.estimate_probabilities(stats.CountRecord(n, n // 4, n // 4, n // 4)).estimates
     for e in est:
         assert abs(e.sigma - 1.8e-4) < 1e-5
     assert abs(stats.sigma_w_exp(est) - 7.2e-4) < 4e-5
 
 
 def test_estimate_probabilities_all_quiet():
-    est = stats.estimate_probabilities(stats.CountRecord(100, 0, 0, 0))
+    est = stats.estimate_probabilities(stats.CountRecord(100, 0, 0, 0)).estimates
     assert est[0].value == 1.0
     assert est[0].sigma == 0.0
     with pytest.raises(ValueError):
@@ -39,12 +39,13 @@ def test_estimate_probabilities_all_quiet():
 
 
 def test_estimate_probabilities_pinned_no_click_count():
-    # n_none replaces the complement; the click estimates are unchanged
-    record = stats.CountRecord(1000, 100, 200, 50)
-    pinned = stats.estimate_probabilities(record, n_none=651)
-    assert pinned[0].value == 0.651
-    assert abs(pinned[0].sigma - np.sqrt(0.651 * 0.349 / 1000)) < 1e-15
-    assert pinned[1:] == stats.estimate_probabilities(record)[1:]
+    # n_none replaces the complement (here 6500, within the rounding a published table may carry);
+    # the click estimates are unchanged
+    record = stats.CountRecord(10_000, 1000, 2000, 500)
+    pinned = stats.estimate_probabilities(record, n_none=6501).estimates
+    assert pinned[0].value == 0.6501
+    assert abs(pinned[0].sigma - np.sqrt(0.6501 * 0.3499 / 10_000)) < 1e-15
+    assert pinned[1:] == stats.estimate_probabilities(record).estimates[1:]
 
 
 def test_sigma_w_exp_plain_sum():
@@ -55,7 +56,7 @@ def test_sigma_w_exp_plain_sum():
 
 
 def _z_estimates(jp: JointClickProbabilities, n: int):
-    return stats.estimates_from_probabilities(jp, n)
+    return stats.BasisMeasurement(jp, stats.CountRecord(n, 0, 0, 0)).estimates
 
 
 def test_sigma_ppt_max_zero_sigmas():
@@ -159,7 +160,7 @@ def test_sample_counts_calibration_quick():
     values = np.empty((trials, 4))
     for t in range(trials):
         rec = stats.sample_counts(jp, n, seed=stats.derive_seed(7, t))
-        est = stats.estimate_probabilities(rec)
+        est = stats.estimate_probabilities(rec).estimates
         values[t] = [e.value for e in est]
     expected = [np.sqrt(p * (1 - p) / n) for p in jp.as_array()]
     ratios = values.std(axis=0, ddof=1) / expected
@@ -174,7 +175,7 @@ def test_estimator_consistency_scaling():
         trials = 60
         for t in range(trials):
             rec = stats.sample_counts(jp, n, seed=stats.derive_seed(1000 + stream, t))
-            est = stats.estimate_probabilities(rec)
+            est = stats.estimate_probabilities(rec).estimates
             if all(
                 abs(e.value - p) <= 3.0 * np.sqrt(p * (1 - p) / n)
                 for e, p in zip(est, jp.as_array())

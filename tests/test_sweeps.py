@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pathent import fockcore as fc
 from pathent import measurement, pipeline, witness
 from pathent.cli import main
-from pathent.config import DetectorModel, load_experiment_config
+from pathent.config import Detectors, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities, click_probability_grid
 
@@ -66,9 +66,9 @@ def _config(fixture: str, variant: str):
     """A fixture as shipped, or with nonzero phases and either Monte Carlo sampling or lossy detectors."""
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
     if variant == "phased-sampled":
-        config = replace(config, phases=PHASES, monte_carlo=replace(config.monte_carlo, enabled=True, seed=7))
+        config = replace(config, phases_rad=PHASES, monte_carlo=replace(config.monte_carlo, enabled=True, seed=7))
     if variant == "phased-lossy":
-        config = replace(config, phases=PHASES, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85))
+        config = replace(config, phases_rad=PHASES, detectors=Detectors(0.6, 0.85))
     return config
 
 
@@ -88,7 +88,7 @@ def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, co
     """Click probabilities of a phased state at the set amplitudes and the displacement fields' phases, with
     the config's lossy detectors, in the Heisenberg picture."""
     t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, displacement_phases(phases)))
-    etas = (config.detector_1.efficiency, config.detector_2.efficiency)
+    etas = (config.detectors.efficiency_a, config.detectors.efficiency_b)
     return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.herald_truncation)[0, 0])
 
 
@@ -98,11 +98,11 @@ def test_sweep_phase_matches_per_point_resimulation(fixture, variant):
     phase_min, phase_max, steps = -2.5, 1.75, 4
     rows = pipeline.sweep_phase(config, phase_min, phase_max, steps)
     bound = pipeline.run_experiment(config)["witness"]["w_ppt_max"]
-    offsets = np.linspace(phase_min, phase_max, steps) - config.phases.measured_relative_phase
+    offsets = np.linspace(phase_min, phase_max, steps) - config.phases_rad.measured_relative_phase
     assert len(rows) == steps
     for row, offset in zip(rows, offsets):
-        phases = replace(config.phases, chi_b=config.phases.chi_b + offset)
-        means = (config.setting_1.alpha_mean, config.setting_2.alpha_mean)
+        phases = replace(config.phases_rad, chi_b=config.phases_rad.chi_b + offset)
+        means = (config.displacement.alpha1_mean, config.displacement.alpha2_mean)
         jp = reference_probabilities(phased_state(config, phases), means, phases, config)
         assert row["delta_theta_rad"] == phases.measured_relative_phase
         assert abs(row["w_exp"] - witness.w_exp(jp)) <= 1e-12
@@ -118,13 +118,13 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     z = report["probabilities"]["z_basis"]
     jp_z = JointClickProbabilities(z["p_nc_nc"], z["p_nc_c"], z["p_c_nc"], z["p_c_c"])
     mb = witness.MultiphotonBounds(report["multiphoton"]["p1_star"], report["multiphoton"]["p2_star"])
-    rho = phased_state(config, config.phases)
+    rho = phased_state(config, config.phases_rad)
     grid = np.linspace(alpha_min, alpha_max, steps)
-    scales = (np.sqrt(config.detector_1.efficiency), np.sqrt(config.detector_2.efficiency))
+    scales = (np.sqrt(config.detectors.efficiency_a), np.sqrt(config.detectors.efficiency_b))
     expected = []
     for a1 in grid:
         for a2 in grid:
-            jp = reference_probabilities(rho, (a1, a2), config.phases, config)
+            jp = reference_probabilities(rho, (a1, a2), config.phases_rad, config)
             # the bound at the amplitudes the detectors see
             i1, i2 = point_setting(a1 * scales[0]), point_setting(a2 * scales[1])
             w_tilde, _ = witness.w_ppt_fluctuation_bound(i1, i2, jp_z, mb)
@@ -224,7 +224,7 @@ def test_detector_loss_applied_once_per_op(op, args, monkeypatch):
     monkeypatch.setattr(fc, "loss_channel_kraus", counting_kraus)
     monkeypatch.setattr(fc.DensityOperator, "__post_init__", counting_validate)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
-    op(replace(config, detector_1=DetectorModel(0.6), detector_2=DetectorModel(0.85)), *args)
+    op(replace(config, detectors=Detectors(0.6, 0.85)), *args)
     assert built == {"loss_channel_kraus": 4, "DensityOperator": 1}
 
 

@@ -62,7 +62,7 @@ def certify_row(row) -> witness.WitnessReport:
 
 
 def measured(jp, n_total) -> stats.BasisMeasurement:
-    return stats.BasisMeasurement(stats.estimates_from_probabilities(jp, n_total), stats.CountRecord(n_total, 0, 0, 0))
+    return stats.BasisMeasurement(jp, stats.CountRecord(n_total, 0, 0, 0))
 
 
 def test_w_exp_examples():

@@ -21,7 +21,14 @@ and the pool entries jitter them by 0.5 rad at most), and certify runs
 whose fluctuation-box maximum is not at a corner: three synthetic count
 files with wide boxes, the published runs with both boxes widened to
 [0.3, 1.5], and published_1p0km with 0 or 1 multiphoton coincidences
-(the published runs' maxima are corners).  `compare` lists
+(the published runs' maxima are corners).  Further cases each hold one
+input error, so that a rewrite of the readers is checked on its messages:
+a required config section missing, given as a list or missing a key, a
+number given as a string, an unordered interval, an efficiency above 1, a
+numeric report path, the --seed and --truncation overrides with their
+sections absent or not objects, derived herald totals that round to 0,
+a settings row without alpha2_max, a JSON sidecar with a bad p1_star and
+a counts row with n_none above n_total.  `compare` lists
 the cases that differ; stderr is compared after each tree's own path is
 replaced, since a warning prints the path of the source line that raised
 it.  For a stderr difference it also prints the first differing line of
@@ -85,6 +92,8 @@ WIDE_BOX = (0.3, 1.5)
 # (pstar1, pstar2) coincidences in place of published_1p0km's, where the Wald sigma of a row is 0
 PSTAR_COINCIDENCES = ((0, 0), (1, 0), (1, 1))
 _SETTINGS_HEADER = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max"
+# the config sections without defaults; the error cases drop each and give each as a list
+REQUIRED_SECTIONS = ("source", "phases_rad", "displacement", "detectors", "durations_s")
 
 
 def _synthetic_files(z, pstar, box1, box2) -> dict[str, str]:
@@ -113,6 +122,53 @@ def _with_pstar_coincidences(files: dict[str, str], coincidences) -> dict[str, s
     return {**files, "counts.csv": "\n".join(lines) + "\n"}
 
 
+def _config_error_docs(raw: dict) -> dict[str, tuple[dict, tuple[str, ...]]]:
+    """Case name -> (config document, extra flags): one input error each, or an override of an absent section."""
+    def edited(section, **values):
+        return {**raw, section: {**raw.get(section, {}), **values}}
+
+    docs = {}
+    for section in REQUIRED_SECTIONS:
+        key = next(iter(raw[section]))
+        docs[f"missing-{section}"] = ({k: v for k, v in raw.items() if k != section}, ())
+        docs[f"{section}-list"] = ({**raw, section: [raw[section]]}, ())
+        docs[f"missing-{section}.{key}"] = ({**raw, section: {k: v for k, v in raw[section].items() if k != key}}, ())
+    bare = {k: v for k, v in raw.items() if k not in ("monte_carlo", "numerics")}
+    docs.update({
+        "string-pair_probability": (edited("source", pair_probability="0.003"), ()),
+        "alpha1_min-above-mean": (edited("displacement", alpha1_min=raw["displacement"]["alpha1_mean"] + 0.01), ()),
+        "efficiency_a-1.5": (edited("detectors", efficiency_a=1.5), ()),
+        "report_path-1": (edited("output", report_path=1), ()),
+        "seed-7-without-monte_carlo": (bare, ("--seed", "7")),
+        "truncation-8-without-numerics": (bare, ("--truncation", "8")),
+        "seed-7-monte_carlo-list": ({**raw, "monte_carlo": [7]}, ("--seed", "7")),
+        "truncation-8-numerics-string": ({**raw, "numerics": "8"}, ("--truncation", "8")),
+        # no pair reaches an idler detector, so every herald is noise and the derived totals are 0
+        "pure-noise-herald": (edited("source", false_herald_probability=1.0, idler_transmission_a=0.0,
+                                     idler_transmission_b=0.0), ()),
+        "alpha_basis-1e-9-s": (edited("durations_s", alpha_basis=1e-9), ()),
+    })
+    return docs
+
+
+def _certify_error_files(files: dict[str, str]) -> dict[str, dict[str, str]]:
+    """Case name -> certify input files with one error each; a .json settings key is a JSON sidecar."""
+    header, row = files["settings.csv"].splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    short = {k: v for k, v in record.items() if k != "alpha2_max"}
+    sidecar = {k: float(v) for k, v in record.items()}
+    lines = files["counts.csv"].splitlines()
+    alpha = next(i for i, line in enumerate(lines) if line.startswith("alpha,"))
+    cells = lines[alpha].split(",")
+    lines[alpha] = ",".join((*cells[:-1], str(int(cells[1]) + 1)))
+    return {
+        "settings-without-alpha2_max": {**files, "settings.csv": f"{','.join(short)}\n{','.join(short.values())}\n"},
+        "sidecar-p1_star-string": {**files, "settings.json": json.dumps({**sidecar, "p1_star": "x"})},
+        "sidecar-p1_star-1.5": {**files, "settings.json": json.dumps({**sidecar, "p1_star": 1.5})},
+        "n_none-above-n_total": {**files, "counts.csv": "\n".join(lines) + "\n"},
+    }
+
+
 def cases(work: Path) -> dict[str, tuple[str, ...]]:
     """Case name -> CLI argv; input files are written under work."""
     out = {}
@@ -131,6 +187,20 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
         files = _with_pstar_coincidences(workloads.published_files("published_1p0km", FIXTURES), (n1, n2))
         out[f"certify/published_1p0km/pstar-{n1}-{n2}"] = _argv("certify", files, work, f"pstar-{n1}-{n2}",
                                                                  work / "certify.out")
+    for name, files in _certify_error_files(workloads.published_files("published_1p0km", FIXTURES)).items():
+        paths = {}
+        for suffix, text in files.items():
+            paths[suffix] = work / f"error-{name}.{suffix}"
+            paths[suffix].write_text(text)
+        settings = paths.get("settings.json", paths["settings.csv"])
+        out[f"certify/error/{name}"] = ("certify", "--counts", str(paths["counts.csv"]), "--settings", str(settings),
+                                        "--out", str(work / "certify.out"))
+    raw = json.loads((FIXTURES / "lossy_link.json").read_text())
+    for name, (doc, extra) in _config_error_docs(raw).items():
+        error_config = work / f"error-{name}.json"
+        error_config.write_text(json.dumps(doc))
+        out[f"run/lossy_link/error/{name}"] = ("run", "--config", str(error_config), "--out", str(work / "run.out"),
+                                               *extra)
     for fixture in ("ideal_link", "lossy_link"):
         config = str(FIXTURES / f"{fixture}.json")
         report = str(work / "run.out")
