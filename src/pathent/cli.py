@@ -81,20 +81,22 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "certify":
+        report = pipeline.certify_from_counts(args.counts, args.settings)
+        if args.out is not None:
+            pipeline.write_report(report, args.out)
+        _print_summary(report)
+        return EXIT_OK
+    config = load_experiment_config(args.config, args.truncation, args.seed)
     if args.command == "run":
-        config = load_experiment_config(args.config, args.truncation, args.seed)
         report = pipeline.run_experiment(config)
         if (out := args.out or config.output.report_path) is not None:
             pipeline.write_report(report, out)
         _print_summary(report)
-        return EXIT_OK
-    if args.command == "sweep-phase":
-        config = load_experiment_config(args.config, args.truncation, args.seed)
+    elif args.command == "sweep-phase":
         rows = pipeline.sweep_phase(config, args.phase_min, args.phase_max, args.steps)
         _emit_rows(rows, args.out, args.format)
-        return EXIT_OK
-    if args.command == "sweep-alpha":
-        config = load_experiment_config(args.config, args.truncation, args.seed)
+    else:
         result = pipeline.sweep_alpha(config, args.alpha_min, args.alpha_max, args.steps)
         for mode, values in result["optima"].items():
             if "alpha1" in values:
@@ -109,14 +111,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _write_or_print(text, args.out)
         else:
             _emit_rows(result["rows"], args.out, "csv")
-        return EXIT_OK
-    if args.command == "certify":
-        report = pipeline.certify_from_counts(args.counts, args.settings)
-        if args.out is not None:
-            pipeline.write_report(report, args.out)
-        _print_summary(report)
-        return EXIT_OK
-    raise ConfigError(f"unknown command {args.command!r}")
+    return EXIT_OK
 
 
 def _emit_rows(rows: list[dict], out, fmt: str) -> None:

@@ -238,7 +238,7 @@ def load_counts_file(path) -> CountsFile:
     optional n_none column pins the joint no-click count directly (needed
     when published probabilities are rounded per entry and no longer sum
     to one).  Rows "pstar1"/"pstar2" carry multiphoton coincidence runs
-    in the n_d column.
+    in the n_d column.  Any other basis is an error.
     """
     header = ["basis", *(f.name for f in fields(CountRecord))]
     rows: dict[str, tuple[CountRecord, int | None]] = {}
@@ -249,6 +249,8 @@ def load_counts_file(path) -> CountsFile:
                 raise ConfigError(f"counts file {path} must start with header {','.join(header)}")
             for row in reader:
                 basis = row.pop("basis").strip()
+                if basis not in ("alpha", "z", "pstar1", "pstar2"):
+                    raise ConfigError(f"unknown basis {basis!r} in counts file; bases are alpha, z, pstar1, pstar2")
                 if basis in rows:
                     raise ConfigError(f"duplicate basis {basis!r} in counts file")
                 cells, context = _cells(row), f"counts row {basis!r}"
@@ -260,7 +262,7 @@ def load_counts_file(path) -> CountsFile:
         alpha, z = (estimate_probabilities(*rows[b]) for b in ("alpha", "z"))
         # a multiphoton run's coincidence fraction is the (c,c) estimate of its row
         pstar1, pstar2 = (
-            estimate_probabilities(rows[b][0]).estimates[3] if b in rows else None for b in ("pstar1", "pstar2")
+            estimate_probabilities(*rows[b]).estimates[3] if b in rows else None for b in ("pstar1", "pstar2")
         )
     except ConfigError:
         raise
@@ -296,11 +298,12 @@ def load_settings_file(path) -> AnalysisSettings:
         if path.suffix.lower() == ".json":
             record = _convert(json.loads(text), dict, f"settings file {path}")
         else:
-            record = _cells(next(csv.DictReader(text.splitlines())))
+            data = list(csv.DictReader(text.splitlines()))
+            if len(data) != 1:
+                raise ConfigError(f"settings file {path} must hold one data row, not {len(data)}")
+            record = _cells(data[0])
         return _fields(AnalysisSettings, record, "settings")
     except ConfigError:
         raise
-    except StopIteration:
-        raise ConfigError(f"settings file {path} has no data row") from None
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid settings file {path}: {exc}") from exc

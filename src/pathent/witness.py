@@ -162,24 +162,6 @@ def _axis_factors(lo, hi):
     return np.array((values.min(axis=1), values.max(axis=1)))
 
 
-def _b_max_slopes(lo, hi):
-    """Enclosures of the partial derivatives of b_max = 2 sqrt(2) A1 A2 R over each box, shaped (end, axis, box).
-
-    R = sqrt(a1^4 + a2^4) grows in both amplitudes, and dR/da1 = 2 a1^3 / R
-    grows in a1 and falls in a2.
-    """
-    t = _axis_factors(lo, hi)
-    # corners (lo1, lo2), (hi1, hi2), (lo1, hi2), (hi1, lo2)
-    x1, x2 = np.array((lo[0], hi[0], lo[0], hi[0])), np.array((lo[1], hi[1], hi[1], lo[1]))
-    r = np.hypot(x1 * x1, x2 * x2)
-    safe = np.where(r > 0.0, r, 1.0)  # 2 a^3 / R is 0 where R is
-    dr1 = 2.0 * x1[2:] ** 3 / safe[2:]
-    dr2 = 2.0 * x2[3:1:-1] ** 3 / safe[3:1:-1]
-    # A1' R, A1 dR/da1, A2' R, A2 dR/da2
-    terms = _imul(t[:, [_DA, _A, _DA, _A], [0, 0, 1, 1]], np.array((r[:2], dr1, r[:2], dr2)).swapaxes(0, 1))
-    return 2.0 * sqrt(2.0) * _imul(t[:, _A, [1, 0]], terms[:, 0::2] + terms[:, 1::2])
-
-
 def _w_tilde_slopes(lo, hi, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
     """Enclosures of the partial derivatives of w_tilde_point over each box, shaped (end, axis, box).
 
@@ -214,12 +196,12 @@ def _bisect(lo, hi):
     )
 
 
-def _maximize_over_box(objective, slopes, boxes):
-    """Certified maximum of objective over a union of amplitude boxes, by branch and bound.
+def _maximize_over_box(objective, slopes, box):
+    """Certified maximum of objective over an amplitude box, by branch and bound.
 
-    boxes holds (alpha1_min, alpha1_max, alpha2_min, alpha2_max) tuples.
-    objective evaluates arrays of amplitude pairs; slopes(lo, hi)
-    encloses its partial derivatives over each box of a batch.  Each
+    box is (alpha1_min, alpha1_max, alpha2_min, alpha2_max).  objective
+    evaluates arrays of amplitude pairs; slopes(lo, hi) encloses its
+    partial derivatives over each box of a batch.  Each
     round first collapses every axis whose slope enclosure has one sign
     to its higher end (its lower end on a tie), then takes the value at
     each box's centre, which is its corner once both axes collapse, and
@@ -231,7 +213,7 @@ def _maximize_over_box(objective, slopes, boxes):
     BOX_MAX_ROUNDS or BOX_MAX_LIVE first.  A maximum at a corner, or on a
     point box, is the objective's own value there.
     """
-    ends = np.array(boxes).T
+    ends = np.array(box)[:, None]
     lo, hi = ends[0::2], ends[1::2]
     best, point, gap = -np.inf, None, 0.0
     for _ in range(BOX_MAX_ROUNDS):
@@ -277,34 +259,37 @@ def w_ppt_fluctuation_bound(
     value, (a1, a2) = _maximize_over_box(
         lambda x1, x2: w_tilde_point(x1, x2, jp_z, mb),
         lambda lo, hi: _w_tilde_slopes(lo, hi, jp_z, mb),
-        [_clipped_box(i1, i2)],
+        _clipped_box(i1, i2),
     )
     return value, bound_coefficients(a1, a2)
 
 
-def _b_max_boxes(i1: DisplacementSetting, i2: DisplacementSetting):
-    """The fluctuation box's edges and the diagonal's best point, which hold the maximum of b_max over the box.
+def beta_bound(i1: DisplacementSetting, i2: DisplacementSetting) -> float:
+    """Maximum of b_max over the fluctuation box, taken over the points that can hold it.
 
-    With u = alpha1^2 and v = alpha2^2, b_max = 2 sqrt(2) exp(-(u + v))
-    sqrt(uv ((u + v)^2 - 2uv)), which at fixed u + v grows with uv, that
-    is towards the diagonal.  The box meets each circle u + v = s in one
-    arc, so the maximum lies on the box's edges or at the diagonal's
-    best point, 4 a^4 exp(-2 a^2) peaking at a = 1.  Searching those
-    instead of the box avoids the flat ridge of b_max along the
-    anti-diagonal through (1, 1).
+    With u = alpha1^2 and v = alpha2^2, log b_max = const + (log u + log v
+    + log(u^2 + v^2)) / 2 - (u + v), whose only stationary point is
+    u = v = 1.  Along an edge with u fixed its slope in v vanishes where
+    2 v^3 - 3 v^2 + 2 u^2 v - u^2 = 0, so the maximum is at a corner, at
+    a real root of one of the four edges' cubics, or at (1, 1).  b_max is
+    symmetric, so an edge with v fixed has the same cubic in u, and each
+    edge's points are evaluated as (fixed, free).  The roots are the
+    eigenvalues of the cubics' companion matrices.  Every candidate is
+    clipped into the box: a complex root's real part, a root off its edge
+    and a (1, 1) outside the box become points of the box, which cannot
+    exceed its maximum.
     """
     lo1, hi1, lo2, hi2 = _clipped_box(i1, i2)
-    boxes = [(lo1, lo1, lo2, hi2), (hi1, hi1, lo2, hi2), (lo1, hi1, lo2, lo2), (lo1, hi1, hi2, hi2)]
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo <= hi:
-        boxes.append((min(max(1.0, lo), hi),) * 4)
-    return boxes
-
-
-def beta_bound(i1: DisplacementSetting, i2: DisplacementSetting) -> float:
-    """Certified maximum of the multiphoton coupling singular value over the fluctuation box."""
-    value, _ = _maximize_over_box(b_max, _b_max_slopes, _b_max_boxes(i1, i2))
-    return value
+    fixed, lo, hi = np.array([lo1, hi1, lo2, hi2]), np.array([lo2, lo2, lo1, lo1]), np.array([hi2, hi2, hi1, hi1])
+    # companion matrices of v^3 - 3/2 v^2 + u^2 v - u^2 / 2, one per edge
+    companion = np.zeros((4, 3, 3))
+    companion[:, 0, 0], companion[:, 0, 1], companion[:, 0, 2] = 1.5, -(fixed**4), 0.5 * fixed**4
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.sqrt(np.maximum(np.linalg.eigvals(companion).real, 0.0))
+    edges = np.minimum(np.maximum(roots, lo[:, None]), hi[:, None])
+    x1 = np.concatenate((fixed, fixed, np.repeat(fixed, 3), [min(max(1.0, lo1), hi1)]))
+    x2 = np.concatenate((lo, hi, edges.ravel(), [min(max(1.0, lo2), hi2)]))
+    return float(b_max(x1, x2).max())
 
 
 def w_ppt_max(w_tilde: float, mb: MultiphotonBounds, beta: float) -> float:

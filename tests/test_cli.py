@@ -365,6 +365,11 @@ MALFORMED_INPUTS = [
                  id="zero n_total on a pstar row"),
     pytest.param("certify", {"counts": COUNTS.replace("250,\n", "250,-5\n")}, [], id="negative n_none"),
     pytest.param("certify", {"counts": COUNTS.replace("250,\n", "250,900\n")}, [], id="overfull n_none"),
+    pytest.param("certify", {"counts": COUNTS + "pstar1,1000,0,0,3,5\n"}, [], id="pstar1 n_none contradicting its counts"),
+    pytest.param("certify", {"counts": COUNTS + "pstar2,1000,0,0,3,-7\n"}, [], id="negative pstar2 n_none"),
+    pytest.param("certify", {"counts": COUNTS + "Z,10,0,0,1,\n"}, [], id="unknown basis"),
+    pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.01,0.01\n" * 2}, [],
+                 id="second settings row"),
     pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,nan,0.01\n"}, [], id="NaN p1_star"),
     pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,-0.01,0.01\n"}, [],
                  id="negative p1_star"),

@@ -191,16 +191,14 @@ def test_box_bounds_swap_symmetry(i1, i2, p, p1, p2):
 points = amplitudes.map(point_setting)
 
 
-def certified_searches(box_pair, jp_z, mb):
-    """(objective, (value, maximizer)) of both certified box searches, as the bounds run them."""
+def box_maxima(box_pair, jp_z, mb):
+    """(objective, (value, maximizer or None)) of both box bounds, as certify takes them."""
     def w_tilde(x1, x2):
         return witness.w_tilde_point(x1, x2, jp_z, mb)
 
-    searches = (
-        (witness.b_max, witness._b_max_slopes, witness._b_max_boxes(*box_pair)),
-        (w_tilde, lambda lo, hi: witness._w_tilde_slopes(lo, hi, jp_z, mb), [witness._clipped_box(*box_pair)]),
-    )
-    return [(objective, witness._maximize_over_box(objective, *search)) for objective, *search in searches]
+    w_search = witness._maximize_over_box(w_tilde, lambda lo, hi: witness._w_tilde_slopes(lo, hi, jp_z, mb),
+                                          witness._clipped_box(*box_pair))
+    return [(witness.b_max, (witness.beta_bound(*box_pair), None)), (w_tilde, w_search)]
 
 
 def falls_away_from(objective, corner, i1, i2, step=1e-6, slope=1e-3):
@@ -221,18 +219,19 @@ def falls_away_from(objective, corner, i1, i2, step=1e-6, slope=1e-3):
        p1=pstars, p2=pstars)
 def test_point_axes_match_the_dense_box_search_bitwise(box_pair, p, p1, p2):
     # At a corner the objective falls away from, the certified search collapses to that corner and returns the
-    # grid search's value and point.  Elsewhere the grid search is a heuristic that finds no more than the
-    # certified maximum: a corner with a vanishing slope (such as b_max at (1, 1), or amplitudes ~1e-9) leaves a
-    # certified gap, and an objective flat in exact arithmetic varies by rounding only.
+    # grid search's value and point, and beta_bound's largest candidate is that corner.  Elsewhere the grid search
+    # is a heuristic that finds no more than the true maximum: b_max's maxima at (1, 1) and inside an edge are
+    # candidates of beta_bound, a corner with a vanishing slope (amplitudes ~1e-9) leaves a certified gap in the
+    # w_tilde search, and an objective flat in exact arithmetic varies by rounding only.
     i1, i2 = box_pair
     corners = {(x1, x2) for x1 in (i1.alpha_min, i1.alpha_max) for x2 in (i2.alpha_min, i2.alpha_max)}
-    for objective, certified in certified_searches(box_pair, meas.JointClickProbabilities(*p),
-                                                   witness.MultiphotonBounds(p1, p2)):
+    for objective, (value, point) in box_maxima(box_pair, meas.JointClickProbabilities(*p),
+                                                witness.MultiphotonBounds(p1, p2)):
         dense = maximize_over_box_dense(objective, i1, i2)
         if dense[1] in corners and falls_away_from(objective, dense[1], i1, i2):
-            assert certified == dense
+            assert value == dense[0] and point in (None, dense[1])
         else:
-            assert certified[0] >= dense[0] - 1e-15
+            assert value >= dense[0] - 1e-15
 
 
 def dense_grid_maxima(i1, i2, jp_z, mb, n=1201):
@@ -269,12 +268,71 @@ def test_box_bounds_are_sound_and_tight_against_a_fine_grid(box_pair, p, p1, p2)
         assert grid - 1e-15 <= value <= grid + 1e-6
 
 
+RIDGE_BOX = (meas.DisplacementSetting(0.9, 0.7737, 1.0425), meas.DisplacementSetting(0.85, 0.6982, 1.0024))
+
+
 def test_beta_bound_reaches_the_ridge_maximum():
-    # the grid search refined one cell around the coarse argmax and returned 0.5413410853511611 here;
-    # 0.5413411329462864 is the 1201 x 1201 grid maximum, and 4 / e^2 = 0.54134113294645 the true one at (1, 1)
-    i1 = meas.DisplacementSetting(0.9, 0.7737, 1.0425)
-    i2 = meas.DisplacementSetting(0.85, 0.6982, 1.0024)
-    assert witness.beta_bound(i1, i2) >= 0.5413411329462864
+    # the grid search refined one cell around the coarse argmax and returned 0.5413410853511611 here, and the
+    # 1201 x 1201 grid maximum is 0.5413411329462864; the true maximum is 4 / e^2, at (1, 1)
+    with mp.workdps(30):
+        ridge = 4 * mp.exp(-2)
+        assert abs(witness.beta_bound(*RIDGE_BOX) - ridge) <= 1e-15 * ridge
+
+
+def b_max_mp(a1, a2):
+    return 2 * a1 * mp.exp(-(a1**2)) * a2 * mp.exp(-(a2**2)) * mp.sqrt(2 * (a1**4 + a2**4))
+
+
+def beta_mp(i1, i2, scan=400):
+    """Maximum of b_max over the box at the working precision, from its corners, (1, 1) if inside, and along each
+    edge the root of the numerical slope started from the argmax of a scan, where that argmax is not an end.
+
+    The ends are clipped at 64 as in the bound, so that the scan resolves the peak; beyond 64, b_max < exp(-4096).
+    """
+    lo1, hi1, lo2, hi2 = (mp.mpf(min(a, 64.0)) for a in (i1.alpha_min, i1.alpha_max, i2.alpha_min, i2.alpha_max))
+    points = [(x1, x2) for x1 in (lo1, hi1) for x2 in (lo2, hi2)]
+    if lo1 <= 1 <= hi1 and lo2 <= 1 <= hi2:
+        points.append((mp.mpf(1), mp.mpf(1)))
+    for fixed, lo, hi in ((lo1, lo2, hi2), (hi1, lo2, hi2), (lo2, lo1, hi1), (hi2, lo1, hi1)):
+        def along(a, fixed=fixed):
+            return b_max_mp(fixed, a)
+
+        start = max((lo + (hi - lo) * k / scan for k in range(scan + 1)), key=along)
+        if lo < start < hi:
+            root = mp.findroot(lambda a, along=along: mp.diff(along, a), start)
+            assert lo <= root <= hi
+            points.append((fixed, root))
+    return max(b_max_mp(*point) for point in points)
+
+
+def setting(alpha_min, alpha_mean, alpha_max):
+    return meas.DisplacementSetting(alpha_mean, alpha_min, alpha_max)
+
+
+BETA_BOXES = {
+    **{name: (row["i1"], row["i2"]) for name, row in zip(("42m_set1", "42m_set2", "1p0km"), ROWS)},
+    # the synthetic certify boxes of tools/identity.py: the first holds (1, 1), the others' maxima lie inside an edge
+    "synthetic-0": (setting(0.325, 0.518, 1.357), setting(0.376, 0.514, 1.444)),
+    "synthetic-1": (setting(0.416, 0.542, 0.673), setting(0.43, 0.519, 1.361)),
+    "synthetic-2": (setting(0.343, 0.5, 0.705), setting(0.928, 1.1, 1.603)),
+    "wide": (setting(0.3, 0.9, 1.5), setting(0.3, 0.9, 1.5)),
+    "ridge": RIDGE_BOX,
+    "point": (point_setting(0.83), point_setting(0.83)),
+    "zero": (point_setting(0.0), point_setting(0.0)),
+    "clipped-at-64": (setting(0.5, 2.0, 1e3), setting(0.7, 0.8, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", (*BETA_BOXES, "lossy_link"))
+def test_beta_bound_matches_the_mpmath_maximum(name):
+    if name == "lossy_link":
+        row = lossy_link_box()
+        box = row["i1"], row["i2"]
+    else:
+        box = BETA_BOXES[name]
+    with mp.workdps(30):
+        reference = beta_mp(*box)
+        assert abs(witness.beta_bound(*box) - reference) <= 2e-15 * reference
 
 
 def lossy_link_box():

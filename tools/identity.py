@@ -27,8 +27,10 @@ a required config section missing, given as a list or missing a key, a
 number given as a string, an unordered interval, an efficiency above 1, a
 numeric report path, the --seed and --truncation overrides with their
 sections absent or not objects, derived herald totals that round to 0,
-a settings row without alpha2_max, a JSON sidecar with a bad p1_star and
-a counts row with n_none above n_total.  `compare` lists
+a settings row without alpha2_max, a JSON sidecar with a bad p1_star, a
+counts row with n_none above n_total, pstar rows whose n_none contradicts
+their counts, a counts row of an unknown basis and a settings CSV with a
+second data row.  `compare` lists
 the cases that differ; stderr is compared after each tree's own path is
 replaced, since a warning prints the path of the source line that raised
 it.  For a stderr difference it also prints the first differing line of
@@ -161,11 +163,17 @@ def _certify_error_files(files: dict[str, str]) -> dict[str, dict[str, str]]:
     alpha = next(i for i, line in enumerate(lines) if line.startswith("alpha,"))
     cells = lines[alpha].split(",")
     lines[alpha] = ",".join((*cells[:-1], str(int(cells[1]) + 1)))
+    # n_none cells that contradict the counts of the pstar rows, whose n_none is empty
+    n_none = {"pstar1": "5", "pstar2": "-7"}
+    pstar = [line + n_none.get(line.split(",")[0], "") for line in files["counts.csv"].splitlines()]
     return {
         "settings-without-alpha2_max": {**files, "settings.csv": f"{','.join(short)}\n{','.join(short.values())}\n"},
         "sidecar-p1_star-string": {**files, "settings.json": json.dumps({**sidecar, "p1_star": "x"})},
         "sidecar-p1_star-1.5": {**files, "settings.json": json.dumps({**sidecar, "p1_star": 1.5})},
         "n_none-above-n_total": {**files, "counts.csv": "\n".join(lines) + "\n"},
+        "pstar-n_none-contradicting": {**files, "counts.csv": "\n".join(pstar) + "\n"},
+        "counts-basis-Z": {**files, "counts.csv": files["counts.csv"] + "Z,10,0,0,1,\n"},
+        "settings-second-row": {**files, "settings.csv": files["settings.csv"] + row + "\n"},
     }
 
 
