@@ -24,49 +24,56 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PSTAR = 4
 
+# the flags of the simulating commands and of the outputs, as (flag, add_argument options)
+_CONFIG = (("--config", dict(required=True, help="experiment configuration (JSON)")),
+           ("--seed", dict(type=int, default=None, help="override the Monte Carlo seed")),
+           ("--truncation", dict(type=int, default=None, help="override numerics.truncation_n_max (inert)")))
+_REPORT = ("--out", dict(help="write the JSON report to this path"))
+_TABLE = (("--out", dict(help="write the sweep table to this path")),
+          ("--format", dict(choices=("csv", "json"), default="csv")))
+# command -> (help line, flags in the order its help lists them)
+COMMANDS = {
+    "run": ("simulate the configured experiment and certify it", (*_CONFIG, _REPORT)),
+    "sweep-phase": ("witness vs relative measurement phase", (
+        *_CONFIG, ("--phase-min", dict(type=float, default=-np.pi, help="first relative phase (rad)")),
+        ("--phase-max", dict(type=float, default=np.pi, help="last relative phase (rad)")),
+        ("--steps", dict(type=int, default=25)), *_TABLE)),
+    "sweep-alpha": ("violation vs displacement amplitudes", (
+        *_CONFIG, ("--alpha-min", dict(type=float, default=0.1)), ("--alpha-max", dict(type=float, default=1.2)),
+        ("--steps", dict(type=int, default=12, help="grid points per axis")), *_TABLE)),
+    "certify": ("certify recorded counts without simulation", (
+        ("--counts", dict(required=True, help="CSV with basis,n_total,n_a,n_b,n_d[,n_none] rows")),
+        ("--settings", dict(required=True, help="sidecar with alpha intervals and multiphoton bounds")), _REPORT)),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, options in COMMANDS[command][1]:
+        parser.add_argument(flag, **options)
+    return parser
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole `pathent` parser: every command as a subparser with its flags."""
     parser = argparse.ArgumentParser(
         prog="pathent",
         description="Simulate and certify heralded single-photon path entanglement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="simulate the configured experiment and certify it")
-    _common_config_flags(run)
-    run.add_argument("--out", help="write the JSON report to this path")
-
-    phase = sub.add_parser("sweep-phase", help="witness vs relative measurement phase")
-    _common_config_flags(phase)
-    phase.add_argument("--phase-min", type=float, default=-np.pi, help="first relative phase (rad)")
-    phase.add_argument("--phase-max", type=float, default=np.pi, help="last relative phase (rad)")
-    phase.add_argument("--steps", type=int, default=25)
-    phase.add_argument("--out", help="write the sweep table to this path")
-    phase.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    alpha = sub.add_parser("sweep-alpha", help="violation vs displacement amplitudes")
-    _common_config_flags(alpha)
-    alpha.add_argument("--alpha-min", type=float, default=0.1)
-    alpha.add_argument("--alpha-max", type=float, default=1.2)
-    alpha.add_argument("--steps", type=int, default=12, help="grid points per axis")
-    alpha.add_argument("--out", help="write the sweep table to this path")
-    alpha.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    cert = sub.add_parser("certify", help="certify recorded counts without simulation")
-    cert.add_argument("--counts", required=True, help="CSV with basis,n_total,n_a,n_b,n_d[,n_none] rows")
-    cert.add_argument("--settings", required=True, help="sidecar with alpha intervals and multiphoton bounds")
-    cert.add_argument("--out", help="write the JSON report to this path")
+    for command, (help_line, _) in COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=help_line), command)
     return parser
 
 
-def _common_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="experiment configuration (JSON)")
-    sub.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
-    sub.add_argument("--truncation", type=int, default=None, help="override numerics.truncation_n_max (inert)")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:  # --help, no or an unknown command, a flag before it
+        args = build_parser().parse_args(argv)
+    else:  # only the subparser build_parser makes for the command; its leftovers fail as in build_parser's parse
+        parser = _add_flags(argparse.ArgumentParser(prog=f"pathent {argv[0]}"), argv[0])
+        args, leftover = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if leftover:
+            build_parser().error(f"unrecognized arguments: {' '.join(leftover)}")
     try:
         return _dispatch(args)
     except (ConfigError, OSError) as exc:
@@ -95,7 +102,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_summary(report)
     elif args.command == "sweep-phase":
         rows = pipeline.sweep_phase(config, args.phase_min, args.phase_max, args.steps)
-        _emit_rows(rows, args.out, args.format)
+        _emit(rows, rows, args)
     else:
         result = pipeline.sweep_alpha(config, args.alpha_min, args.alpha_max, args.steps)
         for mode, values in result["optima"].items():
@@ -106,22 +113,15 @@ def _dispatch(args: argparse.Namespace) -> int:
                 )
             else:
                 print(f"# optimum {mode}: {values['error']}")
-        if args.format == "json":
-            text = pipeline.report_to_json(result)
-            _write_or_print(text, args.out)
-        else:
-            _emit_rows(result["rows"], args.out, "csv")
+        _emit(result, result["rows"], args)
     return EXIT_OK
 
 
-def _emit_rows(rows: list[dict], out, fmt: str) -> None:
-    text = pipeline.report_to_json(rows) if fmt == "json" else pipeline.rows_to_csv(rows)
-    _write_or_print(text, out)
-
-
-def _write_or_print(text: str, out) -> None:
-    if out:
-        pipeline.write_text(text, out)
+def _emit(document, rows: list[dict], args: argparse.Namespace) -> None:
+    """A sweep's output: its whole document as JSON or its rows as CSV, to --out or else stdout."""
+    text = pipeline.report_to_json(document) if args.format == "json" else pipeline.rows_to_csv(rows)
+    if args.out:
+        pipeline.write_text(text, args.out)
     else:
         sys.stdout.write(text)
 

@@ -259,11 +259,9 @@ def load_counts_file(path) -> CountsFile:
         for basis in ("alpha", "z"):
             if basis not in rows:
                 raise ConfigError(f"counts file {path} is missing the {basis!r} basis row")
-        alpha, z = (estimate_probabilities(*rows[b]) for b in ("alpha", "z"))
+        alpha, z = (_estimate(b, *rows[b]) for b in ("alpha", "z"))
         # a multiphoton run's coincidence fraction is the (c,c) estimate of its row
-        pstar1, pstar2 = (
-            estimate_probabilities(*rows[b]).estimates[3] if b in rows else None for b in ("pstar1", "pstar2")
-        )
+        pstar1, pstar2 = (_estimate(b, *rows[b]).estimates[3] if b in rows else None for b in ("pstar1", "pstar2"))
     except ConfigError:
         raise
     except OSError as exc:
@@ -271,6 +269,14 @@ def load_counts_file(path) -> CountsFile:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed counts file {path}: {exc}") from exc
     return CountsFile(alpha, z, pstar1, pstar2)
+
+
+def _estimate(basis: str, record: CountRecord, n_none: int | None):
+    """estimate_probabilities of one counts row; a row it rejects is named in the message."""
+    try:
+        return estimate_probabilities(record, n_none)
+    except ValueError as exc:
+        raise ValueError(f"counts row {basis!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
         # (signal, idler) -> (signal, idler, lost_signal, lost_idler) -> rho[(signal, idler), (signal, idler)]
         ket = fc.two_mode_squeezed_ket(pair_probability, trunc).reshape(d, d)
         kraus = [fc.loss_channel_kraus(eta, trunc) for eta in (signal_transmission, idler_transmission)]
-        ket = np.einsum("atr,bji,ri->tjab", *kraus, ket, optimize=["einsum_path", (0, 2), (0, 1)]).reshape(d * d, -1)
+        ket = _lose_photons(*kraus, ket).reshape(d * d, -1)
         return (ket @ ket.T).reshape(d, d, d, d)
 
     rho_a = source(src.pair_probability_a, src.signal_transmission_a * eta_a, src.idler_transmission_a)
@@ -154,9 +154,7 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     click = np.eye(d * d)
     click[np.ix_(pair_index, pair_index)] -= (total[:, None] == total[None, :]) * np.outer(u, u)
     povms = np.stack([np.eye(d * d), click]).reshape(2, d, d, d, d)
-    marginal, conditioned = np.einsum(
-        "aick,bjdl,sklij->sabcd", rho_a, rho_b, povms, optimize=["einsum_path", (0, 2), (0, 1)]
-    ).reshape(2, d * d, d * d)
+    marginal, conditioned = _apply_station(rho_a, rho_b, povms).reshape(2, d * d, d * d)
     p_true = float(np.trace(conditioned))
 
     f = src.false_herald_probability
@@ -174,6 +172,22 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
         herald_probability = min(1.0, p_true / (1.0 - f)) if f < 1.0 else 1.0
 
     return HeraldedState(fc.DensityOperator(fc._hermitize(cond), (d, d)), herald_probability)
+
+
+def _lose_photons(kraus_signal, kraus_idler, ket):
+    """einsum("atr,bji,ri->tjab", kraus_signal, kraus_idler, ket) on path [(0, 2), (0, 1)]: its matmuls, bitwise."""
+    d = len(ket)
+    ati = (ket.T @ kraus_signal.transpose(2, 0, 1).reshape(d, d * d)).reshape(d, d, d).transpose(1, 2, 0)
+    atbj = ati.reshape(d * d, d) @ kraus_idler.transpose(2, 0, 1).reshape(d, d * d)
+    return atbj.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+
+
+def _apply_station(rho_a, rho_b, povms):
+    """einsum("aick,bjdl,sklij->sabcd", rho_a, rho_b, povms) on path [(0, 2), (0, 1)]: its matmuls, bitwise."""
+    d = len(rho_a)
+    sljac = povms.transpose(0, 2, 4, 1, 3).reshape(2 * d * d, d * d) @ rho_a.transpose(3, 1, 0, 2).reshape(d * d, -1)
+    sacjl = sljac.reshape(2, d, d, d, d).transpose(0, 3, 4, 2, 1).reshape(2 * d * d, d * d)
+    return (sacjl @ rho_b.transpose(1, 3, 0, 2).reshape(d * d, -1)).reshape(2, d, d, d, d).transpose(0, 1, 3, 2, 4)
 
 
 def heralding_rate(herald_probability: float, pump_rep_rate_hz: float, duty_fraction: float = 1.0) -> float:

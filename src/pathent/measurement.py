@@ -115,10 +115,15 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) 
     d = rho.mode_dims[0]
     povms = click_povm(np.concatenate(amplitudes), fc.FockTruncation(d - 1))
     n_1 = len(amplitudes[0])
-    t = rho.matrix.reshape(d, d, d, d)
-    # the state meets the smaller POVM stack first: the path optimize=True finds, without its search
-    path = ["einsum_path", (0, 1) if n_1 <= len(amplitudes[1]) else (0, 2), (0, 1)]
-    p = np.einsum("abcd,xica,yjdb->xyij", t, povms[:n_1], povms[n_1:], optimize=path).real
+    t, first, second = rho.matrix.reshape(d, d, d, d), povms[:n_1], povms[n_1:]
+    # einsum("abcd,xica,yjdb->xyij", t, first, second) as the matmuls of the path optimize=True finds, bitwise:
+    # the state meets the smaller stack first, so the modes swap roles when that is mode 2's
+    swap = len(second) < n_1
+    if swap:
+        t, first, second = t.transpose(1, 0, 3, 2), second, first
+    ixbd = (first.reshape(-1, d * d) @ t.transpose(2, 0, 1, 3).reshape(d * d, -1)).reshape(len(first), 2, -1)
+    ixyj = ixbd.transpose(1, 0, 2).reshape(-1, d * d) @ second.transpose(3, 2, 0, 1).reshape(d * d, -1)
+    p = ixyj.reshape(2, len(first), len(second), 2).transpose((2, 1, 3, 0) if swap else (1, 2, 0, 3)).real
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 

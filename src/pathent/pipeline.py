@@ -8,8 +8,6 @@ block; floating-point values are emitted with 9 significant digits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
@@ -354,12 +352,9 @@ def write_text(text: str, path) -> None:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    """CSV text of sweep rows, which share one key order and hold numbers only, so no cell needs quoting."""
     if not rows:
         return ""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_float(v) if isinstance(v, float) else v for v in (row[k] for k in header)])
-    return buffer.getvalue()
+    lines = [",".join(rows[0])]
+    lines += [",".join(format_float(v) if isinstance(v, float) else str(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"

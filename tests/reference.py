@@ -259,3 +259,23 @@ def maximize_over_box_dense(objective, i1, i2):
         if hi1 - lo1 <= 0 and hi2 - lo2 <= 0:
             break
     return best, best_point
+
+
+# The three einsum contractions that herald._lose_photons, herald._apply_station and
+# measurement.click_probability_grid write out as matmuls, on the pairwise paths they follow.
+def einsum_lose_photons(kraus_signal: np.ndarray, kraus_idler: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    return np.einsum("atr,bji,ri->tjab", kraus_signal, kraus_idler, ket, optimize=["einsum_path", (0, 2), (0, 1)])
+
+
+def einsum_apply_station(rho_a: np.ndarray, rho_b: np.ndarray, povms: np.ndarray) -> np.ndarray:
+    return np.einsum("aick,bjdl,sklij->sabcd", rho_a, rho_b, povms, optimize=["einsum_path", (0, 2), (0, 1)])
+
+
+def einsum_click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) -> np.ndarray:
+    """click_probability_grid as one einsum that contracts the state with the smaller POVM stack first."""
+    amplitudes = [np.asarray(amps, dtype=complex) for amps in (amplitudes_1, amplitudes_2)]
+    d, n_1 = rho.mode_dims[0], len(amplitudes[0])
+    povms = click_povm(np.concatenate(amplitudes), fc.FockTruncation(d - 1))
+    path = ["einsum_path", (0, 1) if n_1 <= len(amplitudes[1]) else (0, 2), (0, 1)]
+    p = np.einsum("abcd,xica,yjdb->xyij", rho.matrix.reshape(d, d, d, d), povms[:n_1], povms[n_1:], optimize=path)
+    return np.clip(p.real, 0.0, 1.0).reshape(n_1, -1, 4)

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from pathent import pipeline
+from pathent import cli, pipeline
 from pathent.cli import main
 from pathent.config import load_experiment_config, parse_experiment_config
 
@@ -367,6 +367,8 @@ MALFORMED_INPUTS = [
     pytest.param("certify", {"counts": COUNTS.replace("250,\n", "250,900\n")}, [], id="overfull n_none"),
     pytest.param("certify", {"counts": COUNTS + "pstar1,1000,0,0,3,5\n"}, [], id="pstar1 n_none contradicting its counts"),
     pytest.param("certify", {"counts": COUNTS + "pstar2,1000,0,0,3,-7\n"}, [], id="negative pstar2 n_none"),
+    pytest.param("certify", {"counts": COUNTS.replace("z,1000,10,10,1,", "z,1000,10,10,1,5")}, [],
+                 id="z n_none contradicting its counts"),
     pytest.param("certify", {"counts": COUNTS + "Z,10,0,0,1,\n"}, [], id="unknown basis"),
     pytest.param("certify", {"settings": SETTINGS + "0.8,0.81,0.82,0.8,0.81,0.82,0.01,0.01\n" * 2}, [],
                  id="second settings row"),
@@ -394,6 +396,17 @@ def test_malformed_input_exits_2_with_one_line(command, inputs, extra, tmp_path,
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("counts, message", [
+    (COUNTS + "pstar1,1000,0,0,3,5\n", "counts row 'pstar1': probabilities sum to 0.008, expected 1"),
+    (COUNTS.replace("z,1000,10,10,1,", "z,1000,10,10,1,4"), "counts row 'z': probabilities sum to 0.025, expected 1"),
+    (COUNTS.replace("alpha,1000,250,250,250,", "alpha,0,0,0,0,"), "counts row 'alpha': n_total must be positive"),
+], ids=["pstar1", "z", "alpha"])
+def test_rejected_counts_row_is_named(counts, message, tmp_path, capsys):
+    argv = certify_argv(tmp_path, counts=counts)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: malformed counts file {argv[2]}: {message}\n"
 
 
 @pytest.mark.parametrize("overrides", [
@@ -497,3 +510,73 @@ def test_truncation_flag_changes_only_its_echo(command, fixture, tmp_path, capsy
             assert numerics["truncation_n_max"] == n_max
             numerics["truncation_n_max"] = plain[0]["config"]["numerics"]["truncation_n_max"]
         assert got == plain
+
+
+CONFIG = str(FIXTURES / "ideal_link.json")
+USAGE_ERRORS = [
+    pytest.param([], id="no arguments"),
+    pytest.param(["bogus"], id="unknown command"),
+    pytest.param(["run"], id="run without --config"),
+    pytest.param(["run", "--config", CONFIG, "--bogus"], id="unrecognized flag"),
+    pytest.param(["--bogus", "run", "--config", CONFIG], id="flag before the command"),
+    pytest.param(["sweep-phase", "--config", CONFIG, "--steps", "x"], id="--steps x"),
+    pytest.param(["sweep-alpha", "--config", CONFIG, "--format", "xml"], id="--format xml"),
+    pytest.param(["certify", "--counts", "c.csv"], id="certify without --settings"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: pathent"), err
+
+
+def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--config", CONFIG, "--bogus", "extra"])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pathent [-h] {run,sweep-phase,sweep-alpha,certify} ...\n"), err
+    assert err.endswith("\npathent: error: unrecognized arguments: --bogus extra\n"), err
+
+
+HELP_FLAGS = {
+    None: ["--help", "run", "sweep-phase", "sweep-alpha", "certify"],
+    "run": ["--help", "--config", "--seed", "--truncation", "--out"],
+    "sweep-phase": ["--help", "--config", "--seed", "--truncation", "--phase-min", "--phase-max", "--steps", "--out",
+                    "--format"],
+    "sweep-alpha": ["--help", "--config", "--seed", "--truncation", "--alpha-min", "--alpha-max", "--steps", "--out",
+                    "--format"],
+    "certify": ["--help", "--counts", "--settings", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS), ids=lambda command: command or "pathent")
+def test_help_exits_0_and_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: pathent {command or '[-h]'}"), out
+    assert all(flag in out for flag in HELP_FLAGS[command]), out
+
+
+CONFIG_DEFAULTS = {"config": CONFIG, "seed": None, "truncation": None, "out": None}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["run", "--config", CONFIG], {"command": "run", **CONFIG_DEFAULTS}),
+    (["sweep-phase", "--config", CONFIG], {"command": "sweep-phase", **CONFIG_DEFAULTS, "phase_min": -np.pi,
+                                           "phase_max": np.pi, "steps": 25, "format": "csv"}),
+    (["sweep-alpha", "--config", CONFIG], {"command": "sweep-alpha", **CONFIG_DEFAULTS, "alpha_min": 0.1,
+                                           "alpha_max": 1.2, "steps": 12, "format": "csv"}),
+    (["certify", "--counts", "c.csv", "--settings", "s.csv"],
+     {"command": "certify", "counts": "c.csv", "settings": "s.csv", "out": None}),
+], ids=["run", "sweep-phase", "sweep-alpha", "certify"])
+def test_each_command_parses_to_its_defaults(argv, expected, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(vars(args)) or 0)
+    assert main(argv) == 0
+    assert parsed == [expected]

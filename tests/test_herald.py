@@ -18,6 +18,8 @@ from reference import (
     beam_splitter_unitary,
     deltas,
     displacement_phases,
+    einsum_apply_station,
+    einsum_lose_photons,
     fock_ket,
     ideal_lossy_state,
     rotate_signals,
@@ -375,3 +377,15 @@ def test_phase_config_array_field_checks_every_entry():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phase chi_b must be finite"):
             herald.PhaseConfig(chi_b=np.where(np.arange(5) == 2, bad, chi_b))
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 10, 15])
+def test_herald_contractions_are_bitwise_their_einsums(n_max):
+    # random stacks, kets and states in the contractions' shapes: the matmuls must repeat einsum's rounding
+    rng = np.random.default_rng(n_max)
+    d = n_max + 1
+    kraus_signal, kraus_idler, ket = rng.random((d, d, d)), rng.random((d, d, d)), rng.random((d, d))
+    assert np.array_equal(herald._lose_photons(kraus_signal, kraus_idler, ket),
+                          einsum_lose_photons(kraus_signal, kraus_idler, ket))
+    rho_a, rho_b, povms = rng.random((d,) * 4), rng.random((d,) * 4), rng.random((2,) + (d,) * 4)
+    assert np.array_equal(herald._apply_station(rho_a, rho_b, povms), einsum_apply_station(rho_a, rho_b, povms))

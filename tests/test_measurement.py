@@ -11,6 +11,7 @@ from pathent.witness import b_max, bound_coefficients
 from conftest import random_density_matrix
 from reference import (
     displacement_phases,
+    einsum_click_probability_grid,
     embed_state,
     expectation_value,
     ideal_lossy_state,
@@ -370,3 +371,16 @@ def test_p00_phase_model_examples():
     a = p00_phase_model(0.6, herald.PhaseConfig(phi_a=0.0))
     b = p00_phase_model(0.6, herald.PhaseConfig(phi_a=2.345))
     assert abs(a - b) < 1e-15
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 10, 15])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 25), (12, 12), (25, 1)], ids=lambda shape: "x".join(map(str, shape)))
+def test_click_probability_grid_is_bitwise_its_einsum(shape, n_max):
+    # real states as the herald makes them, and complex ones; (25, 1) contracts the second stack first
+    rng = np.random.default_rng(n_max)
+    d = n_max + 1
+    for matrix in (random_density_matrix(rng, d * d).real.copy(), random_density_matrix(rng, d * d)):
+        rho = fc.DensityOperator(matrix, (d, d))
+        amplitudes = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in shape]
+        got = meas.click_probability_grid(rho, *amplitudes)
+        assert np.array_equal(got, einsum_click_probability_grid(rho, *amplitudes))

@@ -30,7 +30,12 @@ sections absent or not objects, derived herald totals that round to 0,
 a settings row without alpha2_max, a JSON sidecar with a bad p1_star, a
 counts row with n_none above n_total, pstar rows whose n_none contradicts
 their counts, a counts row of an unknown basis and a settings CSV with a
-second data row.  `compare` lists
+second data row.  The usage cases pin the argument parser: each usage
+error (no command, an unknown one, a missing required flag, a flag no
+command takes, before or after the command, a non-integer --steps and
+an unknown --format) and the --help of pathent and of each command.
+COLUMNS is pinned to 80 next to the BLAS threads, so that help text
+wraps alike on every host.  `compare` lists
 the cases that differ; stderr is compared after each tree's own path is
 replaced, since a warning prints the path of the source line that raised
 it.  For a stderr difference it also prints the first differing line of
@@ -42,7 +47,7 @@ from __future__ import annotations
 import os
 import sys
 
-os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "COLUMNS": "80"})
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
@@ -261,6 +266,21 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
                 out[f"run/{fixture}/herald-{n_max}{suffix}"] = ("run", "--config", str(herald_config), "--out", report)
                 for command in ("sweep-phase", "sweep-alpha"):
                     out[f"{command}/{fixture}/herald-{n_max}{suffix}"] = (command, "--config", str(herald_config))
+    config = str(FIXTURES / "lossy_link.json")
+    for name, argv in {
+        "none": (),
+        "unknown-command": ("bogus",),
+        "run-without-config": ("run",),
+        "certify-without-settings": ("certify", "--counts", config),
+        "unrecognized-flag": ("run", "--config", config, "--bogus", "extra"),
+        "flag-before-command": ("--bogus", "run", "--config", config),
+        "steps-x": ("sweep-phase", "--config", config, "--steps", "x"),
+        "format-xml": ("sweep-alpha", "--config", config, "--format", "xml"),
+    }.items():
+        out[f"usage/error/{name}"] = argv
+    out["usage/help/pathent"] = ("--help",)
+    for command in workloads.WORKLOADS:  # every pathent command
+        out[f"usage/help/{command}"] = (command, "--help")
     return out
 
 
