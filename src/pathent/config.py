@@ -24,11 +24,12 @@ class ConfigError(ValueError):
     """Configuration or input file failed to parse or validate."""
 
 
-# The herald's 2 (n+1)^5 contraction intermediate (float64), a run's largest
-# array, stays within 256 MiB at its cap.  No array is sized by
-# truncation_n_max: the click POVMs are exact on the herald's levels.  Its
-# cap of 1447, the rule that it is at least the herald's and the phase
-# overflow check below are kept so that every input exits as before.
+# The largest arrays a truncation sizes are the herald's (n+1)^4-entry
+# float64 operators, 512 KiB each at the herald cap of 15.  No array is
+# sized by truncation_n_max: the click POVMs are exact on the herald's
+# levels.  Both caps, the rule that truncation_n_max is at least the
+# herald's and the phase overflow check below are kept so that every input
+# exits as before.
 _N_MAX_CAPS = {"herald_truncation_n_max": 15, "truncation_n_max": 1447}
 
 

@@ -98,12 +98,12 @@ def _loss_binomials(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray, np.n
     return k, n, binom
 
 
-def two_mode_squeezed_ket(pair_probability: float, trunc: FockTruncation) -> np.ndarray:
-    """Real state vector sum_n lambda^n |n,n> with lambda = sqrt(p), renormalized after truncation."""
+def pair_amplitudes(pair_probability: float, trunc: FockTruncation) -> np.ndarray:
+    """Amplitudes c_n of a pair source sum_n c_n |n,n>: c_n = sqrt(p)^n, renormalized after truncation."""
     if not 0.0 <= pair_probability < 0.5:
         raise ValueError(f"pair probability must lie in [0, 0.5), got {pair_probability}")
-    ket = np.diag(np.sqrt(pair_probability) ** np.arange(trunc.dim)).ravel()
-    return ket / np.linalg.norm(ket)
+    amplitudes = np.sqrt(pair_probability) ** np.arange(trunc.dim)
+    return amplitudes / np.linalg.norm(amplitudes)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

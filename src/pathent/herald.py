@@ -2,12 +2,13 @@
 
 Two squeezed-vacuum pair sources feed a central 50/50 beam splitter with
 their idler modes; a click of a non-photon-number-resolving detector on
-one output heralds the shared signal state.  Each source is one
-(signal, idler) density matrix; the station acts on the two idlers as a
-closed-form click POVM, which photon-number conservation at the beam
-splitter gives.  The heralded state keeps (signal_A, signal_B).
+one output heralds the shared signal state.  Each source is pure before
+loss; the station acts on the two idlers as a closed-form click POVM,
+which photon-number conservation at the beam splitter gives, and idler
+loss acts on that POVM.  The heralded state keeps (signal_A, signal_B).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ class HeraldedState:
 
 def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float],
                             trunc: fc.FockTruncation) -> HeraldedState:
-    """Heralded signal-pair state from the two sources and the station's click POVM; real and phase-free.
+    """Heralded signal-pair state from the two pure sources and the station's click POVM; real and phase-free.
 
     Optical phases are left to the measurement: a pair source holds equal
     photon numbers in signal and idler, so its phases phi + chi + xi_long
@@ -115,19 +116,20 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     loss and with the idler-only station, and for a click POVM displaced by
     alpha, tr[U rho U^dag E(alpha)] = tr[rho E(alpha e^{-i theta})].  With the
     field's own phase phi - zeta + xi_short, a side measures the phase-free
-    state at alpha e^{-i delta}, delta from PhaseConfig.deltas.  Signal and
-    idler loss are Kraus stacks contracted into each source's ket; tracing
-    out the lost photons leaves one (signal, idler) density matrix per
-    source.  Signal loss commutes with the heralding, and the detector
-    efficiencies (eta_A, eta_B) multiply the signal transmissions.  The
-    station's 50/50 beam splitter conserves the idler number J = j_A + j_B
-    and sends all J photons to the unmonitored port with amplitude
+    state at alpha e^{-i delta}, delta from PhaseConfig.deltas.  Before loss
+    each source is pure, sum_n c_n |n, n>.  The station's 50/50 beam
+    splitter conserves the idler number J = j_A + j_B and sends all J
+    photons to the unmonitored port with amplitude
     u_J(j_A, j_B) = (-1)^j_B sqrt(C(J, j_A) / 2^J); a sector with J > n_max
     cannot leave the truncated port empty.  The click of the monitored port
     is therefore Pi = 1 - sum_{J <= n_max} u_J u_J^dag on the idlers, and
-    the other port is traced out, not vetoed.  One contraction with the
-    stacked POVMs [1, Pi] gives the unconditioned marginal, which false
-    heralds mix in, and the conditioned state.
+    the other port is traced out, not vetoed.  Idler loss L acts on Pi as
+    its adjoint, tr[L(rho) Pi] = tr[rho L^dag(Pi)], so with c the amplitudes
+    of both sources over (n_A, n_B), the conditioned signal pair is
+    (c c^T) o L^dag(Pi), elementwise, and the unconditioned one, which
+    false heralds mix in, is diag(c o c).  Signal loss commutes with the
+    heralding and acts last, on the mixed state; the detector efficiencies
+    (eta_A, eta_B) multiply the signal transmissions.
     Returns the normalized state and the herald probability per pump pulse.
     """
     if trunc.n_max < 3:
@@ -137,15 +139,6 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     eta_a, eta_b = efficiencies
     d = trunc.dim
 
-    def source(pair_probability, signal_transmission, idler_transmission):
-        # (signal, idler) -> (signal, idler, lost_signal, lost_idler) -> rho[(signal, idler), (signal, idler)]
-        ket = fc.two_mode_squeezed_ket(pair_probability, trunc).reshape(d, d)
-        kraus = [fc.loss_channel_kraus(eta, trunc) for eta in (signal_transmission, idler_transmission)]
-        ket = _lose_photons(*kraus, ket).reshape(d * d, -1)
-        return (ket @ ket.T).reshape(d, d, d, d)
-
-    rho_a = source(src.pair_probability_a, src.signal_transmission_a * eta_a, src.idler_transmission_a)
-    rho_b = source(src.effective_pair_probability_b, src.signal_transmission_b * eta_b, src.idler_transmission_b)
     # Pi over (idler_A, idler_B): 1 minus u_J u_J^dag on every sector J <= n_max.  The
     # monitored port is the one both idler inputs reach with +1/sqrt(2) amplitude.
     j_a, total, binom = fc._loss_binomials(trunc)  # C(J, j_A) for every j_A <= J <= n_max
@@ -153,11 +146,14 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     pair_index = j_a * d + total - j_a
     click = np.eye(d * d)
     click[np.ix_(pair_index, pair_index)] -= (total[:, None] == total[None, :]) * np.outer(u, u)
-    povms = np.stack([np.eye(d * d), click]).reshape(2, d, d, d, d)
-    marginal, conditioned = _apply_station(rho_a, rho_b, povms).reshape(2, d * d, d * d)
+    amplitudes = np.outer(fc.pair_amplitudes(src.pair_probability_a, trunc),
+                          fc.pair_amplitudes(src.effective_pair_probability_b, trunc)).ravel()
+    idler_a, idler_b = (_loss_superoperator(t, trunc) for t in (src.idler_transmission_a, src.idler_transmission_b))
+    conditioned = np.outer(amplitudes, amplitudes) * _apply_loss(idler_a.T, idler_b.T, click)
     p_true = float(np.trace(conditioned))
 
     f = src.false_herald_probability
+    marginal = np.diag(amplitudes * amplitudes)
     if p_true <= 0.0:
         if f < 1.0:
             raise HeraldingError(
@@ -171,23 +167,24 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
         cond = (1.0 - f) * conditioned / p_true + f * marginal
         herald_probability = min(1.0, p_true / (1.0 - f)) if f < 1.0 else 1.0
 
-    return HeraldedState(fc.DensityOperator(fc._hermitize(cond), (d, d)), herald_probability)
+    signal_a, signal_b = (_loss_superoperator(t, trunc)
+                          for t in (src.signal_transmission_a * eta_a, src.signal_transmission_b * eta_b))
+    rho = _apply_loss(signal_a, signal_b, cond)
+    return HeraldedState(fc.DensityOperator(fc._hermitize(rho), (d, d)), herald_probability)
 
 
-def _lose_photons(kraus_signal, kraus_idler, ket):
-    """einsum("atr,bji,ri->tjab", kraus_signal, kraus_idler, ket) on path [(0, 2), (0, 1)]: its matmuls, bitwise."""
-    d = len(ket)
-    ati = (ket.T @ kraus_signal.transpose(2, 0, 1).reshape(d, d * d)).reshape(d, d, d).transpose(1, 2, 0)
-    atbj = ati.reshape(d * d, d) @ kraus_idler.transpose(2, 0, 1).reshape(d, d * d)
-    return atbj.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+def _loss_superoperator(eta: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """S = sum_k K_k (x) K_k of one mode's loss: S vec(X) = vec(sum_k K_k X K_k^T) row-major; S^T is the adjoint."""
+    d = trunc.dim
+    kraus = fc.loss_channel_kraus(eta, trunc).reshape(d, d * d)
+    return (kraus.T @ kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
-def _apply_station(rho_a, rho_b, povms):
-    """einsum("aick,bjdl,sklij->sabcd", rho_a, rho_b, povms) on path [(0, 2), (0, 1)]: its matmuls, bitwise."""
-    d = len(rho_a)
-    sljac = povms.transpose(0, 2, 4, 1, 3).reshape(2 * d * d, d * d) @ rho_a.transpose(3, 1, 0, 2).reshape(d * d, -1)
-    sacjl = sljac.reshape(2, d, d, d, d).transpose(0, 3, 4, 2, 1).reshape(2 * d * d, d * d)
-    return (sacjl @ rho_b.transpose(1, 3, 0, 2).reshape(d * d, -1)).reshape(2, d, d, d, d).transpose(0, 1, 3, 2, 4)
+def _apply_loss(s_a: np.ndarray, s_b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Superoperators s_a, s_b on the two modes of a (d^2, d^2) operator X: s_a . X . s_b^T over (a, a') x (b, b')."""
+    d = math.isqrt(len(s_a))
+    y = x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+    return (s_a @ y @ s_b.T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
 def heralding_rate(herald_probability: float, pump_rep_rate_hz: float, duty_fraction: float = 1.0) -> float:

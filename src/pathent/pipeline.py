@@ -100,10 +100,10 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
     def n_heralds(explicit: int | None, key: str, duration: float) -> int:
         """The explicit total, else the heralds counted over the configured duration."""
         n = explicit or rate * duration
-        if not math.isfinite(n) or (mc.enabled and n >= stats.MAX_TOTAL):
-            raise ConfigError(f"durations_s.{key} = {duration!r} s gives {n!r} heralds at {rate!r} Hz: too many")
-        if round(n) == 0:
-            raise ConfigError(f"durations_s.{key} = {duration!r} s gives {n!r} heralds at {rate!r} Hz: too few")
+        too_many = not math.isfinite(n) or (mc.enabled and n >= stats.MAX_TOTAL)
+        if too_many or round(n) == 0:
+            raise ConfigError(f"durations_s.{key} = {duration!r} s gives {format_float(n)} heralds at "
+                              f"{format_float(rate)} Hz: {'too many' if too_many else 'too few'}")
         return round(n)
 
     alpha = measure(jp_alpha, n_heralds(mc.n_alpha, "alpha_basis", config.durations_s.alpha_basis), _STREAM_ALPHA)

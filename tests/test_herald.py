@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathent import fockcore as fc
@@ -18,10 +18,10 @@ from reference import (
     beam_splitter_unitary,
     deltas,
     displacement_phases,
-    einsum_apply_station,
-    einsum_lose_photons,
     fock_ket,
     ideal_lossy_state,
+    loss_kraus_sum,
+    pair_ket,
     rotate_signals,
     signal_phases,
 )
@@ -65,10 +65,7 @@ def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc
     """
     d = trunc.dim
     n = np.arange(d)
-    ket = np.kron(
-        fc.two_mode_squeezed_ket(src.pair_probability_a, trunc),
-        fc.two_mode_squeezed_ket(src.effective_pair_probability_b, trunc),
-    )
+    ket = np.kron(pair_ket(src.pair_probability_a, trunc), pair_ket(src.effective_pair_probability_b, trunc))
     thetas = (phases.phi_a + phases.xi_a_long, phases.chi_a, phases.phi_b + phases.xi_b_long, phases.chi_b)
     ket = ket * reduce(np.kron, [np.exp(1j * theta * n) for theta in thetas])
     mat = np.outer(ket, ket.conj())
@@ -122,6 +119,10 @@ def test_heralded_state_false_heralds_only():
 def test_heralded_state_no_heralds_raises():
     with pytest.raises(herald.HeraldingError):
         herald.simulate_heralded_state(herald.SourceParams(pair_probability=0.0), IDEAL, TR3)
+    # the only emitting source loses every idler photon
+    src = herald.SourceParams(2e-3, idler_transmission_a=0.0, pair_probability_b=0.0, false_herald_probability=0.3)
+    with pytest.raises(herald.HeraldingError):
+        herald.simulate_heralded_state(src, IDEAL, TR3)
 
 
 def test_heralded_state_requires_three_photons():
@@ -178,8 +179,7 @@ def test_relative_phase_covariance():
 
 def test_signal_loss_commutes_with_heralding():
     # the four-mode oracle applies signal loss to the joint state, then the station's beam splitter;
-    # the herald contracts it into each source's purification, detector efficiencies included,
-    # then applies the click POVM
+    # the herald applies the click POVM first and signal loss last, detector efficiencies included
     src = herald.SourceParams(pair_probability=2e-3, signal_transmission_a=0.35, signal_transmission_b=0.62)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     for efficiencies in (IDEAL, (0.6, 0.85)):
@@ -194,9 +194,16 @@ def test_signal_loss_commutes_with_heralding():
 
 
 transmission = st.floats(0.05, 1.0)
+PHASES = list(PHASE_FIELDS.values())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
+# edges the strategies never reach: heralds from B's idler alone with B's signal lost, and A's source
+# alone, lossless, with false heralds
+@example(2e-3, None, 1.0, 0.0, 0.0, 1.0, 0.0, PHASES, IDEAL)
+@example(2e-3, None, 1.0, 0.0, 0.0, 1.0, 0.0, PHASES, (0.6, 0.85))
+@example(2e-3, 0.0, 1.0, 1.0, 1.0, 1.0, 0.3, PHASES, IDEAL)
+@example(2e-3, 0.0, 1.0, 1.0, 1.0, 1.0, 0.3, PHASES, (0.6, 0.85))
 @given(
     pair_a=st.floats(1e-4, 0.2),
     pair_b=st.none() | st.floats(1e-4, 0.2),
@@ -237,7 +244,7 @@ def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig,
     n = np.arange(d)
 
     def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
-        ket = fc.two_mode_squeezed_ket(pair_probability, trunc).reshape(d, d)
+        ket = pair_ket(pair_probability, trunc).reshape(d, d)
         ket = ket * np.exp(1j * (pair_phase + xi_long) * n)[:, None] * np.exp(1j * chi * n)[None, :]
         return np.einsum("kji,si->sjk", fc.loss_channel_kraus(idler_transmission, trunc), ket)
 
@@ -255,15 +262,25 @@ def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig,
 @pytest.mark.parametrize("n_max", range(3, 9))
 def test_station_click_povm_matches_truncated_beam_splitter(n_max):
     # above n_max 3 the closed-form POVM still equals the truncated unitary, including the
-    # sectors J > n_max that cannot leave the monitored port empty
+    # sectors J > n_max that cannot leave the monitored port empty; the oracle's signals then
+    # lose photons at each side's transmission times its detector efficiency
     trunc = fc.FockTruncation(n_max)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
-    for src in (herald.SourceParams(0.2, pair_probability_b=0.05, idler_transmission_a=0.3, idler_transmission_b=0.8),
-                herald.SourceParams(3e-3, idler_transmission_a=0.007, idler_transmission_b=0.007)):
-        hs = herald.simulate_heralded_state(src, IDEAL, trunc)
-        rho, herald_probability = station_unitary_oracle(src, phases, trunc)
-        assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(phases)) - rho)) <= 1e-13
-        assert abs(hs.herald_probability - herald_probability) <= 1e-13 * herald_probability
+    sources = (
+        herald.SourceParams(0.2, pair_probability_b=0.05, idler_transmission_a=0.3, idler_transmission_b=0.8),
+        herald.SourceParams(3e-3, idler_transmission_a=0.007, idler_transmission_b=0.007),
+        herald.SourceParams(0.2, 0.35, 0.62, 0.3, 0.8, pair_probability_b=0.05),
+        herald.SourceParams(3e-3, 0.0395, 0.0376, 0.007, 0.007),
+    )
+    for src in sources:
+        heralded, herald_probability = station_unitary_oracle(src, phases, trunc)
+        for efficiencies in (IDEAL, (0.6, 0.85)):
+            hs = herald.simulate_heralded_state(src, efficiencies, trunc)
+            rho = fc.DensityOperator(heralded, (trunc.dim, trunc.dim))
+            for mode, t in enumerate((src.signal_transmission_a, src.signal_transmission_b)):
+                rho = fc.DensityOperator(loss_kraus_sum(rho, mode, t * efficiencies[mode]), rho.mode_dims)
+            assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(phases)) - rho.matrix)) <= 1e-13
+            assert abs(hs.herald_probability - herald_probability) <= 1e-13 * herald_probability
 
 
 FIXTURE_SOURCES = pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
@@ -377,15 +394,3 @@ def test_phase_config_array_field_checks_every_entry():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phase chi_b must be finite"):
             herald.PhaseConfig(chi_b=np.where(np.arange(5) == 2, bad, chi_b))
-
-
-@pytest.mark.parametrize("n_max", [3, 6, 10, 15])
-def test_herald_contractions_are_bitwise_their_einsums(n_max):
-    # random stacks, kets and states in the contractions' shapes: the matmuls must repeat einsum's rounding
-    rng = np.random.default_rng(n_max)
-    d = n_max + 1
-    kraus_signal, kraus_idler, ket = rng.random((d, d, d)), rng.random((d, d, d)), rng.random((d, d))
-    assert np.array_equal(herald._lose_photons(kraus_signal, kraus_idler, ket),
-                          einsum_lose_photons(kraus_signal, kraus_idler, ket))
-    rho_a, rho_b, povms = rng.random((d,) * 4), rng.random((d,) * 4), rng.random((2,) + (d,) * 4)
-    assert np.array_equal(herald._apply_station(rho_a, rho_b, povms), einsum_apply_station(rho_a, rho_b, povms))

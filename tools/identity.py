@@ -21,8 +21,13 @@ and the pool entries jitter them by 0.5 rad at most), and certify runs
 whose fluctuation-box maximum is not at a corner: three synthetic count
 files with wide boxes, the published runs with both boxes widened to
 [0.3, 1.5], and published_1p0km with 0 or 1 multiphoton coincidences
-(the published runs' maxima are corners).  Further cases each hold one
-input error, so that a rewrite of the readers is checked on its messages:
+(the published runs' maxima are corners), and runs and phase sweeps of
+lossy_link with edge sources at herald truncations 3 and 6: Alice's idler
+transmission and Bob's signal transmission at 0, and Bob's pair
+probability at 0 with every transmission at 1 and false heralds at 0.3
+(the fixtures' transmissions lie strictly inside (0, 1)).  Further cases
+each hold one input error, so that a rewrite of the readers is checked on
+its messages:
 a required config section missing, given as a list or missing a key, a
 number given as a string, an unordered interval, an efficiency above 1, a
 numeric report path, the --seed and --truncation overrides with their
@@ -99,6 +104,12 @@ WIDE_BOX = (0.3, 1.5)
 # (pstar1, pstar2) coincidences in place of published_1p0km's, where the Wald sigma of a row is 0
 PSTAR_COINCIDENCES = ((0, 0), (1, 0), (1, 1))
 _SETTINGS_HEADER = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max"
+# source edits at the ends of [0, 1], which the herald meets as exact zeros and ones
+EDGE_SOURCES = {
+    "idler_a-0-signal_b-0": {"idler_transmission_a": 0.0, "signal_transmission_b": 0.0},
+    "pair_b-0-lossless": {"pair_probability_b": 0.0, "signal_transmission_a": 1.0, "signal_transmission_b": 1.0,
+                          "idler_transmission_a": 1.0, "idler_transmission_b": 1.0, "false_herald_probability": 0.3},
+}
 # the config sections without defaults; the error cases drop each and give each as a list
 REQUIRED_SECTIONS = ("source", "phases_rad", "displacement", "detectors", "durations_s")
 
@@ -214,6 +225,14 @@ def cases(work: Path) -> dict[str, tuple[str, ...]]:
         error_config.write_text(json.dumps(doc))
         out[f"run/lossy_link/error/{name}"] = ("run", "--config", str(error_config), "--out", str(work / "run.out"),
                                                *extra)
+    for name, edits in EDGE_SOURCES.items():
+        for n_max in (3, 6):
+            edge_config = work / f"edge-{name}-{n_max}.json"
+            edge_config.write_text(json.dumps({**raw, "source": {**raw["source"], **edits},
+                                               "numerics": {**raw["numerics"], "herald_truncation_n_max": n_max}}))
+            out[f"run/lossy_link/edge-{name}/herald-{n_max}"] = ("run", "--config", str(edge_config),
+                                                                 "--out", str(work / "run.out"))
+            out[f"sweep-phase/lossy_link/edge-{name}/herald-{n_max}"] = ("sweep-phase", "--config", str(edge_config))
     for fixture in ("ideal_link", "lossy_link"):
         config = str(FIXTURES / f"{fixture}.json")
         report = str(work / "run.out")
