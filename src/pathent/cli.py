@@ -9,6 +9,8 @@ of the linearized statistics.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 
 import numpy as np
@@ -47,6 +49,11 @@ COMMANDS = {
 }
 
 
+def _formatter():
+    """HelpFormatter at its own default width, with the terminal size looked up once, not per add_argument."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     for flag, options in COMMANDS[command][1]:
         parser.add_argument(flag, **options)
@@ -55,13 +62,15 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole `pathent` parser: every command as a subparser with its flags."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="pathent",
         description="Simulate and certify heralded single-photon path entanglement.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, _) in COMMANDS.items():
-        _add_flags(sub.add_parser(command, help=help_line), command)
+        _add_flags(sub.add_parser(command, help=help_line, formatter_class=formatter), command)
     return parser
 
 
@@ -70,7 +79,8 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in COMMANDS:  # --help, no or an unknown command, a flag before it
         args = build_parser().parse_args(argv)
     else:  # only the subparser build_parser makes for the command; its leftovers fail as in build_parser's parse
-        parser = _add_flags(argparse.ArgumentParser(prog=f"pathent {argv[0]}"), argv[0])
+        parser = _add_flags(argparse.ArgumentParser(prog=f"pathent {argv[0]}", formatter_class=_formatter()),
+                            argv[0])
         args, leftover = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if leftover:
             build_parser().error(f"unrecognized arguments: {' '.join(leftover)}")

@@ -9,10 +9,9 @@ must be spelled out (field names carry units); only numerical settings
 import csv
 import json
 import math
-from contextlib import suppress
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
-from typing import get_args
+from types import UnionType
 
 from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
@@ -137,15 +136,17 @@ _KINDS = {float: "a finite number", int: "an integer", bool: "true or false", st
 
 def _convert(value, hint, name: str):
     """The one conversion point for input values: finite numbers, integral integers, real booleans, strings."""
-    if type(None) in get_args(hint):
+    if isinstance(hint, UnionType):  # X | None
         if value is None:
             return None
-        hint, _ = get_args(hint)
-    if hint in (float, int):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            with suppress(OverflowError):
-                if math.isfinite(value) and (hint is float or value == int(value)):
+        hint = hint.__args__[0]
+    if hint is float or hint is int:
+        try:
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+                if hint is float or value == int(value):
                     return hint(value)
+        except OverflowError:  # an integer too large for a float
+            pass
     elif isinstance(value, hint):
         return value
     raise ConfigError(f"{name} must be {_KINDS[hint]}, got {value!r}")
@@ -171,7 +172,7 @@ def _fields(cls, record: dict, context: str, optional: bool = False, overrides: 
     overrides = overrides or {}
     values = {}
     for f in fields(cls):
-        if is_dataclass(f.type):
+        if hasattr(f.type, "__dataclass_fields__"):  # a section
             has_default = f.default_factory is not MISSING
             section = {} if has_default and f.name not in record else _get(record, f.name, context, dict)
             values[f.name] = _fields(f.type, section, f.name, has_default, overrides.get(f.name))

@@ -80,7 +80,7 @@ class PhaseConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"phase {name} must be finite")
 
     @property

@@ -65,10 +65,10 @@ class JointClickProbabilities:
 
     def __post_init__(self):
         probs = self.as_array()
-        if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):
+        if not ((probs >= -1e-9) & (probs <= 1.0 + 1e-9)).all():
             raise ValueError(f"probabilities out of range: {probs}")
         sums = probs.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > PROB_SUM_ATOL):
+        if (np.abs(sums - 1.0) > PROB_SUM_ATOL).any():
             raise ValueError(f"probabilities sum to {sums}, expected 1")
 
     def as_array(self) -> np.ndarray:

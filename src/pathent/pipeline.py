@@ -297,9 +297,11 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     bounds = witness.w_ppt_max(witness.w_tilde_point(a1, a2, jp_z, mb), mb, witness.b_max(a1, a2))
     violation = witness.w_exp(JointClickProbabilities(*np.moveaxis(probs, -1, 0))) - bounds
 
+    amplitudes = grid.tolist()
     rows = [
-        {"alpha1": float(grid[i]), "alpha2": float(grid[j]), "violation": violation[i, j]}
-        for i, j in np.ndindex(steps, steps)
+        {"alpha1": alpha1, "alpha2": alpha2, "violation": v}
+        for alpha1, row in zip(amplitudes, violation.tolist())
+        for alpha2, v in zip(amplitudes, row)
     ]
 
     optima = {}
@@ -312,8 +314,12 @@ def sweep_alpha(config: ExperimentConfig, alpha_min: float, alpha_max: float, st
     return {"rows": rows, "optima": optima}
 
 
+# every float a report, sweep table or summary line prints: 9 significant digits
+FLOAT_FORMAT = "%.9g"
+
+
 def format_float(value: float) -> str:
-    return f"{value:.9g}"
+    return FLOAT_FORMAT % value
 
 
 def _round_floats(node):
@@ -352,9 +358,8 @@ def write_text(text: str, path) -> None:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """CSV text of sweep rows, which share one key order and hold numbers only, so no cell needs quoting."""
+    """CSV text of sweep rows, which share one key order and hold floats only, so no cell needs quoting."""
     if not rows:
         return ""
-    lines = [",".join(rows[0])]
-    lines += [",".join(format_float(v) if isinstance(v, float) else str(v) for v in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
+    line = ",".join([FLOAT_FORMAT] * len(rows[0])) + "\n"
+    return ",".join(rows[0]) + "\n" + (line * len(rows)) % tuple([v for row in rows for v in row.values()])

@@ -82,7 +82,10 @@ def w_exp(jp: JointClickProbabilities) -> float:
 def _clipped_gaussian(alpha):
     """The amplitude capped at AMPLITUDE_CLIP, a, and e = exp(-a^2), from which every per-axis factor is built.
 
-    A Python float stays one, so a scalar call keeps scalar arithmetic.
+    e comes from np.exp at a scalar too, so a scalar call gives the same
+    bits as the same entry of an array call; math.exp differs from np.exp
+    in the last bit on some inputs.  The robust optimum's refinement thus
+    continues its grid's slopes, and w_ppt_qubit agrees with a sweep's grid.
     """
     a = np.minimum(alpha, AMPLITUDE_CLIP) if isinstance(alpha, np.ndarray) else min(alpha, AMPLITUDE_CLIP)
     return a, np.exp(-(a * a))
@@ -308,7 +311,8 @@ def optimal_alpha(jp_z: JointClickProbabilities, mode: str = "robust"):
     the qubit bound is stationary along the symmetric diagonal
     alpha1 = alpha2, where the bound is first-order insensitive to
     amplitude fluctuations: the first sign change of the analytic slope on
-    a 200-point grid over [0.05, 2], bisected to 1e-14.  The mixed second
+    a 200-point grid over [0.05, 2], refined by Illinois false position
+    until the bracket is at most 1e-14 wide.  The mixed second
     derivative of the bound has no zero in (0, 2] for physical diagonals,
     so the stationary point is the operational robustness criterion.
     """
@@ -337,21 +341,32 @@ def w_ppt_qubit_slope(alpha, jp_z: JointClickProbabilities):
 
 
 def _robust_alpha(jp_z: JointClickProbabilities):
+    """Illinois false position on the first sign change of the diagonal slope.
+
+    Each step takes the secant root of the bracket's ends, or its midpoint
+    where the secant root falls outside (lo, hi); an end kept twice in a
+    row has its slope halved, so both ends close in.
+    """
     alphas = np.linspace(0.05, 2.0, 200)
     slopes = w_ppt_qubit_slope(alphas, jp_z)
     a, b = slopes[:-1], slopes[1:]
     crossings = np.flatnonzero((((a <= 0.0) & (b >= 0.0)) | ((a >= 0.0) & (b <= 0.0))) & (a != b))
     if len(crossings) == 0:
         raise AlphaSearchError("the qubit bound has no stationary amplitude in (0, 2]")
-    lo, hi = alphas[crossings[0]], alphas[crossings[0] + 1]
-    flo = slopes[crossings[0]]
+    i = crossings[0]
+    lo, hi, flo, fhi = alphas[i], alphas[i + 1], slopes[i], slopes[i + 1]
+    kept = None  # the end the last step kept
     while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
+        mid = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         fmid = w_ppt_qubit_slope(mid, jp_z)
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid
+            fhi, kept = fhi * 0.5 if kept == "hi" else fhi, "hi"
         else:
-            hi = mid
+            hi, fhi = mid, fmid
+            flo, kept = flo * 0.5 if kept == "lo" else flo, "lo"
     alpha = float(0.5 * (lo + hi))
     return alpha, alpha
 

@@ -8,6 +8,7 @@ from pathent import fockcore as fc
 from pathent.config import Displacement
 from pathent.herald import PhaseConfig
 from pathent.measurement import DisplacementSetting, click_povm
+from pathent.pipeline import format_float
 
 DENSE_GRID_POINTS = 101
 DENSE_REFINEMENT_TOL = 1e-9
@@ -274,3 +275,9 @@ def einsum_click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitu
     path = ["einsum_path", (0, 1) if n_1 <= len(amplitudes[1]) else (0, 2), (0, 1)]
     p = np.einsum("abcd,xica,yjdb->xyij", rho.matrix.reshape(d, d, d, d), povms[:n_1], povms[n_1:], optimize=path)
     return np.clip(p.real, 0.0, 1.0).reshape(n_1, -1, 4)
+
+
+def rows_to_csv_per_cell(rows: list[dict]) -> str:
+    """The oracle of pipeline.rows_to_csv: its header, then one format_float call per cell."""
+    lines = [",".join(rows[0])] + [",".join(format_float(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -310,6 +310,7 @@ COUNTS = "basis,n_total,n_a,n_b,n_d,n_none\nalpha,1000,250,250,250,\nz,1000,10,1
 SETTINGS = "alpha1_min,alpha1_mean,alpha1_max,alpha2_min,alpha2_mean,alpha2_max,p1_star,p2_star\n"
 UNWRITABLE = str(FIXTURES / "ideal_link.json" / "report.json")  # below a regular file
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # an integer too large for a float: math.isfinite raises OverflowError on it
 # no pair reaches an idler detector: every herald is noise, at a herald rate of 0
 PURE_NOISE = {"source.false_herald_probability": 1.0, "source.idler_transmission_a": 0.0,
               "source.idler_transmission_b": 0.0}
@@ -338,6 +339,8 @@ MALFORMED_INPUTS = [
     pytest.param("run", {"source.pair_probability": "1e-4"}, [], id="number as a string"),
     pytest.param("run", {"monte_carlo.enabled": 1}, [], id="number as a flag"),
     pytest.param("run", {"phases_rad.chi_b": 1e308}, [], id="phase overflowing its propagation factor"),
+    pytest.param("run", {"source.pair_probability": HUGE}, [], id="400-digit pair_probability"),
+    pytest.param("run", {"numerics.herald_truncation_n_max": HUGE}, [], id="400-digit herald truncation"),
     pytest.param("run", {"output.report_path": "a\u0000b"}, [], id="NUL byte in report_path"),
     pytest.param("run", {"monte_carlo": {"enabled": True, "n_alpha": 2**63}}, [], id="n_alpha of 2**63"),
     pytest.param("run", {"monte_carlo": {"enabled": True}, "durations_s.alpha_basis": 1e300}, [],
@@ -396,6 +399,13 @@ def test_malformed_input_exits_2_with_one_line(command, inputs, extra, tmp_path,
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, kind", [("source.pair_probability", "a finite number"),
+                                       ("numerics.herald_truncation_n_max", "an integer")])
+def test_400_digit_integer_is_named(key, kind, tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path, {key: HUGE}))]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be {kind}, got {HUGE}\n"
 
 
 @pytest.mark.parametrize("counts, message", [

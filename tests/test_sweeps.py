@@ -19,7 +19,14 @@ from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 from pathent.measurement import JointClickProbabilities, click_probability_grid
 
 from conftest import FIXTURES
-from reference import displacement_phases, lossy_click_probabilities, point_setting, rotate_signals, signal_phases
+from reference import (
+    displacement_phases,
+    lossy_click_probabilities,
+    point_setting,
+    rotate_signals,
+    rows_to_csv_per_cell,
+    signal_phases,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TR3 = fc.FockTruncation(3)
@@ -134,6 +141,19 @@ def test_sweep_alpha_matches_per_point_box_bounds(fixture, variant):
     for row, (a1, a2, violation) in zip(result["rows"], expected):
         assert (row["alpha1"], row["alpha2"]) == (a1, a2)
         assert abs(row["violation"] - violation) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
+def test_csv_table_equals_per_cell_formatting(fixture):
+    config = load_experiment_config(FIXTURES / f"{fixture}.json")
+    edges = [0.0, -0.0, 5e-324, -1e-300, 1.0 / 3.0, 123456789.5, 2.0**53 + 2.0, 1e300, math.inf, -math.inf, math.nan]
+    tables = (
+        pipeline.sweep_alpha(config, 0.1, 1.2, 12)["rows"],
+        pipeline.sweep_phase(config, -np.pi, np.pi, 25),
+        [{"alpha1": x, "alpha2": -x, "violation": x * 1e-7} for x in edges],
+    )
+    for rows in tables:
+        assert pipeline.rows_to_csv(rows) == rows_to_csv_per_cell(rows)
 
 
 def test_sweep_phase_simulates_the_heralded_state_once(monkeypatch):

@@ -271,6 +271,22 @@ def test_box_bounds_are_sound_and_tight_against_a_fine_grid(box_pair, p, p1, p2)
 RIDGE_BOX = (meas.DisplacementSetting(0.9, 0.7737, 1.0425), meas.DisplacementSetting(0.85, 0.6982, 1.0024))
 
 
+def test_axis_factors_enclose_every_factor_sampled_in_the_box():
+    # random boxes over [0, 3], and boxes around each amplitude where A, A', g or g' has an interior extremum
+    rng = np.random.default_rng(17)
+    critical = np.sqrt([0.5, 1.5, 1.0, (5.0 - sqrt(17.0)) / 4.0, (5.0 + sqrt(17.0)) / 4.0])
+    centres = np.concatenate((rng.uniform(0.0, 3.0, 400), np.repeat(critical, 80) + rng.uniform(-0.05, 0.05, 400)))
+    widths = 10.0 ** rng.uniform(-3.0, 0.0, len(centres))
+    share = rng.uniform(0.0, 1.0, len(centres))
+    lo = np.maximum(centres - share * widths, 0.0)
+    hi = lo + widths
+    ends = witness._axis_factors(lo[None], hi[None])[:, :, 0]  # (end, factor, box)
+    samples = lo + (hi - lo) * np.linspace(0.0, 1.0, 2001)[:, None]
+    values = np.array(witness._factors(samples))  # (factor, sample, box)
+    assert (values >= ends[0][:, None] - 1e-14).all()
+    assert (values <= ends[1][:, None] + 1e-14).all()
+
+
 def test_beta_bound_reaches_the_ridge_maximum():
     # the grid search refined one cell around the coarse argmax and returned 0.5413410853511611 here, and the
     # 1201 x 1201 grid maximum is 0.5413411329462864; the true maximum is 4 / e^2, at (1, 1)
@@ -489,6 +505,20 @@ def test_bound_slope_matches_mpmath_derivative(jp_z, alpha):
         assert abs(witness.w_ppt_qubit_slope(alpha, jp_z) - float(_slope_mp(mp.mpf(alpha), jp_z))) <= 1e-14
 
 
+def _robust_optimum_counted(jp_z: meas.JointClickProbabilities):
+    """optimal_alpha(jp_z, "robust") and the number of scalar slope evaluations it took."""
+    slope, scalar_calls = witness.w_ppt_qubit_slope, []
+
+    def counted(alpha, jp):
+        scalar_calls.append(np.ndim(alpha) == 0)
+        return slope(alpha, jp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "w_ppt_qubit_slope", counted)
+        optimum = witness.optimal_alpha(jp_z, "robust")
+    return optimum, sum(scalar_calls)
+
+
 def _check_robust_root(jp_z: meas.JointClickProbabilities):
     with mp.workdps(40):
         root = _robust_root_mp(jp_z)
@@ -496,9 +526,11 @@ def _check_robust_root(jp_z: meas.JointClickProbabilities):
         with pytest.raises(witness.AlphaSearchError):
             witness.optimal_alpha(jp_z, "robust")
         return
-    a1, a2 = witness.optimal_alpha(jp_z, "robust")
+    (a1, a2), evaluations = _robust_optimum_counted(jp_z)
     assert a1 == a2
     assert abs(a1 - float(root)) <= 1e-12
+    # bisecting the grid's 0.0098-wide bracket to 1e-14 takes 40
+    assert evaluations <= 40
 
 
 @pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))
@@ -510,6 +542,12 @@ def test_robust_optimum_matches_mpmath_root_published(row):
 @given(jp_z=qubit_diagonals)
 def test_robust_optimum_matches_mpmath_root_random(jp_z):
     _check_robust_root(jp_z)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=("42m_set1", "42m_set2", "1p0km"))
+def test_robust_optimum_takes_few_slope_evaluations_on_published_diagonals(row):
+    _, evaluations = _robust_optimum_counted(row["jp_z"])
+    assert evaluations <= 10
 
 
 def test_optimal_alpha_robust_published_diagonals():

@@ -30,7 +30,8 @@ each hold one input error, so that a rewrite of the readers is checked on
 its messages:
 a required config section missing, given as a list or missing a key, a
 number given as a string, an unordered interval, an efficiency above 1, a
-numeric report path, the --seed and --truncation overrides with their
+numeric report path, a pair probability and a herald truncation given as
+400-digit integers, the --seed and --truncation overrides with their
 sections absent or not objects, derived herald totals that round to 0,
 a settings row without alpha2_max, a JSON sidecar with a bad p1_star, a
 counts row with n_none above n_total, pstar rows whose n_none contradicts
@@ -165,6 +166,9 @@ def _config_error_docs(raw: dict) -> dict[str, tuple[dict, tuple[str, ...]]]:
         "pure-noise-herald": (edited("source", false_herald_probability=1.0, idler_transmission_a=0.0,
                                      idler_transmission_b=0.0), ()),
         "alpha_basis-1e-9-s": (edited("durations_s", alpha_basis=1e-9), ()),
+        # integers too large for a float, which math.isfinite cannot take
+        "pair_probability-10**400": (edited("source", pair_probability=10**400), ()),
+        "herald_truncation_n_max-10**400": (edited("numerics", herald_truncation_n_max=10**400), ()),
     })
     return docs
 
