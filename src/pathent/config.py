@@ -9,11 +9,10 @@ must be spelled out (field names carry units); only numerical settings
 import csv
 import json
 import math
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from types import UnionType
 
-from . import fockcore as fc
 from .herald import PhaseConfig, SourceParams
 from .measurement import DisplacementSetting
 from .stats import MAX_TOTAL, BasisMeasurement, CountRecord, ProbEstimate, estimate_probabilities
@@ -126,10 +125,6 @@ class ExperimentConfig:
     numerics: Numerics = field(default_factory=Numerics)
     output: Output = field(default_factory=Output)
 
-    @property
-    def herald_truncation(self) -> fc.FockTruncation:
-        return fc.FockTruncation(self.numerics.herald_truncation_n_max)
-
 
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
@@ -210,9 +205,10 @@ def parse_experiment_config(
         raise ConfigError("all durations must be positive")
     # phases act as exp(i theta n); theta * n must stay finite up to truncation_n_max
     n_max = config.numerics.truncation_n_max
-    for name, theta in asdict(config.phases_rad).items():
+    for f in fields(PhaseConfig):
+        theta = getattr(config.phases_rad, f.name)
         if not math.isfinite(theta * n_max):
-            raise ConfigError(f"phases_rad.{name} = {theta!r} overflows exp(i theta n) at truncation n_max {n_max}")
+            raise ConfigError(f"phases_rad.{f.name} = {theta!r} overflows exp(i theta n) at truncation n_max {n_max}")
     # squeezed-source parameterization breaks down at pair probability 1/2
     pair_b = config.source.effective_pair_probability_b
     if config.source.pair_probability >= 0.5 or pair_b >= 0.5:

@@ -1,9 +1,10 @@
 """Truncated-Fock-space linear algebra for few-mode bosonic systems.
 
 States and operators are dense numpy arrays over the occupation-number
-basis of one or more modes, all truncated at the same maximum photon
-number.  Multi-mode objects use the row-major Kronecker ordering, i.e.
-the basis index of |n_0, n_1, ...> is n_0*d^(m-1) + ... + n_{m-1}.
+basis of one or more modes, each truncated to the same d levels, photon
+numbers 0 .. d-1; d is a plain int.  Multi-mode objects use the row-major
+Kronecker ordering, i.e. the basis index of |n_0, n_1, ...> is
+n_0*d^(m-1) + ... + n_{m-1}.
 """
 
 from __future__ import annotations
@@ -17,23 +18,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FockTruncation:
-    """Per-mode photon-number cutoff; the local dimension is n_max + 1."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError(
-                f"n_max must be at least 2 to keep two-photon coherences, got {self.n_max}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,38 +57,20 @@ def expm(generator: np.ndarray) -> np.ndarray:
     return (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
 
 
-def loss_channel_kraus(eta: float, trunc: FockTruncation) -> np.ndarray:
-    """Kraus operators of the single-mode loss channel with transmission eta, stacked as (k, row, col).
-
-    Equivalent to a beam splitter of transmission eta with a vacuum ancilla
-    that is traced out: K_k maps |n> -> sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {eta}")
-    d = trunc.dim
-    k, n, binom = _loss_binomials(trunc)
-    kraus = np.zeros((d, d, d))
-    kraus[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
-    return kraus
-
-
 @cache
-def _loss_binomials(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every photon count k lost from a level n >= k, with C(n, k); built once per truncation, read-only."""
-    k, n = np.triu_indices(trunc.dim)
+def _loss_binomials(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every photon count k lost from a level n < d, with C(n, k); built once per d, read-only."""
+    k, n = np.triu_indices(d)
     binom = np.array([comb(m, j) for m, j in zip(n, k)], dtype=float)
     for table in (k, n, binom):
         table.setflags(write=False)
     return k, n, binom
 
 
-def pair_amplitudes(pair_probability: float, trunc: FockTruncation) -> np.ndarray:
-    """Amplitudes c_n of a pair source sum_n c_n |n,n>: c_n = sqrt(p)^n, renormalized after truncation."""
+def pair_amplitudes(pair_probability: float, d: int) -> np.ndarray:
+    """Amplitudes c_n of a pair source sum_n c_n |n,n> on d levels: c_n = sqrt(p)^n, renormalized after truncation."""
     if not 0.0 <= pair_probability < 0.5:
         raise ValueError(f"pair probability must lie in [0, 0.5), got {pair_probability}")
-    amplitudes = np.sqrt(pair_probability) ** np.arange(trunc.dim)
+    amplitudes = np.sqrt(pair_probability) ** np.arange(d)
     return amplitudes / np.linalg.norm(amplitudes)
 
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)

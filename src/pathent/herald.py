@@ -96,18 +96,8 @@ class PhaseConfig:
         return -(delta_a - delta_b)
 
 
-@dataclass(frozen=True)
-class HeraldedState:
-    rho: fc.DensityOperator
-    herald_probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.herald_probability <= 1.0:
-            raise ValueError(f"herald probability must lie in [0, 1], got {self.herald_probability}")
-
-
 def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float],
-                            trunc: fc.FockTruncation) -> HeraldedState:
+                            d: int) -> tuple[fc.DensityOperator, float]:
     """Heralded signal-pair state from the two pure sources and the station's click POVM; real and phase-free.
 
     Optical phases are left to the measurement: a pair source holds equal
@@ -130,25 +120,25 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
     false heralds mix in, is diag(c o c).  Signal loss commutes with the
     heralding and acts last, on the mixed state; the detector efficiencies
     (eta_A, eta_B) multiply the signal transmissions.
-    Returns the normalized state and the herald probability per pump pulse.
+    d is the number of levels per mode, n_max + 1.  Returns the normalized
+    state and the herald probability per pump pulse.
     """
-    if trunc.n_max < 3:
-        raise ValueError(f"heralding simulation needs n_max >= 3, got {trunc.n_max}")
+    if d < 4:
+        raise ValueError(f"heralding simulation needs n_max >= 3, got {d - 1}")
     if not all(0.0 <= eta <= 1.0 for eta in efficiencies):
         raise ValueError(f"detector efficiencies must lie in [0, 1], got {efficiencies}")
     eta_a, eta_b = efficiencies
-    d = trunc.dim
 
     # Pi over (idler_A, idler_B): 1 minus u_J u_J^dag on every sector J <= n_max.  The
     # monitored port is the one both idler inputs reach with +1/sqrt(2) amplitude.
-    j_a, total, binom = fc._loss_binomials(trunc)  # C(J, j_A) for every j_A <= J <= n_max
+    j_a, total, binom = fc._loss_binomials(d)  # C(J, j_A) for every j_A <= J <= n_max
     u = (-1.0) ** (total - j_a) * np.sqrt(binom / 2.0**total)
     pair_index = j_a * d + total - j_a
     click = np.eye(d * d)
     click[np.ix_(pair_index, pair_index)] -= (total[:, None] == total[None, :]) * np.outer(u, u)
-    amplitudes = np.outer(fc.pair_amplitudes(src.pair_probability_a, trunc),
-                          fc.pair_amplitudes(src.effective_pair_probability_b, trunc)).ravel()
-    idler_a, idler_b = (_loss_superoperator(t, trunc) for t in (src.idler_transmission_a, src.idler_transmission_b))
+    amplitudes = np.outer(fc.pair_amplitudes(src.pair_probability_a, d),
+                          fc.pair_amplitudes(src.effective_pair_probability_b, d)).ravel()
+    idler_a, idler_b = (_loss_superoperator(t, d) for t in (src.idler_transmission_a, src.idler_transmission_b))
     conditioned = np.outer(amplitudes, amplitudes) * _apply_loss(idler_a.T, idler_b.T, click)
     p_true = float(np.trace(conditioned))
 
@@ -167,16 +157,23 @@ def simulate_heralded_state(src: SourceParams, efficiencies: tuple[float, float]
         cond = (1.0 - f) * conditioned / p_true + f * marginal
         herald_probability = min(1.0, p_true / (1.0 - f)) if f < 1.0 else 1.0
 
-    signal_a, signal_b = (_loss_superoperator(t, trunc)
+    signal_a, signal_b = (_loss_superoperator(t, d)
                           for t in (src.signal_transmission_a * eta_a, src.signal_transmission_b * eta_b))
     rho = _apply_loss(signal_a, signal_b, cond)
-    return HeraldedState(fc.DensityOperator(fc._hermitize(rho), (d, d)), herald_probability)
+    return fc.DensityOperator(0.5 * (rho + rho.T), (d, d)), herald_probability
 
 
-def _loss_superoperator(eta: float, trunc: fc.FockTruncation) -> np.ndarray:
-    """S = sum_k K_k (x) K_k of one mode's loss: S vec(X) = vec(sum_k K_k X K_k^T) row-major; S^T is the adjoint."""
-    d = trunc.dim
-    kraus = fc.loss_channel_kraus(eta, trunc).reshape(d, d * d)
+def _loss_superoperator(eta: float, d: int) -> np.ndarray:
+    """S = sum_k K_k (x) K_k of one mode's loss: S vec(X) = vec(sum_k K_k X K_k^T) row-major; S^T is the adjoint.
+
+    The loss is a beam splitter of transmission eta with a vacuum ancilla
+    that is traced out; its Kraus operator K_k maps
+    |n> -> sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k>.
+    """
+    k, n, binom = fc._loss_binomials(d)
+    kraus = np.zeros((d, d, d))
+    kraus[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
+    kraus = kraus.reshape(d, d * d)
     return (kraus.T @ kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 

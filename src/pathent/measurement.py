@@ -75,24 +75,24 @@ class JointClickProbabilities:
         return np.array([self.p_nc_nc, self.p_nc_c, self.p_c_nc, self.p_c_c])
 
 
-def click_povm(alpha, trunc: fc.FockTruncation) -> np.ndarray:
+def click_povm(alpha, d: int) -> np.ndarray:
     """POVM pairs (E_noclick, E_click) of an ideal displaced click detector.
 
     E_noclick = |w><w| with w = D^dag(alpha)|0> = |-alpha>, the coherent
     state with amplitudes w_n = e^{-|alpha|^2/2} (-alpha)^n / sqrt(n!), and
-    E_click = 1 - E_noclick, on the trunc.dim lowest levels.  alpha may be
-    an array; the result has shape alpha.shape + (2, D, D).  |alpha| is
+    E_click = 1 - E_noclick, on the d lowest levels.  alpha may be an
+    array; the result has shape alpha.shape + (2, d, d).  |alpha| is
     clipped at AMPLITUDE_CLIP.  Each w_n is the running product
     w_{n-1} (-|alpha|) / sqrt(n), times the phase e^{i n arg alpha}, so no
     intermediate exceeds 1, and alpha = 0 gives |0><0| exactly.
     """
     amp = np.asarray(alpha, dtype=complex)
     r = np.minimum(np.abs(amp), AMPLITUDE_CLIP)[..., None]
-    n = np.arange(trunc.dim)
+    n = np.arange(d)
     ratios = np.concatenate([np.exp(-0.5 * r**2), -r / np.sqrt(n[1:])], axis=-1)
     w = np.cumprod(ratios, axis=-1) * np.exp(1j * np.angle(amp)[..., None] * n)
     e_nc = w[..., :, None] * w[..., None, :].conj()
-    return np.stack([e_nc, np.eye(trunc.dim) - e_nc], axis=-3)
+    return np.stack([e_nc, np.eye(d) - e_nc], axis=-3)
 
 
 def joint_click_probabilities(rho: fc.DensityOperator, alpha_1: complex, alpha_2: complex) -> JointClickProbabilities:
@@ -113,7 +113,7 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) 
     """
     amplitudes = [np.asarray(amps, dtype=complex) for amps in (amplitudes_1, amplitudes_2)]
     d = rho.mode_dims[0]
-    povms = click_povm(np.concatenate(amplitudes), fc.FockTruncation(d - 1))
+    povms = click_povm(np.concatenate(amplitudes), d)
     n_1 = len(amplitudes[0])
     t, first, second = rho.matrix.reshape(d, d, d, d), povms[:n_1], povms[n_1:]
     # einsum("abcd,xica,yjdb->xyij", t, first, second) as the matmuls of the path optimize=True finds, bitwise:
@@ -127,8 +127,8 @@ def click_probability_grid(rho: fc.DensityOperator, amplitudes_1, amplitudes_2) 
     return np.clip(p, 0.0, 1.0).reshape(n_1, -1, 4)
 
 
-def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.FockTruncation) -> np.ndarray:
-    """Two-mode witness operator averaged over the global displacement phase.
+def phase_averaged_witness_operator(alpha1: float, alpha2: float, d: int) -> np.ndarray:
+    """Two-mode witness operator on d levels per mode, averaged over the global displacement phase.
 
     Each mode contributes its displaced parity 2 E_noclick - 1 (+1 no-click,
     -1 click).  The average over exp(i phi (n_1 + n_2)) conjugations removes
@@ -137,8 +137,8 @@ def phase_averaged_witness_operator(alpha1: float, alpha2: float, trunc: fc.Fock
     """
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("displacement amplitudes must be real and nonnegative")
-    parity_1, parity_2 = (2.0 * click_povm(a, trunc)[0] - np.eye(trunc.dim) for a in (alpha1, alpha2))
-    n = np.arange(trunc.dim)
+    parity_1, parity_2 = (2.0 * click_povm(a, d)[0] - np.eye(d) for a in (alpha1, alpha2))
+    n = np.arange(d)
     totals = (n[:, None] + n[None, :]).ravel()
     return np.kron(parity_1, parity_2) * (totals[:, None] == totals[None, :])
 

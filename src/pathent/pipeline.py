@@ -75,20 +75,20 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
     each mode's detected photon-number distribution from its diagonal.
     """
     eta_1, eta_2 = config.detectors.efficiency_a, config.detectors.efficiency_b
-    heralded = simulate_heralded_state(config.source, (eta_1, eta_2), config.herald_truncation)
-    rho, scales = heralded.rho, [math.sqrt(eta_1), math.sqrt(eta_2)]
+    d = config.numerics.herald_truncation_n_max + 1
+    rho, herald_probability = simulate_heralded_state(config.source, (eta_1, eta_2), d)
+    scales = [math.sqrt(eta_1), math.sqrt(eta_2)]
     intervals = tuple(s.scaled(f) for s, f in zip(config.displacement.settings, scales))
     amp_1, amp_2 = (s.alpha_mean * np.exp(-1j * delta) for s, delta in zip(intervals, config.phases_rad.deltas))
     # (alpha, z) amplitudes per mode; the diagonal of the 2 x 2 grid holds both bases
     grid = click_probability_grid(rho, [amp_1, 0.0], [amp_2, 0.0])
     jp_alpha, jp_z = JointClickProbabilities(*grid[0, 0]), JointClickProbabilities(*grid[1, 1])
 
-    d = rho.mode_dims[0]
     populations = np.diagonal(rho.matrix).real.reshape(d, d)
     p1_value = multiphoton_coincidence_probability(populations.sum(axis=1))
     p2_value = multiphoton_coincidence_probability(populations.sum(axis=0))
 
-    rate = heralding_rate(heralded.herald_probability, config.pump_rep_rate_hz, config.duty_fraction)
+    rate = heralding_rate(herald_probability, config.pump_rep_rate_hz, config.duty_fraction)
     mc = config.monte_carlo
 
     def measure(jp: JointClickProbabilities, n_total: int, stream: int) -> BasisMeasurement:
@@ -120,7 +120,7 @@ def _simulate_probabilities(config: ExperimentConfig) -> dict:
         "z": z,
         "p1_star": p1,
         "p2_star": p2,
-        "herald_probability": heralded.herald_probability,
+        "herald_probability": herald_probability,
         "herald_rate_hz": rate,
         "rho": rho,
         "amplitudes": (amp_1, amp_2),

@@ -14,7 +14,7 @@ import numpy as np
 from .measurement import JointClickProbabilities
 
 
-# Generator.binomial takes int64 totals: a sampled run counts fewer heralds than this
+# Generator.multinomial takes int64 totals: a sampled run counts fewer heralds than this
 MAX_TOTAL = 2**63
 
 
@@ -148,22 +148,14 @@ def violation_k(w_exp: float, sigma_exp: float, w_ppt_max: float, sigma_ppt_max:
 def sample_counts(jp: JointClickProbabilities, n_total: int, seed: int) -> CountRecord:
     """Multinomial draw of one counting run, deterministic for a fixed seed.
 
-    Uses the PCG64 generator with sequential binomial conditioning in the
-    fixed order (c,nc), (nc,c), (c,c); the remainder are joint no-clicks.
+    One PCG64 Generator.multinomial draw, which conditions its binomials
+    in the fixed order (c,nc), (nc,c), (c,c); the remainder are joint
+    no-clicks.
     """
     if n_total <= 0:
         raise ValueError("n_total must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    remaining = n_total
-    remaining_p = 1.0
-    counts = []
-    for p in (jp.p_c_nc, jp.p_nc_c, jp.p_c_c):
-        cond = min(max(p / remaining_p, 0.0), 1.0) if remaining_p > 0 else 0.0
-        draw = int(rng.binomial(remaining, cond)) if remaining > 0 else 0
-        counts.append(draw)
-        remaining -= draw
-        remaining_p -= p
-    n_a, n_b, n_d = counts
+    n_a, n_b, n_d, _ = rng.multinomial(n_total, [jp.p_c_nc, jp.p_nc_c, jp.p_c_c, jp.p_nc_nc]).tolist()
     return CountRecord(n_total=n_total, n_a=n_a, n_b=n_b, n_d=n_d)
 
 

@@ -199,13 +199,11 @@ def _bisect(lo, hi):
     )
 
 
-def _maximize_over_box(objective, slopes, box):
-    """Certified maximum of objective over an amplitude box, by branch and bound.
+def _maximize_over_box(box, jp_z: JointClickProbabilities, mb: MultiphotonBounds):
+    """Certified maximum of w_tilde_point over an amplitude box, by branch and bound.
 
-    box is (alpha1_min, alpha1_max, alpha2_min, alpha2_max).  objective
-    evaluates arrays of amplitude pairs; slopes(lo, hi) encloses its
-    partial derivatives over each box of a batch.  Each
-    round first collapses every axis whose slope enclosure has one sign
+    box is (alpha1_min, alpha1_max, alpha2_min, alpha2_max).  Each round
+    first collapses every axis whose _w_tilde_slopes enclosure has one sign
     to its higher end (its lower end on a tie), then takes the value at
     each box's centre, which is its corner once both axes collapse, and
     bounds the box by that value plus sum_i max|dF/da_i| w_i / 2.  Boxes
@@ -214,7 +212,7 @@ def _maximize_over_box(objective, slopes, box):
     certified gap left above it, and the point where that value was found
     first.  The gap is at most BOX_GAP_TOL unless the search stops at
     BOX_MAX_ROUNDS or BOX_MAX_LIVE first.  A maximum at a corner, or on a
-    point box, is the objective's own value there.
+    point box, is w_tilde_point's own value there.
     """
     ends = np.array(box)[:, None]
     lo, hi = ends[0::2], ends[1::2]
@@ -222,12 +220,12 @@ def _maximize_over_box(objective, slopes, box):
     for _ in range(BOX_MAX_ROUNDS):
         slack = 0.0
         if (hi > lo).any():
-            d = slopes(lo, hi)
+            d = _w_tilde_slopes(lo, hi, jp_z, mb)
             hi = np.where(d[1] <= 0.0, lo, hi)
             lo = np.where(d[0] >= 0.0, hi, lo)
             slack = 0.5 * (np.abs(d).max(axis=0) * (hi - lo)).sum(axis=0)
         centre = 0.5 * (lo + hi)
-        values = objective(centre[0], centre[1])
+        values = w_tilde_point(centre[0], centre[1], jp_z, mb)
         k = int(np.argmax(values))
         if values[k] > best:
             best, point = float(values[k]), (float(centre[0, k]), float(centre[1, k]))
@@ -259,11 +257,7 @@ def w_ppt_fluctuation_bound(
     each single-click term is decided per candidate amplitude pair.
     Returns the certified maximum and the coefficients at the best point.
     """
-    value, (a1, a2) = _maximize_over_box(
-        lambda x1, x2: w_tilde_point(x1, x2, jp_z, mb),
-        lambda lo, hi: _w_tilde_slopes(lo, hi, jp_z, mb),
-        _clipped_box(i1, i2),
-    )
+    value, (a1, a2) = _maximize_over_box(_clipped_box(i1, i2), jp_z, mb)
     return value, bound_coefficients(a1, a2)
 
 

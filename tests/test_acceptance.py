@@ -20,7 +20,7 @@ from pathent.measurement import JointClickProbabilities
 from conftest import FIXTURES, random_density_matrix, random_qubit_pure_state
 from reference import expectation_value, fock_ket, ideal_lossy_state, loss_kraus_sum, lossy_click_probabilities
 
-TR10 = fc.FockTruncation(10)
+D11 = 11  # levels per mode at n_max 10
 
 GOLDEN = {
     "42m_set1": dict(w_exp=0.0576, w_ppt=0.0391, w_tilde=0.0451, w_max=0.0472, k=4.8),
@@ -81,10 +81,10 @@ def test_criterion_3_robustness_identity():
     start = time.monotonic()
     worst = 0.0
     for eta in (0.01, 0.1, 0.5, 1.0):
-        rho = ideal_lossy_state(eta, 0.0, TR10)
+        rho = ideal_lossy_state(eta, 0.0, D11)
         diag = JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         for alpha in (0.3, 0.7, 0.83, 1.2):
-            w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
+            w_op = meas.phase_averaged_witness_operator(alpha, alpha, D11)
             violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
             expected = 8.0 * alpha * alpha * np.exp(-2.0 * alpha * alpha) * eta / 2.0
             worst = max(worst, abs(violation - expected))
@@ -96,15 +96,15 @@ def test_criterion_3_robustness_identity():
 def test_criterion_4_efficiency_folding():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
-    trunc = fc.FockTruncation(6)
+    d = 7
     etas = np.arange(0.1, 1.01, 0.1)
     worst = 0.0
     for i in range(100):
-        rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
+        rho = fc.DensityOperator(random_density_matrix(rng, d**2), (d, d))
         eta = float(etas[i % len(etas)])
         alpha = float(rng.uniform(0.2, 1.2))
         # the detector side in the Heisenberg picture, Lambda_eta^dag on each POVM
-        jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
+        jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, d)[0, 0]
         folded = alpha * np.sqrt(eta)
         lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, eta), rho.mode_dims)
         lossy = fc.DensityOperator(loss_kraus_sum(lossy, 1, eta), rho.mode_dims)
@@ -131,10 +131,10 @@ def test_criterion_5_separable_soundness():
     diags = np.einsum("nii->ni", states).real
     worst = -np.inf
     settings = ((0.72, 0.71), (0.83, 0.83), (0.5, 0.9), (1.0, 1.0), (0.3, 1.2))
-    d = TR10.dim
+    d = D11
     qubit_idx = [0, 1, d, d + 1]
     for a1, a2 in settings:
-        w_full = meas.phase_averaged_witness_operator(a1, a2, TR10)
+        w_full = meas.phase_averaged_witness_operator(a1, a2, D11)
         block = w_full[np.ix_(qubit_idx, qubit_idx)]
         values = np.einsum("nij,ji->n", states, block).real
         c1, c2, c3, c4, c5 = witness.bound_coefficients(a1, a2)
@@ -213,14 +213,14 @@ def test_criterion_8_monte_carlo_calibration():
 
 def test_criterion_9_heralded_state_limit():
     start = time.monotonic()
-    trunc = fc.FockTruncation(3)
-    low = simulate_heralded_state(SourceParams(pair_probability=1e-6), (1.0, 1.0), trunc)
-    psi = (fock_ket((1, 0), trunc) + fock_ket((0, 1), trunc)) / np.sqrt(2.0)
-    fidelity = float((psi.conj() @ low.rho.matrix @ psi).real)
+    d = 4
+    low, _ = simulate_heralded_state(SourceParams(pair_probability=1e-6), (1.0, 1.0), d)
+    psi = (fock_ket((1, 0), d) + fock_ket((0, 1), d)) / np.sqrt(2.0)
+    fidelity = float((psi.conj() @ low.matrix @ psi).real)
 
     p = 3e-3
-    operating = simulate_heralded_state(SourceParams(pair_probability=p), (1.0, 1.0), trunc)
-    diag = np.diag(operating.rho.matrix).real.reshape(trunc.dim, trunc.dim)
+    operating, _ = simulate_heralded_state(SourceParams(pair_probability=p), (1.0, 1.0), d)
+    diag = np.diag(operating.matrix).real.reshape(d, d)
     ratio = diag[1, 1] / (diag[1, 0] + diag[0, 1])
     elapsed = time.monotonic() - start
     ok = fidelity >= 0.999 and p / 4 <= ratio <= 4 * p and elapsed < 60.0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathent import cli, measurement, pipeline
+from pathent import cli, herald, measurement, pipeline
 from pathent import fockcore as fc
 from pathent.config import Detectors, load_experiment_config
 from pathent.herald import simulate_heralded_state
@@ -22,8 +22,7 @@ def _lossy_config():
 
 @pytest.mark.parametrize("n_max", [3, 10])
 def test_cached_arrays_are_read_only(n_max):
-    trunc = fc.FockTruncation(n_max)
-    for array in fc._loss_binomials(trunc):
+    for array in fc._loss_binomials(n_max + 1):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
 
@@ -31,9 +30,10 @@ def test_cached_arrays_are_read_only(n_max):
 def test_mutating_returned_arrays_leaves_the_next_op_unchanged():
     cfg = _lossy_config()
     before = (pipeline.sweep_phase(cfg, -np.pi, np.pi, 5), pipeline.sweep_alpha(cfg, 0.2, 1.0, 3))
-    measurement.click_povm(np.array([0.0, 0.4, 0.7j]), cfg.herald_truncation)[...] = np.nan
-    fc.loss_channel_kraus(0.6, cfg.herald_truncation)[...] = np.nan
-    rho = simulate_heralded_state(cfg.source, (0.6, 0.85), cfg.herald_truncation).rho
+    d = cfg.numerics.herald_truncation_n_max + 1
+    measurement.click_povm(np.array([0.0, 0.4, 0.7j]), d)[...] = np.nan
+    herald._loss_superoperator(0.6, d)[...] = np.nan
+    rho, _ = simulate_heralded_state(cfg.source, (0.6, 0.85), d)
     lossy = fc.DensityOperator(loss_kraus_sum(rho, 0, 0.6), rho.mode_dims)
     rho.matrix[...] = np.nan
     lossy.matrix[...] = np.nan

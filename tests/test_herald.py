@@ -20,13 +20,14 @@ from reference import (
     displacement_phases,
     fock_ket,
     ideal_lossy_state,
+    loss_channel_kraus,
     loss_kraus_sum,
     pair_ket,
     rotate_signals,
     signal_phases,
 )
 
-TR3 = fc.FockTruncation(3)
+D4 = 4  # levels per mode at n_max 3
 
 PHASE_FIELDS = dict(
     phi_a=0.3, phi_b=-0.8, zeta_a=0.1, zeta_b=0.55, chi_a=1.2, chi_b=-0.4,
@@ -53,7 +54,7 @@ def _embed(op: np.ndarray, modes: tuple[int, ...], d: int, n_modes: int = 4) -> 
     return full.transpose(perm + [p + n_modes for p in perm]).reshape(d**n_modes, d**n_modes)
 
 
-def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
+def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, d: int):
     """Dense four-mode density-matrix reference of the heralding model, with every phase on the state.
 
     Modes (signal_A, idler_A, signal_B, idler_B).  The pump phase multiplies
@@ -63,17 +64,16 @@ def four_mode_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc
     monitored port is mode 3 after the beam splitter on modes (1, 3).
     Returns the heralded two-mode matrix and the herald probability.
     """
-    d = trunc.dim
     n = np.arange(d)
-    ket = np.kron(pair_ket(src.pair_probability_a, trunc), pair_ket(src.effective_pair_probability_b, trunc))
+    ket = np.kron(pair_ket(src.pair_probability_a, d), pair_ket(src.effective_pair_probability_b, d))
     thetas = (phases.phi_a + phases.xi_a_long, phases.chi_a, phases.phi_b + phases.xi_b_long, phases.chi_b)
     ket = ket * reduce(np.kron, [np.exp(1j * theta * n) for theta in thetas])
     mat = np.outer(ket, ket.conj())
     etas = (src.signal_transmission_a, src.idler_transmission_a, src.signal_transmission_b, src.idler_transmission_b)
     for mode, eta in enumerate(etas):
-        kraus = [_embed(k, (mode,), d) for k in fc.loss_channel_kraus(eta, trunc)]
+        kraus = [_embed(k, (mode,), d) for k in loss_channel_kraus(eta, d)]
         mat = sum(k @ mat @ k.conj().T for k in kraus)
-    bs = _embed(beam_splitter_unitary(0.5, trunc), (1, 3), d)
+    bs = _embed(beam_splitter_unitary(0.5, d), (1, 3), d)
     t = (bs @ mat @ bs.conj().T).reshape((d,) * 8)
     # trace out both idler outputs; the herald keeps monitored-port photon numbers >= 1
     marginal = np.einsum("aibjcidj->abcd", t).reshape(d * d, d * d)
@@ -90,59 +90,57 @@ def _tail_weight(rho: np.ndarray, d: int) -> float:
 
 
 def test_heralded_state_ideal_limit():
-    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-6), IDEAL, TR3)
-    psi = (fock_ket((1, 0), TR3) + fock_ket((0, 1), TR3)) / np.sqrt(2)
-    fidelity = (psi.conj() @ hs.rho.matrix @ psi).real
+    rho, herald_probability = herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-6), IDEAL, D4)
+    psi = (fock_ket((1, 0), D4) + fock_ket((0, 1), D4)) / np.sqrt(2)
+    fidelity = (psi.conj() @ rho.matrix @ psi).real
     assert fidelity >= 0.999
-    assert abs(np.trace(hs.rho.matrix) - 1.0) < 1e-10
-    assert 0.0 <= hs.herald_probability <= 1.0
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-10
+    assert 0.0 <= herald_probability <= 1.0
 
 
 def test_heralded_state_double_pair_admixture():
     p = 3e-3
-    hs = herald.simulate_heralded_state(herald.SourceParams(pair_probability=p), IDEAL, TR3)
-    diag = np.diag(hs.rho.matrix).real.reshape(TR3.dim, TR3.dim)
+    rho, _ = herald.simulate_heralded_state(herald.SourceParams(pair_probability=p), IDEAL, D4)
+    diag = np.diag(rho.matrix).real.reshape(D4, D4)
     ratio = diag[1, 1] / (diag[1, 0] + diag[0, 1])
     assert p / 4 <= ratio <= 4 * p
 
 
 def test_heralded_state_false_heralds_only():
-    hs = herald.simulate_heralded_state(
+    rho, herald_probability = herald.simulate_heralded_state(
         herald.SourceParams(pair_probability=0.0, false_herald_probability=1.0),
         IDEAL,
-        TR3,
+        D4,
     )
-    assert abs(hs.rho.matrix[0, 0] - 1.0) < 1e-12
-    assert hs.herald_probability == 0.0
+    assert abs(rho.matrix[0, 0] - 1.0) < 1e-12
+    assert herald_probability == 0.0
 
 
 def test_heralded_state_no_heralds_raises():
     with pytest.raises(herald.HeraldingError):
-        herald.simulate_heralded_state(herald.SourceParams(pair_probability=0.0), IDEAL, TR3)
+        herald.simulate_heralded_state(herald.SourceParams(pair_probability=0.0), IDEAL, D4)
     # the only emitting source loses every idler photon
     src = herald.SourceParams(2e-3, idler_transmission_a=0.0, pair_probability_b=0.0, false_herald_probability=0.3)
     with pytest.raises(herald.HeraldingError):
-        herald.simulate_heralded_state(src, IDEAL, TR3)
+        herald.simulate_heralded_state(src, IDEAL, D4)
 
 
 def test_heralded_state_requires_three_photons():
-    with pytest.raises(ValueError):
-        herald.simulate_heralded_state(
-            herald.SourceParams(pair_probability=1e-3), IDEAL, fc.FockTruncation(2)
-        )
+    with pytest.raises(ValueError, match=r"needs n_max >= 3, got 2"):
+        herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-3), IDEAL, 3)
 
 
 @pytest.mark.parametrize("efficiencies", [(-0.1, 1.0), (1.0, 1.5), (0.5, np.nan)])
 def test_heralded_state_rejects_efficiencies_outside_the_unit_interval(efficiencies):
     with pytest.raises(ValueError, match="detector efficiencies must lie in"):
-        herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-3), efficiencies, TR3)
+        herald.simulate_heralded_state(herald.SourceParams(pair_probability=1e-3), efficiencies, D4)
 
 
 @pytest.mark.parametrize("n_max", [3, 6, 10])
 @pytest.mark.parametrize("efficiencies", [IDEAL, (0.6, 0.85)])
 def test_heralded_state_is_real(n_max, efficiencies):
     src = herald.SourceParams(3e-3, 0.0395, 0.0376, 0.007, 0.007, 0.1667)
-    rho = herald.simulate_heralded_state(src, efficiencies, fc.FockTruncation(n_max)).rho
+    rho, _ = herald.simulate_heralded_state(src, efficiencies, n_max + 1)
     assert rho.matrix.dtype == np.float64
 
 
@@ -151,12 +149,12 @@ def test_pump_phase_invariance():
     # displacement phases are derived from the same pump; the herald never sees it
     src = herald.SourceParams(pair_probability=1e-4)
     rng = np.random.default_rng(41)
-    hs = herald.simulate_heralded_state(src, IDEAL, TR3)
+    rho, _ = herald.simulate_heralded_state(src, IDEAL, D4)
 
     reference = None
     for delta in (0.0, *rng.uniform(-np.pi, np.pi, 20)):
         phases = herald.PhaseConfig(**{**PHASE_FIELDS, "phi_a": PHASE_FIELDS["phi_a"] + delta})
-        got, want = measured_as_configured(hs.rho, four_mode_oracle(src, phases, TR3)[0], phases)
+        got, want = measured_as_configured(rho, four_mode_oracle(src, phases, D4)[0], phases)
         assert np.max(np.abs(got - want)) < 1e-10
         reference = want if reference is None else reference
         assert np.max(np.abs(want - reference)) < 1e-10
@@ -166,14 +164,13 @@ def test_relative_phase_covariance():
     # chi_a -> chi_a + delta multiplies the oracle's <01|rho|10> coherence by e^{-i delta}, which
     # the herald's measurement gets as Alice's amplitude times e^{-i delta}
     src = herald.SourceParams(pair_probability=1e-4)
-    hs = herald.simulate_heralded_state(src, IDEAL, TR3)
-    base = four_mode_oracle(src, herald.PhaseConfig(**PHASE_FIELDS), TR3)[0]
+    rho, _ = herald.simulate_heralded_state(src, IDEAL, D4)
+    base = four_mode_oracle(src, herald.PhaseConfig(**PHASE_FIELDS), D4)[0]
     for delta in (0.77, -1.3, 2.9):
         phases = herald.PhaseConfig(**{**PHASE_FIELDS, "chi_a": PHASE_FIELDS["chi_a"] + delta})
-        shifted = four_mode_oracle(src, phases, TR3)[0]
-        d = TR3.dim
-        assert abs(shifted[1, d] / base[1, d] - np.exp(-1j * delta)) < 1e-12  # <01| rho |10>
-        got, want = measured_as_configured(hs.rho, shifted, phases)
+        shifted = four_mode_oracle(src, phases, D4)[0]
+        assert abs(shifted[1, D4] / base[1, D4] - np.exp(-1j * delta)) < 1e-12  # <01| rho |10>
+        got, want = measured_as_configured(rho, shifted, phases)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -183,10 +180,10 @@ def test_signal_loss_commutes_with_heralding():
     src = herald.SourceParams(pair_probability=2e-3, signal_transmission_a=0.35, signal_transmission_b=0.62)
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     for efficiencies in (IDEAL, (0.6, 0.85)):
-        after = herald.simulate_heralded_state(src, efficiencies, TR3).rho
+        after, _ = herald.simulate_heralded_state(src, efficiencies, D4)
         detected = replace(src, signal_transmission_a=0.35 * efficiencies[0],
                            signal_transmission_b=0.62 * efficiencies[1])
-        before, _ = four_mode_oracle(detected, phases, TR3)
+        before, _ = four_mode_oracle(detected, phases, D4)
 
         assert np.max(np.abs(before - rotate_signals(after.matrix, signal_phases(phases)))) < 1e-10
         got, want = measured_as_configured(after, before, phases)
@@ -222,17 +219,26 @@ def test_ket_heralding_matches_four_mode_oracle(
     # measured at alpha e^{-i delta} it gives the oracle's click probabilities
     src = herald.SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
     config = herald.PhaseConfig(*phases)
-    hs = herald.simulate_heralded_state(src, efficiencies, TR3)
+    heralded, herald_probability = herald.simulate_heralded_state(src, efficiencies, D4)
     detected = replace(src, signal_transmission_a=signal_a * efficiencies[0],
                        signal_transmission_b=signal_b * efficiencies[1])
-    rho, herald_probability = four_mode_oracle(detected, config, TR3)
-    assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(config)) - rho)) <= 1e-13
-    assert abs(hs.herald_probability - herald_probability) <= 1e-13
-    got, want = measured_as_configured(hs.rho, rho, config)
+    rho, oracle_probability = four_mode_oracle(detected, config, D4)
+    assert np.max(np.abs(rotate_signals(heralded.matrix, signal_phases(config)) - rho)) <= 1e-13
+    assert abs(herald_probability - oracle_probability) <= 1e-13
+    got, want = measured_as_configured(heralded, rho, config)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, trunc: fc.FockTruncation):
+@pytest.mark.parametrize("d", range(4, 17))
+def test_loss_superoperator_equals_the_kraus_oracle(d):
+    # each entry of S is one product of two Kraus entries, so S equals sum_k K_k (x) K_k bit for bit
+    rng = np.random.default_rng(d)
+    for eta in (0.0, 1.0, *rng.uniform(size=6)):
+        expected = sum(np.kron(k, k) for k in loss_channel_kraus(eta, d))
+        assert np.array_equal(herald._loss_superoperator(eta, d), expected), eta
+
+
+def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig, d: int):
     """Heralded state before signal loss and false heralds, from the truncated 50/50 unitary on the idler kets.
 
     Each source is a purified ket (signal, idler, environment of idler
@@ -240,19 +246,18 @@ def station_unitary_oracle(src: herald.SourceParams, phases: herald.PhaseConfig,
     unitary acts on both idlers and the click keeps the monitored-port
     photon numbers >= 1.  Cost d^8, against the herald's d^6.
     """
-    d = trunc.dim
     n = np.arange(d)
 
     def source(pair_probability, pair_phase, xi_long, chi, idler_transmission):
-        ket = pair_ket(pair_probability, trunc).reshape(d, d)
+        ket = pair_ket(pair_probability, d).reshape(d, d)
         ket = ket * np.exp(1j * (pair_phase + xi_long) * n)[:, None] * np.exp(1j * chi * n)[None, :]
-        return np.einsum("kji,si->sjk", fc.loss_channel_kraus(idler_transmission, trunc), ket)
+        return np.einsum("kji,si->sjk", loss_channel_kraus(idler_transmission, d), ket)
 
     ket_a = source(src.pair_probability_a, phases.phi_a, phases.xi_a_long, phases.chi_a, src.idler_transmission_a)
     ket_b = source(
         src.effective_pair_probability_b, phases.phi_b, phases.xi_b_long, phases.chi_b, src.idler_transmission_b
     )
-    bs = beam_splitter_unitary(0.5, trunc).reshape(d, d, d, d)
+    bs = beam_splitter_unitary(0.5, d).reshape(d, d, d, d)
     clicked = np.einsum("aik,bjl,xyij->abklxy", ket_a, ket_b, bs)[..., 1:].reshape(d * d, -1)
     conditioned = clicked @ clicked.conj().T
     p_true = np.trace(conditioned).real
@@ -264,7 +269,7 @@ def test_station_click_povm_matches_truncated_beam_splitter(n_max):
     # above n_max 3 the closed-form POVM still equals the truncated unitary, including the
     # sectors J > n_max that cannot leave the monitored port empty; the oracle's signals then
     # lose photons at each side's transmission times its detector efficiency
-    trunc = fc.FockTruncation(n_max)
+    d = n_max + 1
     phases = herald.PhaseConfig(**PHASE_FIELDS)
     sources = (
         herald.SourceParams(0.2, pair_probability_b=0.05, idler_transmission_a=0.3, idler_transmission_b=0.8),
@@ -273,14 +278,14 @@ def test_station_click_povm_matches_truncated_beam_splitter(n_max):
         herald.SourceParams(3e-3, 0.0395, 0.0376, 0.007, 0.007),
     )
     for src in sources:
-        heralded, herald_probability = station_unitary_oracle(src, phases, trunc)
+        heralded, oracle_probability = station_unitary_oracle(src, phases, d)
         for efficiencies in (IDEAL, (0.6, 0.85)):
-            hs = herald.simulate_heralded_state(src, efficiencies, trunc)
-            rho = fc.DensityOperator(heralded, (trunc.dim, trunc.dim))
+            got, herald_probability = herald.simulate_heralded_state(src, efficiencies, d)
+            rho = fc.DensityOperator(heralded, (d, d))
             for mode, t in enumerate((src.signal_transmission_a, src.signal_transmission_b)):
                 rho = fc.DensityOperator(loss_kraus_sum(rho, mode, t * efficiencies[mode]), rho.mode_dims)
-            assert np.max(np.abs(rotate_signals(hs.rho.matrix, signal_phases(phases)) - rho.matrix)) <= 1e-13
-            assert abs(hs.herald_probability - herald_probability) <= 1e-13 * herald_probability
+            assert np.max(np.abs(rotate_signals(got.matrix, signal_phases(phases)) - rho.matrix)) <= 1e-13
+            assert abs(herald_probability - oracle_probability) <= 1e-13 * oracle_probability
 
 
 FIXTURE_SOURCES = pytest.mark.parametrize("fixture", ["ideal_link", "lossy_link"])
@@ -300,9 +305,8 @@ def test_heralded_state_converges_in_truncation(fixture):
     lossless = replace(config.source, signal_transmission_a=1.0, signal_transmission_b=1.0)
     previous = None
     for n_max in HERALD_N_MAX:
-        trunc = fc.FockTruncation(n_max)
-        d = trunc.dim
-        rho = herald.simulate_heralded_state(config.source, efficiencies, trunc).rho.matrix
+        d = n_max + 1
+        rho = herald.simulate_heralded_state(config.source, efficiencies, d)[0].matrix
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         block = rho.reshape(d, d, d, d)[:2, :2, :2, :2]
         populations = np.diagonal(rho).real.reshape(d, d)
@@ -311,7 +315,7 @@ def test_heralded_state_converges_in_truncation(fixture):
             previous_block, previous_pstar, tail = previous
             assert np.max(np.abs(block - previous_block)) <= tail + 4 * np.finfo(float).eps
             assert np.max(np.abs(pstar - previous_pstar)) <= tail + 4 * np.finfo(float).eps
-        pairs = herald.simulate_heralded_state(lossless, efficiencies, trunc).rho.matrix
+        pairs = herald.simulate_heralded_state(lossless, efficiencies, d)[0].matrix
         previous = (block, pstar, _tail_weight(pairs, d))
 
 
@@ -345,22 +349,22 @@ def test_heralded_state_swap_symmetry(fixture):
     )
     for n_max in HERALD_N_MAX:
         d = n_max + 1
-        rho = herald.simulate_heralded_state(src, (0.7, 0.7), fc.FockTruncation(n_max)).rho.matrix
+        rho = herald.simulate_heralded_state(src, (0.7, 0.7), d)[0].matrix
         swapped = rho.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
         assert np.max(np.abs(rho - swapped)) <= 1e-14
 
 
 def test_ideal_lossy_state_examples():
-    pure = ideal_lossy_state(1.0, 0.0, TR3)
-    psi = (fock_ket((1, 0), TR3) + fock_ket((0, 1), TR3)) / np.sqrt(2)
+    pure = ideal_lossy_state(1.0, 0.0, D4)
+    psi = (fock_ket((1, 0), D4) + fock_ket((0, 1), D4)) / np.sqrt(2)
     assert abs((psi.conj() @ pure.matrix @ psi).real - 1.0) < 1e-12
-    vac = ideal_lossy_state(0.0, 0.3, TR3)
+    vac = ideal_lossy_state(0.0, 0.3, D4)
     assert abs(vac.matrix[0, 0] - 1.0) < 1e-12
-    mixed = ideal_lossy_state(0.4, 1.1, TR3)
+    mixed = ideal_lossy_state(0.4, 1.1, D4)
     assert abs(np.trace(mixed.matrix) - 1.0) < 1e-12
     assert np.sum(np.linalg.eigvalsh(mixed.matrix) > 1e-12) <= 2
     with pytest.raises(ValueError):
-        ideal_lossy_state(1.2, 0.0, TR3)
+        ideal_lossy_state(1.2, 0.0, D4)
 
 
 def test_heralding_rate_examples():

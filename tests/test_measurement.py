@@ -23,7 +23,7 @@ from reference import (
     relative_state_phase,
 )
 
-TR10 = fc.FockTruncation(10)
+D11 = 11  # levels per mode at n_max 10
 
 
 def test_displacement_setting_validation():
@@ -34,25 +34,25 @@ def test_displacement_setting_validation():
 
 
 def test_click_povm_identity_cases():
-    e_nc, e_c = meas.click_povm(0.0, TR10)
-    expected = np.zeros((TR10.dim, TR10.dim))
+    e_nc, e_c = meas.click_povm(0.0, D11)
+    expected = np.zeros((D11, D11))
     expected[0, 0] = 1.0
     assert np.max(np.abs(e_nc - expected)) < 1e-12
-    assert np.max(np.abs(e_nc + e_c - np.eye(TR10.dim))) < 1e-12
+    assert np.max(np.abs(e_nc + e_c - np.eye(D11))) < 1e-12
 
 
 def test_click_povm_vacuum_probability():
-    vac = np.zeros((TR10.dim, TR10.dim), dtype=complex)
+    vac = np.zeros((D11, D11), dtype=complex)
     vac[0, 0] = 1.0
-    rho = fc.DensityOperator(vac, (TR10.dim,))
+    rho = fc.DensityOperator(vac, (D11,))
     for alpha in (0.3, 0.83, 1.2):
-        e_nc, _ = meas.click_povm(alpha, TR10)
+        e_nc, _ = meas.click_povm(alpha, D11)
         p = expectation_value(rho, e_nc)
         assert abs(p - np.exp(-(alpha**2))) < 1e-9
 
 
-def coherent_ket(gamma: complex, trunc: fc.FockTruncation) -> np.ndarray:
-    n = np.arange(trunc.dim)
+def coherent_ket(gamma: complex, d: int) -> np.ndarray:
+    n = np.arange(d)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     return np.exp(-abs(gamma) ** 2 / 2) * gamma**n / np.sqrt(np.exp(log_fact))
 
@@ -62,10 +62,10 @@ COHERENT_CASES = ((0.4, 0.7, 0.55), (-0.3 + 0.2j, 0.83, 0.8), (0.5j, 0.4, 1.0)) 
 
 def test_click_povm_coherent_state_closed_form():
     # independent oracle: an ideal displaced click detector on a coherent state has P_nc = exp(-|gamma + alpha|^2)
-    trunc = fc.FockTruncation(14)
+    d = 15
     for gamma, alpha, _ in COHERENT_CASES:
-        amps = coherent_ket(gamma, trunc)
-        e_nc, _ = meas.click_povm(alpha, trunc)
+        amps = coherent_ket(gamma, d)
+        e_nc, _ = meas.click_povm(alpha, d)
         p = (amps.conj() @ e_nc @ amps).real
         assert abs(p - np.exp(-abs(gamma + alpha) ** 2)) < 1e-8
 
@@ -78,10 +78,10 @@ def lossy(rho: fc.DensityOperator, eta_1: float, eta_2: float) -> fc.DensityOper
 
 def test_click_probability_grid_coherent_states_closed_form():
     # independent oracle: a displaced click detector of efficiency eta has P_nc = exp(-eta |gamma + alpha|^2)
-    trunc = fc.FockTruncation(14)
+    d = 15
     for (g1, a1, eta1), (g2, a2, eta2) in zip(COHERENT_CASES, COHERENT_CASES[1:] + COHERENT_CASES[:1]):
-        ket = np.kron(coherent_ket(g1, trunc), coherent_ket(g2, trunc))
-        rho = lossy(fc.DensityOperator(np.outer(ket, ket.conj()), (trunc.dim, trunc.dim)), eta1, eta2)
+        ket = np.kron(coherent_ket(g1, d), coherent_ket(g2, d))
+        rho = lossy(fc.DensityOperator(np.outer(ket, ket.conj()), (d, d)), eta1, eta2)
         amp_1, amp_2 = a1 * np.sqrt(eta1), a2 * np.sqrt(eta2)
         p_nc_nc, p_nc_c, p_c_nc, _ = meas.click_probability_grid(rho, [amp_1], [amp_2])[0, 0]
         q1, q2 = np.exp(-eta1 * abs(g1 + a1) ** 2), np.exp(-eta2 * abs(g2 + a2) ** 2)
@@ -92,8 +92,8 @@ def test_click_probability_grid_coherent_states_closed_form():
 
 def test_click_povm_completeness_and_positivity():
     for alpha in (0.0, 0.83, 1.2):
-        e_nc, e_c = meas.click_povm(alpha, TR10)
-        assert np.max(np.abs(e_nc + e_c - np.eye(TR10.dim))) == 0.0
+        e_nc, e_c = meas.click_povm(alpha, D11)
+        assert np.max(np.abs(e_nc + e_c - np.eye(D11))) == 0.0
         for element in (e_nc, e_c):
             eigs = np.linalg.eigvalsh(element)
             assert eigs[0] >= -1e-10
@@ -107,46 +107,45 @@ def test_click_povm_completeness_and_positivity():
     angles=st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6),
 )
 def test_click_povm_stack_matches_per_amplitude_reference(n_max, radii, angles):
-    trunc = fc.FockTruncation(n_max)
+    d = n_max + 1
     # |alpha|^2 up to just below n_max / 4
     amps = np.array([r * np.sqrt(n_max / 4) * np.exp(1j * phi) for r, phi in zip(radii, angles)])
-    stack = meas.click_povm(amps.reshape(-1, 1), trunc)
-    assert stack.shape == (len(amps), 1, 2, trunc.dim, trunc.dim)
+    stack = meas.click_povm(amps.reshape(-1, 1), d)
+    assert stack.shape == (len(amps), 1, 2, d, d)
     for alpha, povm in zip(amps, stack[:, 0]):
-        assert np.max(np.abs(povm - lossy_click_povm(alpha, 1.0, trunc))) <= 1e-14
+        assert np.max(np.abs(povm - lossy_click_povm(alpha, 1.0, d))) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(d=st.integers(4, 16), radius=st.floats(0.0, 2.0), phase=st.floats(-np.pi, np.pi))
 def test_click_povm_matches_padded_displacement_oracle(d, radius, phase):
     # the closed-form coherent-state projector against D(alpha) built far above the d levels and cut back
-    trunc = fc.FockTruncation(d - 1)
     alpha = radius * np.exp(1j * phase)
-    assert np.max(np.abs(meas.click_povm(alpha, trunc) - lossy_click_povm(alpha, 1.0, trunc))) <= 1e-14
+    assert np.max(np.abs(meas.click_povm(alpha, d) - lossy_click_povm(alpha, 1.0, d))) <= 1e-14
 
 
 def test_click_povm_at_zero_amplitude_is_exact():
     for n_max in (2, 5, 10):
-        trunc = fc.FockTruncation(n_max)
-        vacuum = np.zeros((trunc.dim, trunc.dim))
+        d = n_max + 1
+        vacuum = np.zeros((d, d))
         vacuum[0, 0] = 1.0
-        e_nc, _ = meas.click_povm(0.0, trunc)
+        e_nc, _ = meas.click_povm(0.0, d)
         assert np.array_equal(e_nc, vacuum)
-        e_nc, _ = meas.click_povm([0.0, 0.7], trunc)[0]
+        e_nc, _ = meas.click_povm([0.0, 0.7], d)[0]
         assert np.array_equal(e_nc, vacuum)
         # so a z-basis measurement of a state without |00> or |11> population gives exact zeros
-        rho = ideal_lossy_state(1.0, 0.4, trunc)
+        rho = ideal_lossy_state(1.0, 0.4, d)
         p_nc_nc, _, _, p_c_c = meas.click_probability_grid(rho, [0.0], [0.0])[0, 0]
         assert p_nc_nc == 0.0 and p_c_c == 0.0
 
 
 def test_click_povm_phase_covariance():
     rng = np.random.default_rng(41)
-    n = np.arange(TR10.dim)
+    n = np.arange(D11)
     radii = rng.uniform(0.0, 1.5, 8)
     phis = rng.uniform(-np.pi, np.pi, 8)
-    rotated = meas.click_povm(radii * np.exp(1j * phis), TR10)
-    plain = meas.click_povm(radii, TR10)
+    rotated = meas.click_povm(radii * np.exp(1j * phis), D11)
+    plain = meas.click_povm(radii, D11)
     for phi, got, povm in zip(phis, rotated, plain):
         r = np.exp(1j * phi * n)
         expected = r[:, None] * povm * r.conj()[None, :]  # R E R^dag, R = e^{i phi n}
@@ -167,14 +166,14 @@ amplitude_stack = st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(-np.pi, np.
 )
 def test_click_probability_grid_matches_heisenberg_reference(state_n_max, headroom, etas, stacks, seed):
     # loss on the state and ideal detectors at alpha sqrt(eta) against Lambda^dag of each POVM
-    trunc = fc.FockTruncation(state_n_max + headroom)
+    dim = state_n_max + headroom + 1
     d = state_n_max + 1
     rho = fc.DensityOperator(random_density_matrix(np.random.default_rng(seed), d * d), (d, d))
     # |alpha|^2 up to just below n_max / 4 of the reference's truncation
-    amps_1, amps_2 = ([r * np.sqrt(trunc.n_max / 4) * np.exp(1j * phi) for r, phi in stack] for stack in stacks)
+    amps_1, amps_2 = ([r * np.sqrt((dim - 1) / 4) * np.exp(1j * phi) for r, phi in stack] for stack in stacks)
     seen = [np.multiply(amps, np.sqrt(eta)) for amps, eta in zip((amps_1, amps_2), etas)]
     grid = meas.click_probability_grid(lossy(rho, *etas), *seen)
-    expected = lossy_click_probabilities(embed_state(rho, trunc).matrix, amps_1, amps_2, *etas, trunc)
+    expected = lossy_click_probabilities(embed_state(rho, dim).matrix, amps_1, amps_2, *etas, dim)
     assert grid.shape == expected.shape == (len(amps_1), len(amps_2), 4)
     assert np.max(np.abs(grid - expected)) <= 1e-13
 
@@ -182,27 +181,27 @@ def test_click_probability_grid_matches_heisenberg_reference(state_n_max, headro
 def test_efficiency_folding_on_random_states():
     # detector inefficiency equals loss on the state with alpha rescaled
     rng = np.random.default_rng(8)
-    trunc = fc.FockTruncation(6)
+    d = 7
     for eta in np.arange(0.1, 1.01, 0.1):
         for _ in range(10):
             alpha = rng.uniform(0.2, 1.2)
-            rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
-            jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, trunc)[0, 0]
+            rho = fc.DensityOperator(random_density_matrix(rng, d**2), (d, d))
+            jp_det = lossy_click_probabilities(rho.matrix, [alpha], [alpha], eta, eta, d)[0, 0]
             folded = alpha * np.sqrt(eta)
             jp_loss = meas.joint_click_probabilities(lossy(rho, eta, eta), folded, folded)
             assert np.max(np.abs(jp_det - jp_loss.as_array())) < 1e-10
 
 
 def test_joint_click_probabilities_bell_state_z_basis():
-    rho = ideal_lossy_state(1.0, 0.0, TR10)
+    rho = ideal_lossy_state(1.0, 0.0, D11)
     jp = meas.joint_click_probabilities(rho, 0.0, 0.0)
     assert np.max(np.abs(jp.as_array() - np.array([0.0, 0.5, 0.5, 0.0]))) < 1e-12
 
 
 def test_joint_click_probabilities_vacuum():
-    vac = np.zeros((TR10.dim**2, TR10.dim**2), dtype=complex)
+    vac = np.zeros((D11**2, D11**2), dtype=complex)
     vac[0, 0] = 1.0
-    rho = fc.DensityOperator(vac, (TR10.dim, TR10.dim))
+    rho = fc.DensityOperator(vac, (D11, D11))
     alpha = 0.6
     jp = meas.joint_click_probabilities(rho, alpha, alpha)
     assert abs(jp.p_nc_nc - np.exp(-2 * alpha**2)) < 1e-9
@@ -212,16 +211,16 @@ def test_joint_click_probabilities_vacuum():
 def test_click_probability_grid_matches_kron_traces():
     # references at the state's truncation, and with the state zero-padded to a larger one
     rng = np.random.default_rng(23)
-    trunc = fc.FockTruncation(4)
-    rho = fc.DensityOperator(random_density_matrix(rng, trunc.dim**2), (trunc.dim, trunc.dim))
+    d = 5
+    rho = fc.DensityOperator(random_density_matrix(rng, d**2), (d, d))
     amps_1 = [0.3, 0.8 * np.exp(0.9j), 1.1 * np.exp(-2.2j)]
     amps_2 = [0.5 * np.exp(1.7j), 0.7]
     seen_1, seen_2 = np.multiply(amps_1, np.sqrt(0.8)), np.multiply(amps_2, np.sqrt(0.6))
     grid = meas.click_probability_grid(lossy(rho, 0.8, 0.6), seen_1, seen_2)
     assert grid.shape == (3, 2, 4)
-    for ref_trunc in (trunc, fc.FockTruncation(9)):
-        padded = embed_state(rho, ref_trunc).matrix
-        assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, ref_trunc))) < 1e-12
+    for ref_d in (d, 10):
+        padded = embed_state(rho, ref_d).matrix
+        assert np.max(np.abs(grid - lossy_click_probabilities(padded, amps_1, amps_2, 0.8, 0.6, ref_d))) < 1e-12
 
 
 def test_joint_click_probabilities_scalar_messages():
@@ -258,7 +257,7 @@ def test_joint_click_probabilities_reject_non_finite(bad):
 
 
 def test_joint_click_probabilities_match_p00_model_at_083():
-    rho = ideal_lossy_state(1.0, 0.0, TR10)
+    rho = ideal_lossy_state(1.0, 0.0, D11)
     jp = meas.joint_click_probabilities(rho, 0.83, 0.83)
     assert abs(jp.p_nc_nc - 0.3474) < 2e-4
     assert abs(jp.p_nc_nc - p00_phase_model(0.83, herald.PhaseConfig())) < 1e-9
@@ -269,7 +268,7 @@ def test_model_agreement_random_phases():
     names = list(herald.PhaseConfig.__dataclass_fields__)
     for _ in range(50):
         phases = herald.PhaseConfig(**dict(zip(names, rng.uniform(-np.pi, np.pi, len(names)))))
-        rho = ideal_lossy_state(1.0, relative_state_phase(phases), TR10)
+        rho = ideal_lossy_state(1.0, relative_state_phase(phases), D11)
         alpha = rng.uniform(0.3, 1.0)
         theta_1, theta_2 = displacement_phases(phases)
         jp = meas.joint_click_probabilities(rho, alpha * np.exp(1j * theta_1), alpha * np.exp(1j * theta_2))
@@ -277,16 +276,16 @@ def test_model_agreement_random_phases():
 
 
 def test_witness_operator_z_basis_is_sigma_z_pair():
-    w = meas.phase_averaged_witness_operator(0.0, 0.0, TR10)
-    sz = -np.eye(TR10.dim)
+    w = meas.phase_averaged_witness_operator(0.0, 0.0, D11)
+    sz = -np.eye(D11)
     sz[0, 0] = 1.0
     assert np.max(np.abs(w - np.kron(sz, sz))) < 1e-12
 
 
 def test_witness_operator_qubit_block_coefficients():
-    d = TR10.dim
+    d = D11
     for a1, a2 in ((0.3, 0.5), (0.72, 0.71), (0.83, 0.83), (1.2, 0.9)):
-        w = meas.phase_averaged_witness_operator(a1, a2, TR10)
+        w = meas.phase_averaged_witness_operator(a1, a2, D11)
         c1, c2, c3, c4, c5 = bound_coefficients(a1, a2)
         assert abs(w[0, 0] - c1) < 1e-10  # |00><00|
         assert abs(w[1, 1] - c5) < 1e-10  # |01><01|
@@ -297,8 +296,8 @@ def test_witness_operator_qubit_block_coefficients():
 
 
 def test_witness_operator_block_structure():
-    d = TR10.dim
-    w = meas.phase_averaged_witness_operator(0.83, 0.83, TR10)
+    d = D11
+    w = meas.phase_averaged_witness_operator(0.83, 0.83, D11)
     n = np.arange(d)
     totals = (n[:, None] + n[None, :]).ravel()
     off_sector = totals[:, None] != totals[None, :]
@@ -312,8 +311,8 @@ def test_witness_operator_block_structure():
 
 
 def test_witness_operator_singular_value_matches_b_max():
-    d = TR10.dim
-    w = meas.phase_averaged_witness_operator(0.83, 0.83, TR10)
+    d = D11
+    w = meas.phase_averaged_witness_operator(0.83, 0.83, D11)
     qubit = [0, 1, d, d + 1]
     other = [i for i in range(d * d) if i not in qubit]
     top = np.linalg.svd(w[np.ix_(qubit, other)], compute_uv=False)[0]
@@ -322,8 +321,8 @@ def test_witness_operator_singular_value_matches_b_max():
 
 
 def test_witness_operator_phase_averaging_idempotent():
-    w = meas.phase_averaged_witness_operator(0.7, 0.9, TR10)
-    n = np.arange(TR10.dim)
+    w = meas.phase_averaged_witness_operator(0.7, 0.9, D11)
+    n = np.arange(D11)
     totals = (n[:, None] + n[None, :]).ravel()
     mask = (totals[:, None] == totals[None, :]).astype(float)
     assert np.max(np.abs(w * mask - w)) == 0.0
@@ -334,7 +333,7 @@ def test_witness_operator_phase_averaging_idempotent():
 
 def test_witness_operator_rejects_negative_amplitudes():
     with pytest.raises(ValueError):
-        meas.phase_averaged_witness_operator(-0.1, 0.5, TR10)
+        meas.phase_averaged_witness_operator(-0.1, 0.5, D11)
 
 
 def test_multiphoton_coincidence_examples():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pathent import fockcore as fc
 from pathent import pipeline
 from pathent.config import Detectors, load_experiment_config, parse_experiment_config
-from pathent.herald import HeraldedState, PhaseConfig, SourceParams, simulate_heralded_state
+from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
 
 from conftest import FIXTURES
 from reference import (
@@ -67,17 +67,16 @@ def test_run_matches_padded_reference(pair_a, pair_b, signal, idler, false_heral
     report = pipeline.run_experiment(config)
 
     # the reference puts every phase on the state and measures at the displacement fields' own phases
-    trunc = fc.FockTruncation(trunc_n_max)
-    phase_free = simulate_heralded_state(src, (1.0, 1.0), config.herald_truncation).rho
+    d = trunc_n_max + 1
+    phase_free, _ = simulate_heralded_state(src, (1.0, 1.0), herald_n_max + 1)
     phased = rotate_signals(phase_free.matrix, signal_phases(phase_config))
-    padded = embed_state(fc.DensityOperator(phased, phase_free.mode_dims), trunc)
+    padded = embed_state(fc.DensityOperator(phased, phase_free.mode_dims), d)
     s1, s2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, displacement_phases(phase_config)))
     for basis, (t1, t2) in (("alpha_basis", (s1, s2)), ("z_basis", (0.0, 0.0))):
-        expected = lossy_click_probabilities(padded.matrix, [t1], [t2], *efficiencies, trunc)[0, 0]
+        expected = lossy_click_probabilities(padded.matrix, [t1], [t2], *efficiencies, d)[0, 0]
         got = [report["probabilities"][basis][key] for key in QUADRUPLE]
         assert np.max(np.abs(np.array(got) - expected)) <= 1e-13
 
-    d = trunc.dim
     t = padded.matrix.reshape(d, d, d, d)
     for key, marginal, eta in (
         ("p1_star", np.trace(t, axis1=1, axis2=3), efficiencies[0]),
@@ -98,7 +97,7 @@ def test_run_builds_no_state_beyond_the_herald_support(monkeypatch):
     monkeypatch.setattr(fc.DensityOperator, "__post_init__", recording)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     pipeline.run_experiment(config)
-    assert dims and max(dims) <= config.herald_truncation.dim ** 2
+    assert dims and max(dims) <= (config.numerics.herald_truncation_n_max + 1) ** 2
 
 
 @pytest.mark.parametrize("fixture", ("ideal_link", "lossy_link"))
@@ -130,7 +129,7 @@ def test_detected_state_equals_loss_after_a_lossless_herald(herald_n_max):
     for src in (config.source, drawn):
         got = pipeline._simulate_probabilities(replace(config, source=src))["rho"].matrix
         lossless = replace(src, signal_transmission_a=1.0, signal_transmission_b=1.0)
-        expected = simulate_heralded_state(lossless, (1.0, 1.0), config.herald_truncation).rho
+        expected, _ = simulate_heralded_state(lossless, (1.0, 1.0), herald_n_max + 1)
         for mode, eta in enumerate((src.signal_transmission_a * 0.6, src.signal_transmission_b * 0.85)):
             expected = fc.DensityOperator(loss_kraus_sum(expected, mode, eta), expected.mode_dims)
         assert np.max(np.abs(got - expected.matrix)) <= 1e-14
@@ -198,20 +197,21 @@ def test_run_bound_holds_for_separable_states_behind_lossy_detectors(sides, ampl
         displacement=point_displacement(*amplitudes),
         detectors=Detectors(*efficiencies),
     )
-    heralded = HeraldedState(embed_state(fc.DensityOperator(rho, (2, 2)), config.herald_truncation), 1e-6)
+    d = config.numerics.herald_truncation_n_max + 1
+    heralded = embed_state(fc.DensityOperator(rho, (2, 2)), d)
 
-    def lossy_herald(src, efficiencies, trunc):
+    def lossy_herald(src, efficiencies, d):
         # the herald folds each detector's efficiency into the signal transmissions of src
-        lossy = heralded.rho
+        lossy = heralded
         for mode, eta in enumerate((src.signal_transmission_a * efficiencies[0],
                                     src.signal_transmission_b * efficiencies[1])):
             lossy = fc.DensityOperator(loss_kraus_sum(lossy, mode, eta), lossy.mode_dims)
-        return HeraldedState(lossy, heralded.herald_probability)
+        return lossy, 1e-6
 
     with mock.patch.object(pipeline, "simulate_heralded_state", lossy_herald):
         report = pipeline.run_experiment(config)
-    p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(heralded.rho.matrix, *np.reshape(amplitudes, (2, 1)),
-                                                                *efficiencies, config.herald_truncation)[0, 0]
+    p_nc_nc, p_nc_c, p_c_nc, p_c_c = lossy_click_probabilities(heralded.matrix, *np.reshape(amplitudes, (2, 1)),
+                                                                *efficiencies, d)[0, 0]
     assert p_nc_nc + p_c_c - p_nc_c - p_c_nc <= report["witness"]["w_ppt_max"] + 1e-9
 
 
@@ -220,8 +220,8 @@ def test_pstar_at_lossy_detectors_to_rounding(fixture):
     # p* = sum_n P(n) (1 - 2 (1 - eta/2)^n + (1 - eta)^n) on the heralded populations, in 50-digit arithmetic
     mp.mp.dps = 50
     config = load_experiment_config(FIXTURES / f"{fixture}.json")
-    d = config.herald_truncation.dim
-    rho = simulate_heralded_state(config.source, (1.0, 1.0), config.herald_truncation).rho
+    d = config.numerics.herald_truncation_n_max + 1
+    rho, _ = simulate_heralded_state(config.source, (1.0, 1.0), d)
     populations = [[mp.mpf(float(x)) for x in row] for row in np.diagonal(rho.matrix).real.reshape(d, d)]
     marginals = {"p1_star": [mp.fsum(row) for row in populations],
                  "p2_star": [mp.fsum(column) for column in zip(*populations)]}

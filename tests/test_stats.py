@@ -5,6 +5,8 @@ from pathent import stats
 from pathent.measurement import JointClickProbabilities
 from pathent.witness import bound_coefficients
 
+from reference import sample_counts_sequential
+
 
 def test_count_record_validation():
     with pytest.raises(ValueError):
@@ -143,6 +145,30 @@ def test_sample_counts_deterministic():
     assert first == second
     other = stats.sample_counts(jp, 10_000, seed=43)
     assert other != first
+
+
+def _sampling_cases(rng):
+    """(quadruple, n_total, seed) cases of the three kinds the pipeline samples and more."""
+    cases = []
+    # random quadruples with zero entries, totals from 1 to 2**40
+    for _ in range(5_000):
+        w = rng.uniform(size=4) * (rng.uniform(size=4) < 0.75)
+        w[0] += not w.any()
+        cases.append(((w / w.sum()).tolist(), int(2 ** rng.uniform(0, 40))))
+    # no joint no-clicks, as in an ideal link's z basis: the last conditional ratio often rounds above 1
+    for _ in range(20_000):
+        w = rng.uniform(size=3)
+        cases.append(([0.0, *(w / w.sum()).tolist()], int(2 ** rng.uniform(0, 40))))
+    # pstar rows (1 - p, 0, 0, p)
+    for p in (0.0, 1.0, *rng.uniform(0.0, 1e-3, size=50).tolist(), *rng.uniform(size=50).tolist()):
+        cases.append(([1.0 - p, 0.0, 0.0, p], int(2 ** rng.uniform(0, 40))))
+    return [(JointClickProbabilities(*p), n, int(rng.integers(2**63))) for p, n in cases]
+
+
+def test_sample_counts_equals_the_sequential_binomial_oracle():
+    rng = np.random.default_rng(31)
+    for jp, n, seed in _sampling_cases(rng):
+        assert stats.sample_counts(jp, n, seed) == sample_counts_sequential(jp, n, seed), (jp, n, seed)
 
 
 def test_sample_counts_degenerate():

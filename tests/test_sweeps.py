@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathent import fockcore as fc
-from pathent import measurement, pipeline, witness
+from pathent import herald, measurement, pipeline, witness
 from pathent.cli import main
 from pathent.config import Detectors, load_experiment_config
 from pathent.herald import PhaseConfig, SourceParams, simulate_heralded_state
@@ -29,7 +29,7 @@ from reference import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-TR3 = fc.FockTruncation(3)
+D4 = 4  # levels per mode at n_max 3
 PHASES = PhaseConfig(
     phi_a=0.3, phi_b=-0.8, zeta_a=0.1, zeta_b=0.55, chi_a=1.2, chi_b=-0.4,
     xi_a_long=0.7, xi_a_short=0.2, xi_b_long=-0.3, xi_b_short=0.9,
@@ -59,7 +59,7 @@ def test_chi_b_offset_is_phase_rotation_of_bob(
     src = SourceParams(pair_a, signal_a, signal_b, idler_a, idler_b, false_herald, pair_b)
     base = PhaseConfig(*phases)
     shifted = replace(base, chi_b=base.chi_b + delta)
-    rho = simulate_heralded_state(src, (1.0, 1.0), TR3).rho
+    rho, _ = simulate_heralded_state(src, (1.0, 1.0), D4)
     phased = fc.DensityOperator(rotate_signals(rho.matrix, signal_phases(shifted)), rho.mode_dims)
     amplitudes = np.array([0.0, 0.83, 1.7])
     expected = click_probability_grid(phased, *(amplitudes * np.exp(1j * t) for t in displacement_phases(shifted)))
@@ -87,8 +87,8 @@ CONFIGS = pytest.mark.parametrize(
 
 def phased_state(config, phases: PhaseConfig) -> np.ndarray:
     """The heralded state before detector loss with every phase on it, as the reference builds it."""
-    return rotate_signals(simulate_heralded_state(config.source, (1.0, 1.0), config.herald_truncation).rho.matrix,
-                          signal_phases(phases))
+    rho, _ = simulate_heralded_state(config.source, (1.0, 1.0), config.numerics.herald_truncation_n_max + 1)
+    return rotate_signals(rho.matrix, signal_phases(phases))
 
 
 def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, config) -> JointClickProbabilities:
@@ -96,7 +96,8 @@ def reference_probabilities(rho: np.ndarray, amplitudes, phases: PhaseConfig, co
     the config's lossy detectors, in the Heisenberg picture."""
     t1, t2 = (a * np.exp(1j * theta) for a, theta in zip(amplitudes, displacement_phases(phases)))
     etas = (config.detectors.efficiency_a, config.detectors.efficiency_b)
-    return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, config.herald_truncation)[0, 0])
+    d = config.numerics.herald_truncation_n_max + 1
+    return JointClickProbabilities(*lossy_click_probabilities(rho, [t1], [t2], *etas, d)[0, 0])
 
 
 @CONFIGS
@@ -228,24 +229,24 @@ def test_sweep_phase_eigendecompositions_do_not_grow_with_steps(monkeypatch):
     (pipeline.sweep_alpha, (0.1, 1.2, 4)),
 ])
 def test_detector_loss_applied_once_per_op(op, args, monkeypatch):
-    # a signal and an idler Kraus stack per source, detector loss folded into the signal one, and one
+    # a signal and an idler loss superoperator per source, detector loss folded into the signal one, and one
     # checked state: the one the detectors see
     built = Counter()
-    loss_channel_kraus, validate = fc.loss_channel_kraus, fc.DensityOperator.__post_init__
+    loss_superoperator, validate = herald._loss_superoperator, fc.DensityOperator.__post_init__
 
-    def counting_kraus(*kraus_args):
-        built["loss_channel_kraus"] += 1
-        return loss_channel_kraus(*kraus_args)
+    def counting_loss(*loss_args):
+        built["_loss_superoperator"] += 1
+        return loss_superoperator(*loss_args)
 
     def counting_validate(self):
         built["DensityOperator"] += 1
         validate(self)
 
-    monkeypatch.setattr(fc, "loss_channel_kraus", counting_kraus)
+    monkeypatch.setattr(herald, "_loss_superoperator", counting_loss)
     monkeypatch.setattr(fc.DensityOperator, "__post_init__", counting_validate)
     config = load_experiment_config(FIXTURES / "lossy_link.json")
     op(replace(config, detectors=Detectors(0.6, 0.85)), *args)
-    assert built == {"loss_channel_kraus": 4, "DensityOperator": 1}
+    assert built == {"_loss_superoperator": 4, "DensityOperator": 1}
 
 
 def _fields(text: str) -> list[list[str]]:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathent import fockcore as fc
 from pathent import measurement as meas
 from pathent import pipeline, stats, witness
 from pathent.config import load_experiment_config
@@ -14,7 +13,7 @@ from pathent.config import load_experiment_config
 from conftest import FIXTURES, random_qubit_pure_state
 from reference import expectation_value, ideal_lossy_state, maximize_over_box_dense, point_setting
 
-TR10 = fc.FockTruncation(10)
+D11 = 11  # levels per mode at n_max 10
 
 # published experimental runs: z-basis probabilities, alpha intervals, multiphoton bounds
 ROW_42M_SET1 = dict(
@@ -196,8 +195,7 @@ def box_maxima(box_pair, jp_z, mb):
     def w_tilde(x1, x2):
         return witness.w_tilde_point(x1, x2, jp_z, mb)
 
-    w_search = witness._maximize_over_box(w_tilde, lambda lo, hi: witness._w_tilde_slopes(lo, hi, jp_z, mb),
-                                          witness._clipped_box(*box_pair))
+    w_search = witness._maximize_over_box(witness._clipped_box(*box_pair), jp_z, mb)
     return [(witness.b_max, (witness.beta_bound(*box_pair), None)), (w_tilde, w_search)]
 
 
@@ -384,8 +382,8 @@ def test_zero_displacement_cannot_witness():
 def test_robustness_identity_quick():
     for eta in (0.1, 0.5, 1.0):
         for alpha in (0.3, 0.83):
-            rho = ideal_lossy_state(eta, 0.0, TR10)
-            w_op = meas.phase_averaged_witness_operator(alpha, alpha, TR10)
+            rho = ideal_lossy_state(eta, 0.0, D11)
+            w_op = meas.phase_averaged_witness_operator(alpha, alpha, D11)
             diag = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
             violation = expectation_value(rho, w_op) - witness.w_ppt_qubit(alpha, alpha, diag)
             expected = 8.0 * alpha**2 * np.exp(-2.0 * alpha**2) * eta / 2.0
@@ -394,9 +392,9 @@ def test_robustness_identity_quick():
 
 def test_detection_for_arbitrary_loss():
     # for every eta there is an amplitude with positive violation
-    w_ops = {a: meas.phase_averaged_witness_operator(a, a, TR10) for a in (0.4, 0.7071, 1.0)}
+    w_ops = {a: meas.phase_averaged_witness_operator(a, a, D11) for a in (0.4, 0.7071, 1.0)}
     for eta in np.arange(0.01, 1.001, 0.0999):
-        rho = ideal_lossy_state(eta, 0.0, TR10)
+        rho = ideal_lossy_state(eta, 0.0, D11)
         diag = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
         best = max(
             expectation_value(rho, w_op) - witness.w_ppt_qubit(a, a, diag)
@@ -427,8 +425,8 @@ def test_separable_soundness_sample():
 
 
 def _qubit_block(a1: float, a2: float) -> np.ndarray:
-    d = TR10.dim
-    w = meas.phase_averaged_witness_operator(a1, a2, TR10)
+    d = D11
+    w = meas.phase_averaged_witness_operator(a1, a2, D11)
     idx = [0, 1, d, d + 1]
     return w[np.ix_(idx, idx)]
 
@@ -449,11 +447,11 @@ def test_max_violation_optimum_is_the_truncated_maximum(eta, n_max, h):
     # the truncated objective: witness on the ideal lossy state minus the qubit bound of its diagonal
     jp_z = meas.JointClickProbabilities(1.0 - eta, eta / 2.0, eta / 2.0, 0.0)
     assert witness.optimal_alpha(jp_z, "max_violation") == (sqrt(0.5), sqrt(0.5))
-    trunc = fc.FockTruncation(n_max)
-    rho = ideal_lossy_state(eta, 0.0, trunc).matrix
+    d = n_max + 1
+    rho = ideal_lossy_state(eta, 0.0, d).matrix
 
     def violation(a: float) -> float:
-        w = meas.phase_averaged_witness_operator(a, a, trunc)
+        w = meas.phase_averaged_witness_operator(a, a, d)
         return np.trace(rho @ w).real - witness.w_ppt_qubit(a, a, jp_z)
 
     best = violation(sqrt(0.5))
